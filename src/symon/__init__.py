@@ -50,7 +50,6 @@ from .specialsets import (
     core_cardinality,
     count_without_eigenvalue_one,
     full_cardinality,
-    membership,
     no_eigenvalue_one_floor,
     select_blocks,
     union_cardinality,

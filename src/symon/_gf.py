@@ -32,10 +32,6 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-def batch_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.matmul(a, b) % p
-
-
 def batch_det(a: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (N, d, d) batch, closed-form for d <= 4."""
     d = a.shape[-1]

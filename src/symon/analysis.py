@@ -165,9 +165,7 @@ def admissible_primes(q: int | _Infinity, ell_max: int) -> list[int]:
     ell = 2 is always skipped: its term is identically zero (empty sets), so
     it contributes nothing and would break the in-(0,1) term contract.
     """
-    if isinstance(q, _Infinity):
-        return [ell for ell in primes_upto(ell_max) if ell > 2]
-    p = prime_power_base(q)
+    p = None if isinstance(q, _Infinity) else prime_power_base(q)
     return [ell for ell in primes_upto(ell_max) if ell > 2 and ell != p]
 
 
@@ -211,9 +209,10 @@ def _part_b_diag_exponent(g: int, e: int) -> int:
 def part_b_series(g: int, e: int, ell_max: int) -> SeriesReport:
     """Bound terms, exact partial sums, diagnostics, and a tail bound.
 
-    Diagnostic: term * ell^(e(g+1/2) - (2g-1)), which tends to 1.  The tail
-    bound uses the largest observed diagnostic C and the integral envelope
-    sum_{m > ell_max} C * m^(-s) <= C * ell_max^(1-s) / (s - 1).
+    Diagnostic: term * ell^kappa with kappa = e(g+1/2) - (2g-1), which tends
+    to 1.  The tail bound uses the largest observed diagnostic C and the
+    integral envelope
+    sum_{m > ell_max} C * m^(-kappa) <= C * ell_max^(1-kappa) / (kappa - 1).
     """
     if e < 2:
         raise ValueError("part-b requires e >= 2")
@@ -228,9 +227,7 @@ def part_b_series(g: int, e: int, ell_max: int) -> SeriesReport:
     tail = None
     if rows:
         c = max(r.diagnostic for r in rows)
-        # s = kappa as a decay exponent: term <= C * ell^(-s), 2s = two_kappa + ... ;
-        # decay exponent s satisfies -s = (2-e)g - (1 + e/2), so 2s = 2(e-2)g + 2 + e.
-        two_s = 2 * (e - 2) * g + 2 + e
-        _, hi = pow_enclosure(ell_max, 2 - two_s, 2)           # ell_max^(1-s)
-        tail = c * hi / (Fraction(two_s, 2) - 1)
+        # term <= C * ell^(-kappa), and 2*kappa = e(2g+1) - 2(2g-1) = 2(e-2)g + 2 + e
+        _, hi = pow_enclosure(ell_max, 2 - two_kappa, 2)       # ell_max^(1-kappa)
+        tail = c * hi / (Fraction(two_kappa, 2) - 1)
     return SeriesReport("part-b", g, ell_max, None, e, tuple(rows), tail)

@@ -2,7 +2,9 @@
 and seeded simulations, all emitting machine-readable JSON (or CSV for
 series).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or budget error.
+Exit codes: 0 success, 1 verification failure, 2 usage or budget error,
+including an input file that cannot be read or parsed and an output file
+that cannot be written.
 Every command is deterministic given its full flag set, including --threads:
 reruns produce byte-identical reports.  Group orders and cardinalities are
 emitted as decimal strings to stay lossless past 53-bit floats.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _gf
 from .analysis import frac_str, part_a_series, part_b_series
-from .modmat import Modulus
+from .modmat import Modulus, header_line, matrix_line
 from .montecarlo import (
     FixedVectorEvent,
     JointSetHitEvent,
@@ -33,12 +35,9 @@ from .montecarlo import (
     estimate_events,
 )
 from .specialsets import (
-    AllUnits,
     BlockStrategy,
     FixedVectorSet,
-    PowersOfQ,
     SetLevel,
-    SingleMultiplier,
     build_core_set,
     build_full_set,
     build_union_set,
@@ -105,10 +104,18 @@ def _q_str(q) -> str:
     return "inf" if isinstance(q, _Infinity) else str(q)
 
 
+def _open(path: str, mode: str = "r"):
+    """open(), reporting a file that cannot be opened as a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -120,22 +127,13 @@ def _emit_json(args, report: dict) -> None:
 
 # -- verify-counts --
 
-def _check(checks: list, name: str, expected, actual, **params) -> None:
-    entry = dict(params)
-    entry["name"] = name
-    entry["expected"] = str(expected)
-    entry["actual"] = str(actual)
-    entry["status"] = "ok" if str(expected) == str(actual) else "fail"
-    checks.append(entry)
-
-
-def _check_ge(checks: list, name: str, floor, actual, **params) -> None:
-    entry = dict(params)
-    entry["name"] = name
-    entry["expected"] = f">={floor}"
-    entry["actual"] = str(actual)
-    entry["status"] = "ok" if actual >= floor else "fail"
-    checks.append(entry)
+def _check(checks: list, name: str, expected, actual, ok: bool | None = None,
+           **params) -> None:
+    """Record one check; by default it holds when both sides print alike."""
+    if ok is None:
+        ok = str(expected) == str(actual)
+    checks.append(dict(params, name=name, expected=str(expected), actual=str(actual),
+                       status="ok" if ok else "fail"))
 
 
 def cmd_verify_counts(args) -> int:
@@ -179,7 +177,8 @@ def cmd_verify_counts(args) -> int:
         for lam in lam_grid[ell]:
             floor = no_eigenvalue_one_floor(ell, 1)
             actual = count_without_eigenvalue_one(ell, 1, lam, budget=_budget(args))
-            _check_ge(checks, "block-availability", floor, actual, g=1, ell=ell, lam=lam)
+            _check(checks, "block-availability", f">={floor}", actual, actual >= floor,
+                   g=1, ell=ell, lam=lam)
 
     strategy = BlockStrategy.LEX_CANONICAL
     tampered = bool(getattr(args, "tamper", False))
@@ -227,10 +226,13 @@ def cmd_verify_counts(args) -> int:
 
 # -- special-set --
 
-def _selector_for(level: SetLevel, q, lam):
-    if level is SetLevel.UNION:
-        return AllUnits() if isinstance(q, _Infinity) else PowersOfQ()
-    return SingleMultiplier(lam)
+def _build_set(ctx: GroupContext, level: SetLevel, lam, strategy: BlockStrategy,
+               allow_large: bool) -> FixedVectorSet:
+    if level is SetLevel.CORE:
+        return build_core_set(ctx, lam, strategy, allow_large)
+    if level is SetLevel.FULL:
+        return build_full_set(ctx, lam, strategy, allow_large)
+    return build_union_set(ctx, strategy, allow_large)
 
 
 def cmd_special_set_build(args) -> int:
@@ -240,15 +242,10 @@ def cmd_special_set_build(args) -> int:
     ctx = GroupContext.of(args.g, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
         raise UsageError(f"--lam is required for level {level.value}")
-    if level is SetLevel.CORE:
-        s = build_core_set(ctx, args.lam, strategy, args.allow_large_ell)
-    elif level is SetLevel.FULL:
-        s = build_full_set(ctx, args.lam, strategy, args.allow_large_ell)
-    else:
-        s = build_union_set(ctx, strategy, args.allow_large_ell)
-    with open(args.out, "w") as fh:
+    s = _build_set(ctx, level, args.lam, strategy, args.allow_large_ell)
+    with _open(args.out, "w") as fh:
         lines = s.dump(fh)
-    with open(args.out + ".json", "w") as fh:
+    with _open(args.out + ".json", "w") as fh:
         s.write_sidecar(fh)
     report = dict(s.sidecar())
     report["command"] = "special-set-build"
@@ -264,8 +261,8 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"sidecar says {sidecar['cardinality']}")
     allowed = np.zeros(ell, dtype=bool)
-    if isinstance(s.selector, SingleMultiplier):
-        allowed[s.selector.value % ell] = True
+    if s.lam is not None:
+        allowed[s.lam % ell] = True
     else:
         for v in s.ctx.multiplier_values(ell):
             allowed[v] = True
@@ -292,30 +289,44 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
                 break
 
 
+def _read_sidecar(path: str) -> dict:
+    """A dump's sidecar, checked for the fields that verification reads."""
+    with _open(path) as fh:
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"sidecar {path} is not JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise UsageError(f"sidecar {path} is not a JSON object")
+    fields = ["g", "n", "q", "level", "strategy", "cardinality"]
+    if sidecar.get("level") != SetLevel.UNION.value:
+        fields.append("lam")
+    missing = [k for k in fields if k not in sidecar]
+    if missing:
+        raise UsageError(f"sidecar {path} lacks {', '.join(missing)}")
+    if any(type(sidecar.get(k, 0)) is not int for k in ("g", "n", "lam")):
+        raise UsageError(f"sidecar {path}: g, n and lam must be integers")
+    return sidecar
+
+
 def cmd_special_set_verify(args) -> int:
-    with open(args.dump + ".json") as fh:
-        sidecar = json.load(fh)
+    sidecar = _read_sidecar(args.dump + ".json")
     q = _parse_q(str(sidecar["q"]))
     level = SetLevel(sidecar["level"])
     strategy = _strategy(sidecar["strategy"])
     ctx = GroupContext.of(sidecar["g"], sidecar["n"], q)
-    selector = _selector_for(level, q, sidecar.get("lam"))
+    lam = None if level is SetLevel.UNION else sidecar["lam"]
     problems: list[str] = []
-    with open(args.dump) as fh:
+    with _open(args.dump) as fh:
         try:
-            s = FixedVectorSet.load(fh, ctx, selector, level, strategy)
+            s = FixedVectorSet.load(fh, ctx, lam, level, strategy)
         except ValueError as exc:
             problems.append(str(exc))
             s = None
     if s is not None:
         _verify_loaded(s, sidecar, problems)
         if args.rebuild:
-            if level is SetLevel.CORE:
-                fresh = build_core_set(ctx, sidecar["lam"], strategy, True)
-            elif level is SetLevel.FULL:
-                fresh = build_full_set(ctx, sidecar["lam"], strategy, True)
-            else:
-                fresh = build_union_set(ctx, strategy, True)
+            fresh = _build_set(ctx, level, lam, strategy, True)
             if fresh.keys.shape != s.keys.shape or not bool((fresh.keys == s.keys).all()):
                 problems.append("rebuild does not reproduce the dump")
     report = {"command": "special-set-verify", "dump": args.dump,
@@ -449,24 +460,44 @@ def cmd_orders(args) -> int:
 def cmd_enumerate(args) -> int:
     q = _parse_q(args.q)
     ctx = GroupContext.of(args.g, args.ell, q)
-    lines = [f"# dim={ctx.dim} mod={args.ell}"]
-    count = 0
+    lines = [header_line(ctx.dim, args.ell)]
     for entries, _ in scan_entries(ctx, lam=args.lam, budget=_budget(args)):
-        for flat in entries.reshape(entries.shape[0], -1):
-            lines.append(",".join(str(int(x)) for x in flat))
-            count += 1
+        lines.extend(matrix_line(flat) for flat in entries.reshape(entries.shape[0], -1))
     _emit(args, "\n".join(lines) + "\n")
     if args.out:
-        sys.stdout.write(json.dumps({"command": "enumerate", "count": count}) + "\n")
+        sys.stdout.write(json.dumps({"command": "enumerate", "count": len(lines) - 1}) + "\n")
     return 0
 
 
-def _add_common(p, threads: bool = True, out: bool = True) -> None:
-    if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; output is independent of this")
-    if out:
-        p.add_argument("--out", help="write the report here instead of stdout")
+# Flags and their add_argument keywords.  A command's entry in the table of
+# build_parser may override them; every command also takes --threads and --out.
+_FLAGS = {
+    "--g": dict(type=int, default=2),
+    "--n": dict(type=int, required=True),
+    "--ell": dict(type=int, required=True),
+    "--q": dict(default="inf"),
+    "--e": dict(type=int),
+    "--lam": dict(type=int, default=None),
+    "--budget": dict(type=int, default=None),
+    "--samples": dict(type=int, default=100_000),
+    "--seed": dict(type=int, required=True),
+    "--strategy": dict(choices=[s.value for s in BlockStrategy],
+                       default=BlockStrategy.LEX_CANONICAL.value),
+    "--ell-max": dict(type=int, default=1000),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--threads": dict(type=int, default=1, help="worker threads; output is independent of this"),
+    "--out": dict(help="write the report here instead of stdout"),
+}
+
+# top-level command -> (help, dest of its subcommands or None)
+_TOP = {
+    "verify-counts": ("run the exact-identity suite", None),
+    "special-set": ("build or verify set dumps", "subcommand"),
+    "series": ("exact-rational series reports", "which"),
+    "simulate": ("seeded Monte Carlo experiments", "subcommand"),
+    "orders": ("exact group orders", None),
+    "enumerate": ("stream group members as a dump", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,118 +505,57 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symon",
         description="Exact checks, set dumps, series reports and seeded "
                     "simulations for symplectic similitude groups over Z/n.")
+    # the handlers are looked up when the parser is built, so a wrapper
+    # installed on this module's functions is the one that runs
+    commands = [
+        (("verify-counts",), cmd_verify_counts, [
+            "--g", ("--ells", dict(default="3,5,7", help="comma-separated grid primes")),
+            ("--q", dict(default="2,inf", help="comma-separated q values ('inf' allowed)")),
+            "--budget",
+            ("--set-budget", dict(type=int, default=2_000_000,
+                                  help="skip materializing layers larger than this")),
+            ("--tamper", dict(action="store_true", help=argparse.SUPPRESS))]),
+        (("special-set", "build"), cmd_special_set_build, [
+            "--g", "--ell", "--q",
+            ("--level", dict(choices=[l.value for l in SetLevel], default="union")),
+            "--lam", "--strategy", ("--allow-large-ell", dict(action="store_true")),
+            ("--out", dict(required=True, help=None))]),
+        (("special-set", "verify"), cmd_special_set_verify, [
+            ("--dump", dict(required=True)),
+            ("--rebuild", dict(action="store_true",
+                               help="also rebuild from scratch and compare"))]),
+        (("series", "part-a"), cmd_series, ["--g", "--q", "--ell-max", "--format"]),
+        (("series", "part-b"), cmd_series, [
+            "--g", ("--e", dict(default=2)), "--ell-max", "--format"]),
+        (("simulate", "hit-frequency"), cmd_simulate_hit_frequency, [
+            "--g", "--n", "--q", ("--e", dict(default=1)), "--samples", "--seed", "--strategy"]),
+        (("simulate", "independence"), cmd_simulate_independence, [
+            "--g", "--n", "--q", ("--ells", dict(default=None)), "--samples", "--seed",
+            "--strategy"]),
+        (("simulate", "mu-x"), cmd_simulate_mu_x, [
+            "--g", "--ell", "--q", ("--e", dict(default=2)), "--samples", "--seed"]),
+        (("simulate", "borel-cantelli"), cmd_simulate_borel_cantelli, [
+            "--g", "--q", ("--ells", dict(required=True)), ("--e", dict(default=1)),
+            ("--samples", dict(default=10_000)), "--seed", "--strategy"]),
+        (("orders",), cmd_orders, ["--g", "--n", "--q"]),
+        (("enumerate",), cmd_enumerate, [
+            ("--g", dict(default=1)), "--ell", "--q", "--lam", "--budget"]),
+    ]
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-counts", help="run the exact-identity suite")
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--ells", default="3,5,7", help="comma-separated grid primes")
-    p.add_argument("--q", default="2,inf", help="comma-separated q values ('inf' allowed)")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--set-budget", type=int, default=2_000_000,
-                   help="skip materializing layers larger than this")
-    p.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_counts)
-
-    p = sub.add_parser("special-set", help="build or verify set dumps")
-    ss = p.add_subparsers(dest="subcommand", required=True)
-    b = ss.add_parser("build")
-    b.add_argument("--g", type=int, default=2)
-    b.add_argument("--ell", type=int, required=True)
-    b.add_argument("--q", default="inf")
-    b.add_argument("--level", choices=[l.value for l in SetLevel], default="union")
-    b.add_argument("--lam", type=int, default=None)
-    b.add_argument("--strategy", choices=[s.value for s in BlockStrategy],
-                   default=BlockStrategy.LEX_CANONICAL.value)
-    b.add_argument("--allow-large-ell", action="store_true")
-    b.add_argument("--out", required=True)
-    _add_common(b, out=False)
-    b.set_defaults(func=cmd_special_set_build)
-    v = ss.add_parser("verify")
-    v.add_argument("--dump", required=True)
-    v.add_argument("--rebuild", action="store_true",
-                   help="also rebuild from scratch and compare")
-    _add_common(v)
-    v.set_defaults(func=cmd_special_set_verify)
-
-    p = sub.add_parser("series", help="exact-rational series reports")
-    sp = p.add_subparsers(dest="which", required=True)
-    a = sp.add_parser("part-a")
-    a.add_argument("--g", type=int, default=2)
-    a.add_argument("--q", default="inf")
-    a.add_argument("--ell-max", type=int, default=1000)
-    a.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(a)
-    a.set_defaults(func=cmd_series, which="part-a")
-    b = sp.add_parser("part-b")
-    b.add_argument("--g", type=int, default=2)
-    b.add_argument("--e", type=int, default=2)
-    b.add_argument("--ell-max", type=int, default=1000)
-    b.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(b)
-    b.set_defaults(func=cmd_series, which="part-b")
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo experiments")
-    sim = p.add_subparsers(dest="subcommand", required=True)
-    h = sim.add_parser("hit-frequency")
-    h.add_argument("--g", type=int, default=2)
-    h.add_argument("--n", type=int, required=True)
-    h.add_argument("--q", default="inf")
-    h.add_argument("--e", type=int, default=1)
-    h.add_argument("--samples", type=int, default=100_000)
-    h.add_argument("--seed", type=int, required=True)
-    h.add_argument("--strategy", choices=[s.value for s in BlockStrategy],
-                   default=BlockStrategy.LEX_CANONICAL.value)
-    _add_common(h)
-    h.set_defaults(func=cmd_simulate_hit_frequency)
-    i = sim.add_parser("independence")
-    i.add_argument("--g", type=int, default=2)
-    i.add_argument("--n", type=int, required=True)
-    i.add_argument("--q", default="inf")
-    i.add_argument("--ells", default=None)
-    i.add_argument("--samples", type=int, default=100_000)
-    i.add_argument("--seed", type=int, required=True)
-    i.add_argument("--strategy", choices=[s.value for s in BlockStrategy],
-                   default=BlockStrategy.LEX_CANONICAL.value)
-    _add_common(i)
-    i.set_defaults(func=cmd_simulate_independence)
-    m = sim.add_parser("mu-x")
-    m.add_argument("--g", type=int, default=2)
-    m.add_argument("--ell", type=int, required=True)
-    m.add_argument("--q", default="inf")
-    m.add_argument("--e", type=int, default=2)
-    m.add_argument("--samples", type=int, default=100_000)
-    m.add_argument("--seed", type=int, required=True)
-    _add_common(m)
-    m.set_defaults(func=cmd_simulate_mu_x)
-    bc = sim.add_parser("borel-cantelli")
-    bc.add_argument("--g", type=int, default=2)
-    bc.add_argument("--q", default="inf")
-    bc.add_argument("--ells", required=True)
-    bc.add_argument("--e", type=int, default=1)
-    bc.add_argument("--samples", type=int, default=10_000)
-    bc.add_argument("--seed", type=int, required=True)
-    bc.add_argument("--strategy", choices=[s.value for s in BlockStrategy],
-                    default=BlockStrategy.LEX_CANONICAL.value)
-    _add_common(bc)
-    bc.set_defaults(func=cmd_simulate_borel_cantelli)
-
-    p = sub.add_parser("orders", help="exact group orders")
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", default="inf")
-    _add_common(p)
-    p.set_defaults(func=cmd_orders)
-
-    p = sub.add_parser("enumerate", help="stream group members as a dump")
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--q", default="inf")
-    p.add_argument("--lam", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
+    groups = {}
+    for path, func, flags in commands:
+        top, rest = path[0], path[1:]
+        if top not in groups:
+            help_text, dest = _TOP[top]
+            groups[top] = sub.add_parser(top, help=help_text)
+            if dest:
+                groups[top] = groups[top].add_subparsers(dest=dest, required=True)
+        p = groups[top].add_parser(rest[0]) if rest else groups[top]
+        flags = [(f, {}) if isinstance(f, str) else f for f in flags]
+        flags += [(f, {}) for f in ("--threads", "--out") if f not in dict(flags)]
+        for flag, overrides in flags:
+            p.add_argument(flag, **{**_FLAGS.get(flag, {}), **overrides})
+        p.set_defaults(func=func)
     return ap
 
 

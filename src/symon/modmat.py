@@ -25,22 +25,34 @@ class NotInvertible(ValueError):
     """The matrix determinant shares a factor with the modulus."""
 
 
+def prime_factors(n: int) -> Iterator[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing n >= 2, ascending.
+
+    Trial division, produced lazily so that callers stop at the first
+    factor that settles their question.
+    """
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def factor_squarefree(n: int) -> tuple[int, ...]:
     """Factor n into distinct primes; raise if n is not squarefree or < 2."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise ValueError(f"modulus {n} is not squarefree (divisible by {p}^2)")
-            primes.append(p)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        primes.append(m)
+    for p, k in prime_factors(n):
+        if k > 1:
+            raise ValueError(f"modulus {n} is not squarefree (divisible by {p}^2)")
+        primes.append(p)
     return tuple(primes)
 
 
@@ -93,6 +105,13 @@ class ModMatrix:
     def from_rows(cls, modulus: Modulus, rows: Sequence[Sequence[int]]) -> "ModMatrix":
         n = modulus.n
         return cls(modulus, tuple(tuple(int(x) % n for x in row) for row in rows))
+
+    @classmethod
+    def from_flat(cls, modulus: Modulus, flat: Sequence[int]) -> "ModMatrix":
+        """The square matrix with the given row-major entries."""
+        vals = list(flat)
+        d = math.isqrt(len(vals))
+        return cls.from_rows(modulus, [vals[i * d:(i + 1) * d] for i in range(d)])
 
     @classmethod
     def identity(cls, modulus: Modulus, dim: int) -> "ModMatrix":
@@ -200,6 +219,11 @@ def kernel_basis(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def minus_identity(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Rows of A - I reduced mod p: its kernel is the fixed space of A."""
+    return [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def rank_mod(rows: list[list[int]], p: int) -> int:
     return len(rref_mod(rows, p)[1])
 
@@ -254,11 +278,8 @@ def mat_inv(a: ModMatrix) -> ModMatrix:
     d = math.gcd(det(a), n)
     if d != 1:
         raise NotInvertible(f"determinant shares factor {d} with modulus {n}")
-    if a.modulus.is_prime:
-        inv = _inv_prime([list(row) for row in a.rows], n)
-        return ModMatrix.from_rows(a.modulus, inv)
-    parts = [(_inv_prime([list(row) for row in a.rows], p), p) for p in a.modulus.primes]
-    return crt_lift([ModMatrix.from_rows(Modulus.of(p), rows) for rows, p in parts])
+    return crt_lift(ModMatrix.from_rows(Modulus.of(p), _inv_prime([list(row) for row in a.rows], p))
+                    for p in a.modulus.primes)
 
 
 def fixed_space(a: ModMatrix) -> list[ModVector]:
@@ -269,8 +290,8 @@ def fixed_space(a: ModMatrix) -> list[ModVector]:
     if not a.modulus.is_prime:
         raise ValueError("fixed_space requires a prime modulus")
     p = a.modulus.n
-    rows = [[(x - (1 if i == j else 0)) % p for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
-    return [ModVector.from_entries(a.modulus, v) for v in kernel_basis(rows, p)]
+    basis = kernel_basis(minus_identity(a.rows, p), p)
+    return [ModVector.from_entries(a.modulus, v) for v in basis]
 
 
 def has_eigenvalue_one(a: ModMatrix) -> bool:
@@ -278,8 +299,7 @@ def has_eigenvalue_one(a: ModMatrix) -> bool:
     if not a.modulus.is_prime:
         raise ValueError("has_eigenvalue_one requires a prime modulus")
     p = a.modulus.n
-    rows = [[(x - (1 if i == j else 0)) % p for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
-    return _det_prime(rows, p) == 0
+    return _det_prime(minus_identity(a.rows, p), p) == 0
 
 
 def reduce_mod(a: ModMatrix, ell: int) -> ModMatrix:
@@ -361,4 +381,4 @@ def read_matrices(fh: TextIO) -> Iterator[ModMatrix]:
         vals = [int(x) for x in line.split(",")]
         if len(vals) != dim * dim:
             raise ValueError(f"expected {dim * dim} entries, got {len(vals)}")
-        yield ModMatrix.from_rows(modulus, [vals[i * dim:(i + 1) * dim] for i in range(dim)])
+        yield ModMatrix.from_flat(modulus, vals)

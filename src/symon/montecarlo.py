@@ -26,13 +26,14 @@ Work partitions across threads by sample index without changing any output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .analysis import density_ratio, frac_str, pow_enclosure
-from .modmat import ModMatrix, Modulus, crt_lift, rank_mod
+from .modmat import ModMatrix, Modulus, crt_lift, minus_identity, rank_mod
 from .prng import CounterRng
 from .specialsets import BlockStrategy, DirectMembership
 from .sympgroup import (
@@ -153,10 +154,7 @@ def sample_tuple(ctx: GroupContext, e: int, seed: int, index: int) -> SampleTupl
 
 
 def _stacked_rank_deficient(rows_list: Sequence[Sequence[Sequence[int]]], ell: int, dim: int) -> bool:
-    stacked = []
-    for rows in rows_list:
-        for i, row in enumerate(rows):
-            stacked.append([(x - (1 if i == j else 0)) % ell for j, x in enumerate(row)])
+    stacked = [row for rows in rows_list for row in minus_identity(rows, ell)]
     return rank_mod(stacked, ell) < dim
 
 
@@ -212,6 +210,61 @@ def _split_ranges(n: int, parts: int) -> list[range]:
     return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def _tally(outcomes: Callable[[int], tuple[bool, ...]], n_samples: int,
+           threads: int) -> Counter:
+    """How often each outcome tuple occurs over sample indexes [0, n_samples).
+
+    Index ranges run on separate threads; every index owns its random
+    stream and the counts add up exactly, so the result does not depend on
+    ``threads``.
+    """
+    def run(indexes: range) -> Counter:
+        return Counter(outcomes(index) for index in indexes)
+
+    ranges = _split_ranges(n_samples, threads)
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return sum(pool.map(run, ranges), Counter())
+
+
+def _hits_per_event(tally: Counter, n_events: int) -> list[int]:
+    return [sum(n for outcome, n in tally.items() if outcome[k]) for k in range(n_events)]
+
+
+def _outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
+              by_prime: Mapping[int, Sequence[list[list[int]]]], dim: int) -> tuple[bool, ...]:
+    """Which events one sampled tuple hits.
+
+    Set hits test the slot-one element at every prime of ``testers`` once;
+    a fixed-vector event is the stacked rank test over all slots.
+    """
+    in_set = {ell: testers[ell].contains_rows(by_prime[ell][0]) for ell in testers}
+    out = []
+    for ev in events:
+        if isinstance(ev, SetHitEvent):
+            out.append(in_set[ev.ell])
+        elif isinstance(ev, JointSetHitEvent):
+            out.append(all(in_set[ell] for ell in ev.ells))
+        else:
+            out.append(_stacked_rank_deficient(by_prime[ev.ell], ev.ell, dim))
+    return tuple(out)
+
+
+def _estimate(ctx: GroupContext, ev: Event, e: int, hits: int, n_samples: int) -> EventEstimate:
+    """The estimate of one event with its exact value or bound where known."""
+    exact = bound = None
+    if isinstance(ev, SetHitEvent):
+        exact = density_ratio(ctx.g, ev.ell, ctx.q)
+    elif isinstance(ev, JointSetHitEvent):
+        exact = math.prod((density_ratio(ctx.g, ell, ctx.q) for ell in ev.ells),
+                          start=Fraction(1))
+    else:
+        bound = common_fixed_upper_bound(ctx, ev.ell, e)
+        if ctx.g == 1:
+            exact = exact_common_fixed_fraction(ctx, ev.ell, e)
+    return EventEstimate(ev.name(), n_samples, hits, Fraction(hits, n_samples),
+                         _binomial_se(hits, n_samples), exact, bound)
+
+
 def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
                     n_samples: int, seed: int, threads: int = 1,
                     strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> list[EventEstimate]:
@@ -225,57 +278,22 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
         raise ValueError("need e >= 1 and n_samples >= 1")
     need_sets = set()
     for ev in events:
-        if isinstance(ev, SetHitEvent):
-            need_sets.add(ev.ell)
-        elif isinstance(ev, JointSetHitEvent):
-            need_sets.update(ev.ells)
-        for ell in ([ev.ell] if not isinstance(ev, JointSetHitEvent) else list(ev.ells)):
+        ells = ev.ells if isinstance(ev, JointSetHitEvent) else (ev.ell,)
+        for ell in ells:
             if ell not in ctx.modulus.primes:
                 raise ValueError(f"event prime {ell} does not divide the modulus")
+        if not isinstance(ev, FixedVectorEvent):
+            need_sets.update(ells)
     if need_sets and e != 1:
         raise ValueError("set-hit events are defined for e = 1 tuples")
     testers = {ell: DirectMembership(ctx.restrict(ell), strategy) for ell in sorted(need_sets)}
 
-    def run(rng_range: range) -> list[int]:
-        hits = [0] * len(events)
-        for index in rng_range:
-            rng = CounterRng(seed, index)
-            by_prime = _draw_rows_by_prime(ctx, e, rng)
-            in_set = {ell: testers[ell].contains_rows(by_prime[ell][0]) for ell in testers}
-            for k, ev in enumerate(events):
-                if isinstance(ev, SetHitEvent):
-                    ok = in_set[ev.ell]
-                elif isinstance(ev, JointSetHitEvent):
-                    ok = all(in_set[ell] for ell in ev.ells)
-                else:
-                    ok = _stacked_rank_deficient(by_prime[ev.ell], ev.ell, ctx.dim)
-                hits[k] += ok
-        return hits
+    def outcomes(index: int) -> tuple[bool, ...]:
+        by_prime = _draw_rows_by_prime(ctx, e, CounterRng(seed, index))
+        return _outcomes(events, testers, by_prime, ctx.dim)
 
-    ranges = _split_ranges(n_samples, threads)
-    if len(ranges) == 1:
-        totals = run(ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(run, ranges))
-        totals = [sum(col) for col in zip(*parts)]
-
-    out = []
-    for ev, hits in zip(events, totals):
-        exact = bound = None
-        if isinstance(ev, SetHitEvent):
-            exact = density_ratio(ctx.g, ev.ell, ctx.q)
-        elif isinstance(ev, JointSetHitEvent):
-            exact = math.prod((density_ratio(ctx.g, ell, ctx.q) for ell in ev.ells),
-                              start=Fraction(1))
-        else:
-            bound = common_fixed_upper_bound(ctx, ev.ell, e)
-            if ctx.g == 1:
-                exact = exact_common_fixed_fraction(ctx, ev.ell, e)
-        out.append(EventEstimate(ev.name(), n_samples, hits,
-                                 Fraction(hits, n_samples),
-                                 _binomial_se(hits, n_samples), exact, bound))
-    return out
+    hits = _hits_per_event(_tally(outcomes, n_samples, threads), len(events))
+    return [_estimate(ctx, ev, e, h, n_samples) for ev, h in zip(events, hits)]
 
 
 def estimate_event(ctx: GroupContext, event: Event, e: int, n_samples: int,
@@ -350,77 +368,38 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
     contexts = {ell: GroupContext.of(g, ell, q) for ell in ells}
     values_by_ell = {ell: contexts[ell].multiplier_values(ell) for ell in ells}
     part_a = e == 1
-    testers = {}
-    if part_a:
+    events = [SetHitEvent(ell) if part_a else FixedVectorEvent(ell) for ell in ells]
+    testers = ({ell: DirectMembership(contexts[ell], strategy) for ell in ells}
+               if part_a else {})
+
+    def outcomes(index: int) -> tuple[bool, ...]:
+        rng = CounterRng(seed, index)
+        by_prime = {}
         for ell in ells:
-            testers[ell] = DirectMembership(contexts[ell], strategy)
+            values = values_by_ell[ell]
+            by_prime[ell] = [sample_entries(g, ell, values[rng.below(len(values))], rng)
+                             for _ in range(e)]
+        return _outcomes(events, testers, by_prime, 2 * g)
 
-    def run(rng_range: range):
-        per_ell = [0] * len(ells)
-        hist: dict[int, int] = {}
-        tail_hit = 0
-        mid = len(ells) // 2
-        for index in rng_range:
-            rng = CounterRng(seed, index)
-            count = 0
-            tail = False
-            for k, ell in enumerate(ells):
-                values = values_by_ell[ell]
-                rows_list = []
-                for _ in range(e):
-                    lam = values[rng.below(len(values))]
-                    rows_list.append(sample_entries(g, ell, lam, rng))
-                if part_a:
-                    hit = testers[ell].contains_rows(rows_list[0])
-                else:
-                    hit = _stacked_rank_deficient(rows_list, ell, 2 * g)
-                if hit:
-                    per_ell[k] += 1
-                    count += 1
-                    if k >= mid:
-                        tail = True
-            hist[count] = hist.get(count, 0) + 1
-            tail_hit += tail
-        return per_ell, hist, tail_hit
-
-    ranges = _split_ranges(n_samples, threads)
-    if len(ranges) == 1:
-        results = [run(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(run, ranges))
-    per_ell = [sum(r[0][k] for r in results) for k in range(len(ells))]
+    tally = _tally(outcomes, n_samples, threads)
+    per_ell = _hits_per_event(tally, len(ells))
     hist: dict[int, int] = {}
-    for r in results:
-        for k, v in r[1].items():
-            hist[k] = hist.get(k, 0) + v
-    tail_hit = sum(r[2] for r in results)
+    for outcome, n in tally.items():
+        hist[sum(outcome)] = hist.get(sum(outcome), 0) + n
+    mid = len(ells) // 2
+    tail_hit = sum(n for outcome, n in tally.items() if any(outcome[mid:]))
 
-    estimates = []
-    expected = Fraction(0)
+    estimates = [_estimate(contexts[ell], ev, e, hits, n_samples)
+                 for ell, ev, hits in zip(ells, events, per_ell)]
+    expected = sum((est.exact_value if part_a else est.bound for est in estimates),
+                   Fraction(0))
     var_sum = 0.0
-    for k, ell in enumerate(ells):
-        ctx = contexts[ell]
-        if part_a:
-            exact = density_ratio(g, ell, q)
-            bound = None
-            expected += exact
-        else:
-            exact = exact_common_fixed_fraction(ctx, ell, e) if g == 1 else None
-            bound = common_fixed_upper_bound(ctx, ell, e)
-            expected += bound
-        name = SetHitEvent(ell).name() if part_a else FixedVectorEvent(ell).name()
-        estimates.append(EventEstimate(name, n_samples, per_ell[k],
-                                       Fraction(per_ell[k], n_samples),
-                                       _binomial_se(per_ell[k], n_samples),
-                                       exact, bound))
-        p = per_ell[k] / n_samples
+    for hits in per_ell:
+        p = hits / n_samples
         var_sum += p * (1.0 - p)
     mean_hits = sum(per_ell) / n_samples
-    threshold = ells[len(ells) // 2] if ells else None
+    threshold = ells[mid] if ells else None
     frac_tail = tail_hit / n_samples
-    if not ells:
-        hist = {0: n_samples}
     return BorelCantelliReport(
         regime="part-a" if part_a else "part-b",
         g=g, q=q, e=e, ells=ells, n_samples=n_samples, seed=seed,

@@ -30,8 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, TextIO, Union
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -39,13 +38,13 @@ from . import _gf
 from .modmat import (
     ModMatrix,
     Modulus,
-    header_line,
     kernel_basis,
     mat_inv,
-    matrix_line,
+    minus_identity,
     rank_mod,
     read_matrices,
     reduce_mod,
+    write_matrices,
 )
 from .prng import CounterRng
 from .sympgroup import (
@@ -81,24 +80,6 @@ class SetLevel(enum.Enum):
     CORE = "core"
     FULL = "full"
     UNION = "union"
-
-
-@dataclass(frozen=True)
-class SingleMultiplier:
-    value: int
-
-
-@dataclass(frozen=True)
-class PowersOfQ:
-    pass
-
-
-@dataclass(frozen=True)
-class AllUnits:
-    pass
-
-
-Selector = Union[SingleMultiplier, PowersOfQ, AllUnits]
 
 
 def no_eigenvalue_one_floor(ell: int, g: int) -> int:
@@ -190,9 +171,7 @@ def select_blocks(ctx: GroupContext, lam: int,
                   strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> list[ModMatrix]:
     """The chosen block pool for one multiplier, as matrices."""
     entries = _blocks_entries(ctx, lam, strategy)
-    d = entries.shape[-1]
-    return [ModMatrix.from_rows(ctx.modulus, [[int(x) for x in row] for row in m])
-            for m in entries.reshape(-1, d, d)]
+    return [ModMatrix.from_flat(ctx.modulus, m.ravel()) for m in entries]
 
 
 # -- cardinality formulas --
@@ -252,28 +231,44 @@ def _require_materializable(ctx: GroupContext, strategy: BlockStrategy,
     return ell
 
 
+def _block_inverses(ctx: GroupContext, lam: int,
+                    strategy: BlockStrategy) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """(I - B)^-1 mod ell for each 2x2 pool block B, in pool order.
+
+    Keys and values are row-major entry tuples.
+    """
+    ell = ctx.modulus.n
+    table = {}
+    for blk in _blocks_entries(ctx, lam, strategy):
+        b11, b12, b21, b22 = (int(x) for x in blk.ravel())
+        dinv = pow((1 - b11) * (1 - b22) - b12 * b21, -1, ell)
+        table[b11, b12, b21, b22] = ((1 - b22) * dinv % ell, b12 * dinv % ell,
+                                     b21 * dinv % ell, (1 - b11) * dinv % ell)
+    return table
+
+
+def _excluded_corner(minv: tuple[int, ...], d1, d2, b1, b2, ell: int):
+    """The corner value -(b1, b2) (I - B)^-1 (d1, d2)^t that would enlarge
+    the fixed space; elementwise over numpy arrays as well as on ints."""
+    m11, m12, m21, m22 = minv
+    t1 = (m11 * d1 + m12 * d2) % ell
+    t2 = (m21 * d1 + m22 * d2) % ell
+    return (-(b1 * t1 + b2 * t2)) % ell
+
+
 def _core_entries(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.ndarray:
     ell = ctx.modulus.n
     lam %= ell
-    blocks = _blocks_entries(ctx, lam, strategy)
+    blocks = _block_inverses(ctx, lam, strategy)
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
     chunks = []
-    for blk in blocks:
-        b11, b12, b21, b22 = (int(blk[0, 0]), int(blk[0, 1]),
-                              int(blk[1, 0]), int(blk[1, 1]))
-        ib = np.array([[1 - b11, -b12], [-b21, 1 - b22]], dtype=np.int64) % ell
-        det = int(ib[0, 0] * ib[1, 1] - ib[0, 1] * ib[1, 0]) % ell
-        dinv = pow(det, -1, ell)
-        minv = np.array([[ib[1, 1], -ib[0, 1]], [-ib[1, 0], ib[0, 0]]],
-                        dtype=np.int64) * dinv % ell
+    for (b11, b12, b21, b22), minv in blocks.items():
         # forced top-row entries and the excluded corner value, per (d1, d2)
         b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
         b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
-        t1 = (minv[0, 0] * d1 + minv[0, 1] * d2) % ell
-        t2 = (minv[1, 0] * d1 + minv[1, 1] * d2) % ell
-        excl = (-(b1 * t1 + b2 * t2)) % ell
+        excl = _excluded_corner(minv, d1, d2, b1, b2, ell)
         dgrid = np.arange(ell, dtype=np.int64)
         keep = dgrid[None, :] != excl[:, None]          # (ell^2, ell)
         pair_idx, d_vals = np.nonzero(keep)
@@ -306,14 +301,16 @@ class FixedVectorSet:
     Materialized sets hold their elements as sorted packed integer keys, so
     membership is a binary search and dumps are canonically ordered.
     ``cardinality`` is always the measured deduplicated count for
-    materialized sets and the closed-formula value otherwise.
+    materialized sets and the closed-formula value otherwise.  ``lam`` is
+    the multiplier of a core or full layer and None for a union layer,
+    whose multipliers are those of ``ctx.q``.
     """
 
-    def __init__(self, ctx: GroupContext, selector: Selector, level: SetLevel,
+    def __init__(self, ctx: GroupContext, lam: int | None, level: SetLevel,
                  strategy: BlockStrategy, cardinality: int,
                  keys: np.ndarray | None):
         self.ctx = ctx
-        self.selector = selector
+        self.lam = lam
         self.level = level
         self.strategy = strategy
         self.cardinality = cardinality
@@ -347,21 +344,15 @@ class FixedVectorSet:
             yield _gf.unpack_entries(keys[start:start + chunk], self.ctx.modulus.n, dd)
 
     def __iter__(self) -> Iterator[ModMatrix]:
-        d = self.ctx.dim
         for block in self.iter_entries():
             for flat in block:
-                vals = [int(x) for x in flat]
-                yield ModMatrix.from_rows(self.ctx.modulus,
-                                          [vals[i * d:(i + 1) * d] for i in range(d)])
+                yield ModMatrix.from_flat(self.ctx.modulus, flat)
 
     def dump(self, fh: TextIO) -> int:
         """Write the canonical sorted dump in the one-matrix-per-line format."""
-        keys = self._require_keys()
-        fh.write(header_line(self.ctx.dim, self.ctx.modulus.n) + "\n")
-        for block in self.iter_entries():
-            for flat in block:
-                fh.write(matrix_line(flat) + "\n")
-        return keys.shape[0]
+        self._require_keys()
+        flats = (flat for block in self.iter_entries() for flat in block)
+        return write_matrices(fh, flats, self.ctx.dim, self.ctx.modulus.n)
 
     def sidecar(self) -> dict:
         q = self.ctx.q
@@ -374,8 +365,8 @@ class FixedVectorSet:
             "cardinality": str(self.cardinality),
             "seed-independent": True,
         }
-        if isinstance(self.selector, SingleMultiplier):
-            info["lam"] = self.selector.value
+        if self.lam is not None:
+            info["lam"] = self.lam
         return info
 
     def write_sidecar(self, fh: TextIO) -> None:
@@ -383,7 +374,7 @@ class FixedVectorSet:
         fh.write("\n")
 
     @classmethod
-    def load(cls, fh: TextIO, ctx: GroupContext, selector: Selector,
+    def load(cls, fh: TextIO, ctx: GroupContext, lam: int | None,
              level: SetLevel, strategy: BlockStrategy) -> "FixedVectorSet":
         flats = []
         for mat in read_matrices(fh):
@@ -394,7 +385,7 @@ class FixedVectorSet:
         keys = _gf.unique_keys(_gf.pack_entries(arr, ctx.modulus.n))
         if keys.shape[0] != len(flats):
             raise ValueError("dump contains duplicate matrices")
-        return cls(ctx, selector, level, strategy, keys.shape[0], keys)
+        return cls(ctx, lam, level, strategy, keys.shape[0], keys)
 
 
 def build_core_set(ctx: GroupContext, lam: int,
@@ -404,7 +395,7 @@ def build_core_set(ctx: GroupContext, lam: int,
     ell = _require_materializable(ctx, strategy, allow_large)
     entries = _core_entries(ctx, lam, strategy)
     keys = _gf.unique_keys(_gf.pack_entries(entries.reshape(entries.shape[0], -1), ell))
-    return FixedVectorSet(ctx, SingleMultiplier(lam % ell), SetLevel.CORE,
+    return FixedVectorSet(ctx, lam % ell, SetLevel.CORE,
                           strategy, keys.shape[0], keys)
 
 
@@ -427,7 +418,7 @@ def build_full_set(ctx: GroupContext, lam: int,
     """Materialize the full (conjugation-closed) layer for one multiplier."""
     ell = _require_materializable(ctx, strategy, allow_large)
     keys = _full_keys(ctx, lam, strategy)
-    return FixedVectorSet(ctx, SingleMultiplier(lam % ell), SetLevel.FULL,
+    return FixedVectorSet(ctx, lam % ell, SetLevel.FULL,
                           strategy, keys.shape[0], keys)
 
 
@@ -438,9 +429,7 @@ def build_union_set(ctx: GroupContext,
     ell = _require_materializable(ctx, strategy, allow_large)
     parts = [_full_keys(ctx, lam, strategy) for lam in ctx.multiplier_values(ell)]
     keys = _gf.unique_keys(np.concatenate(parts, axis=0))
-    selector: Selector = AllUnits() if isinstance(ctx.q, _Infinity) else PowersOfQ()
-    return FixedVectorSet(ctx, selector, SetLevel.UNION, strategy,
-                          keys.shape[0], keys)
+    return FixedVectorSet(ctx, None, SetLevel.UNION, strategy, keys.shape[0], keys)
 
 
 # -- membership without materialization --
@@ -466,19 +455,8 @@ class DirectMembership:
         self.ctx = ctx
         self.strategy = strategy
         self.ell = ell
-        self._by_lam: dict[int, dict[tuple, np.ndarray]] = {}
-        for lam in ctx.multiplier_values(ell):
-            table = {}
-            for blk in _blocks_entries(ctx, lam, strategy):
-                b11, b12, b21, b22 = (int(blk[0, 0]), int(blk[0, 1]),
-                                      int(blk[1, 0]), int(blk[1, 1]))
-                ib = np.array([[1 - b11, -b12], [-b21, 1 - b22]], dtype=np.int64) % ell
-                det = int(ib[0, 0] * ib[1, 1] - ib[0, 1] * ib[1, 0]) % ell
-                dinv = pow(det, -1, ell)
-                minv = np.array([[ib[1, 1], -ib[0, 1]], [-ib[1, 0], ib[0, 0]]],
-                                dtype=np.int64) * dinv % ell
-                table[(b11, b12, b21, b22)] = minv
-            self._by_lam[lam] = table
+        self._by_lam = {lam: _block_inverses(ctx, lam, strategy)
+                        for lam in ctx.multiplier_values(ell)}
 
     @property
     def cardinality(self) -> int:
@@ -500,9 +478,7 @@ class DirectMembership:
         if table is None:
             return False
         # fixed space must be exactly one line
-        shifted = [[(x - (1 if i == j else 0)) % ell for j, x in enumerate(row)]
-                   for i, row in enumerate(rows)]
-        ker = kernel_basis(shifted, ell)
+        ker = kernel_basis(minus_identity(rows, ell), ell)
         if len(ker) != 1:
             return False
         v = ker[0]
@@ -518,21 +494,15 @@ class DirectMembership:
             beta = (-v[1]) % ell
             inv1 = pow(v[1], -1, ell)
             alpha = [x * inv1 % ell for x in v[2:]]
-            t = np.array(transvection(self.ctx, alpha, beta).rows, dtype=np.int64)
-            tinv = np.array(transvection(self.ctx, alpha, -beta).rows, dtype=np.int64)
+            t, tinv = _conjugator_pair(self.ctx, alpha, beta)
             core = (t @ np.array(rows, dtype=np.int64) @ tinv % ell).tolist()
         if any(core[i][0] != (1 if i == 0 else 0) for i in range(4)):
             return False
-        key = (core[2][2], core[2][3], core[3][2], core[3][3])
-        minv = table.get(key)
+        minv = table.get((core[2][2], core[2][3], core[3][2], core[3][3]))
         if minv is None:
             return False
-        d1, d2 = core[2][1], core[3][1]
-        b1, b2 = core[0][2], core[0][3]
-        t1 = (int(minv[0, 0]) * d1 + int(minv[0, 1]) * d2) % ell
-        t2 = (int(minv[1, 0]) * d1 + int(minv[1, 1]) * d2) % ell
-        excluded = (-(b1 * t1 + b2 * t2)) % ell
-        return core[0][1] != excluded
+        return core[0][1] != _excluded_corner(minv, core[2][1], core[3][1],
+                                              core[0][2], core[0][3], ell)
 
 
 class CompositeUnionSet:
@@ -571,12 +541,6 @@ class CompositeUnionSet:
                    for ell in self.ctx.modulus.primes)
 
 
-def membership(s: FixedVectorSet | DirectMembership | CompositeUnionSet,
-               mat: ModMatrix) -> bool:
-    """Uniform entry point over the three membership carriers."""
-    return s.contains(mat)
-
-
 # -- witnesses for g >= 3 (or any g >= 2) --
 
 def sample_core_witness(ctx: GroupContext, lam: int, seed: int, index: int) -> ModMatrix:
@@ -595,23 +559,17 @@ def sample_core_witness(ctx: GroupContext, lam: int, seed: int, index: int) -> M
     d = ctx.dim
     while True:
         block_rows = sample_entries(ctx.g - 1, ell, lam, rng)
-        id_minus = [[((1 if i == j else 0) - x) % ell for j, x in enumerate(row)]
-                    for i, row in enumerate(block_rows)]
-        if rank_mod(id_minus, ell) == d - 2:
+        shifted = minus_identity(block_rows, ell)
+        if rank_mod(shifted, ell) == d - 2:
             break
     block = ModMatrix.from_rows(ctx.modulus, block_rows)
     d_vec = tuple(rng.below(ell) for _ in range(d - 2))
-    # excluded corner value: -(b row) (I - B)^{-1} d_vec
-    m_inv = mat_inv(ModMatrix.from_rows(ctx.modulus, id_minus))
-    inv_lam = pow(lam, -1, ell)
-    b = []
-    for k in range(d - 2):
-        acc = 0
-        for j in range(ctx.g - 1):
-            acc += d_vec[2 * j] * block.rows[2 * j + 1][k] - d_vec[2 * j + 1] * block.rows[2 * j][k]
-        b.append(acc * inv_lam % ell)
+    # the forced top row b does not depend on the corner entry; the excluded
+    # corner value is -b (I - B)^{-1} d_vec = b (B - I)^{-1} d_vec
+    b = stabilizer_matrix(ctx, StabilizerParams(lam, 0, d_vec, block)).rows[0][2:]
+    m_inv = mat_inv(ModMatrix.from_rows(ctx.modulus, shifted))
     t = [sum(m_inv.rows[i][j] * d_vec[j] for j in range(d - 2)) % ell for i in range(d - 2)]
-    excluded = (-sum(x * y for x, y in zip(b, t))) % ell
+    excluded = sum(x * y for x, y in zip(b, t)) % ell
     d_val = (excluded + 1 + rng.below(ell - 1)) % ell
     return stabilizer_matrix(ctx, StabilizerParams(lam, d_val, d_vec, block))
 

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _gf
-from .modmat import MAX_DIM, ModMatrix, ModVector, Modulus
+from .modmat import MAX_DIM, ModMatrix, ModVector, Modulus, kernel_basis, prime_factors
 from .prng import CounterRng
 
 DEFAULT_BUDGET = 10 ** 8
@@ -60,32 +60,17 @@ INFINITY = _Infinity()
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and next(prime_factors(n))[0] == n
 
 
 def prime_power_base(q: int) -> int:
     """The prime p with q = p^k, or raise ValueError."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    m, p = q, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            if m != 1:
-                raise ValueError(f"q must be a prime power, got {q}")
-            return p
-        p += 1 if p == 2 else 2
-    return m
+    p, k = next(prime_factors(q))
+    if p ** k != q:
+        raise ValueError(f"q must be a prime power, got {q}")
+    return p
 
 
 def multiplicative_order(q: int, n: int) -> int:
@@ -269,12 +254,9 @@ def enumerate_group(ctx: GroupContext, lam: int | None = None,
     Raises BudgetExceeded up front when the ell^(2g)^2 candidate scan would
     exceed the budget.
     """
-    modulus = ctx.modulus
     for entries, _ in scan_entries(ctx, lam, budget):
         for flat in entries.reshape(entries.shape[0], -1):
-            d = ctx.dim
-            vals = [int(x) for x in flat]
-            yield ModMatrix.from_rows(modulus, [vals[i * d:(i + 1) * d] for i in range(d)])
+            yield ModMatrix.from_flat(ctx.modulus, flat)
 
 
 def transvection(ctx: GroupContext, alpha: Sequence[int], beta: int) -> ModMatrix:
@@ -423,45 +405,12 @@ def sample_entries(g: int, ell: int, lam: int, rng: CounterRng) -> list[list[int
         if d == 2:
             break
         w2 = [_pair(f2, bv, ell) for bv in basis]
-        basis = [_combine(co, basis, ell) for co in _kernel_two(w1, w2, ell)]
+        # w1, w2 have rank 2 (w1(c1) = 0 and w2(c1) = -lam, while w1(c2) = lam),
+        # so the complement of (f1, f2) has dimension d - 2
+        basis = [_combine(co, basis, ell) for co in kernel_basis([w1, w2], ell)]
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
 
 def _combine(coeffs: Sequence[int], basis: Sequence[Sequence[int]], ell: int) -> list[int]:
     dim = len(basis[0])
     return [sum(coeffs[i] * basis[i][j] for i in range(len(basis))) % ell for j in range(dim)]
-
-
-def _kernel_two(w1: Sequence[int], w2: Sequence[int], ell: int) -> list[list[int]]:
-    # kernel of the rank-2 system [[w1], [w2]]; rank 2 is guaranteed because
-    # w1(c2) = lam != 0 while w1(c1) = 0 and w2(c1) = -lam != 0.
-    d = len(w1)
-    rows = [list(w1), list(w2)]
-    piv_cols = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, 2) if rows[i][c] % ell), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, ell)
-        rows[r] = [x * inv % ell for x in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][c] % ell:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == 2:
-            break
-    out = []
-    piv_set = set(piv_cols)
-    for f in range(d):
-        if f in piv_set:
-            continue
-        co = [0] * d
-        co[f] = 1
-        for i, pc in enumerate(piv_cols):
-            co[pc] = (-rows[i][f]) % ell
-        out.append(co)
-    return out

@@ -185,3 +185,36 @@ def test_special_set_build_explicit_strategy(tmp_path):
 ])
 def test_rerun_is_byte_identical(argv):
     assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+
+def assert_input_error(proc):
+    """Exit 2 (usage error, not verification failure) with one error line."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_verify_missing_dump_is_input_error(tmp_path):
+    assert_input_error(run_cli("special-set", "verify", "--dump",
+                               str(tmp_path / "missing.txt"), check=False))
+
+
+def test_verify_sidecar_without_q_is_input_error(tmp_path):
+    out = tmp_path / "core.txt"
+    run_cli("special-set", "build", "--ell", "3", "--level", "core", "--lam", "1",
+            "--out", str(out))
+    side = tmp_path / "core.txt.json"
+    sidecar = json.loads(side.read_text())
+    del sidecar["q"]
+    side.write_text(json.dumps(sidecar))
+    proc = run_cli("special-set", "verify", "--dump", str(out), check=False)
+    assert_input_error(proc)
+    assert "q" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("orders", "--g", "2", "--n", "15", "--q", "2"),
+    ("enumerate", "--g", "1", "--ell", "3"),
+    ("special-set", "build", "--ell", "3", "--level", "core", "--lam", "1"),
+])
+def test_unwritable_out_is_input_error(argv):
+    assert_input_error(run_cli(*argv, "--out", "/nonexistent/dir/x.json", check=False))

@@ -1,0 +1,67 @@
+"""Byte-level golden outputs of the CLI.
+
+Criterion 13 checks that reports agree across reruns and ``--threads``
+values, which a change that alters every report alike would still pass.
+These digests pin the exact bytes: the stdout of every criterion-13 case
+and the ell=3, q=2 union dump with its sidecar.  They were recorded from
+the code before the simplification pass and must not move under a
+refactor; a deliberate change of output re-records them.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+from test_acceptance import CLI_CASES
+
+STDOUT_SHA256 = {
+    "orders --g 2 --n 15 --q 2":
+        "8c2a2ebdf1472c891cc42e69b4ff4b5e54c48cf0ee108eb81864de87e6a85c80",
+    "verify-counts --ells 3 --q 2,inf":
+        "be29828520c010529128a52bc0c7fc7bf8a2df5bbf5ce0c03e5bbadce4ca668c",
+    "series part-a --g 2 --q 2 --ell-max 200":
+        "b4a31d4341fa1fa5733a0a4912231b0c8ce9204ff552e568099dab316a9d90a4",
+    "series part-b --g 2 --e 2 --ell-max 200":
+        "0fbf5ec173e1c5fa702f695743cedaad8c04d3c60fe95be7c8489b13e8d6a7f9",
+    "enumerate --g 1 --ell 5":
+        "aadee747a3982e40a02eefbf6318ad7a99a77b1d889c80b497ecfd00401f4b87",
+    "simulate hit-frequency --n 5 --q 2 --samples 2000 --seed 42":
+        "1b23120570c311a6fce66645a01904cfdbb987ce982e26b6009326bc49633049",
+    "simulate independence --n 15 --q 2 --samples 1000 --seed 7":
+        "05e681fda1e5734fd127cbf7d969bdc7cf39783b2efaba97dc3d7dae1c0d39eb",
+    "simulate mu-x --g 2 --ell 3 --e 2 --samples 2000 --seed 3":
+        "e5ccf699906eceee7669319eec00d650cfafe3ce6c2ee5807ba057b2ed4535ea",
+    "simulate borel-cantelli --g 2 --q 2 --ells 3,5,7 --e 1 --samples 1000 --seed 11":
+        "5cd47d1fd857495229c022a5132f9d428dcbc925cb42c6394a144f1eac499e7a",
+}
+UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb442610952"
+UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
+
+
+def _stdout(*args) -> bytes:
+    proc = subprocess.run([sys.executable, "-m", "symon.cli", *args], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_criterion_13_case_is_pinned():
+    assert {" ".join(case) for case in CLI_CASES} == set(STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=" ".join)
+def test_cli_stdout_matches_golden(case):
+    assert _sha(_stdout(*case)) == STDOUT_SHA256[" ".join(case)]
+
+
+def test_union_dump_matches_golden(tmp_path):
+    out = tmp_path / "set3.txt"
+    _stdout("special-set", "build", "--ell", "3", "--q", "2", "--level", "union",
+            "--out", str(out))
+    assert _sha(out.read_bytes()) == UNION_DUMP_SHA256
+    assert _sha((tmp_path / "set3.txt.json").read_bytes()) == UNION_SIDECAR_SHA256

@@ -7,13 +7,11 @@ import pytest
 from symon.modmat import ModMatrix, Modulus, crt_lift, fixed_space, has_eigenvalue_one, mat_mul
 from symon.prng import CounterRng
 from symon.specialsets import (
-    AllUnits,
     BlockStrategy,
     CompositeUnionSet,
     DirectMembership,
     FixedVectorSet,
     SetLevel,
-    SingleMultiplier,
     build_core_set,
     build_full_set,
     build_union_set,
@@ -21,7 +19,6 @@ from symon.specialsets import (
     core_cardinality,
     count_without_eigenvalue_one,
     full_cardinality,
-    membership,
     no_eigenvalue_one_floor,
     sample_core_witness,
     sample_full_witness,
@@ -196,7 +193,7 @@ def test_membership_dispatch_and_self_membership():
     s = build_full_set(ctx, 2)
     count = 0
     for m in s:
-        assert membership(s, m)
+        assert s.contains(m)
         count += 1
         if count == 300:
             break
@@ -240,7 +237,7 @@ def test_dump_load_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == "# dim=4 mod=3"
     assert len(text.splitlines()) == 1 + 4104
-    loaded = FixedVectorSet.load(io.StringIO(text), ctx, SingleMultiplier(2),
+    loaded = FixedVectorSet.load(io.StringIO(text), ctx, 2,
                                  SetLevel.FULL, LEX)
     assert loaded.cardinality == s.cardinality
     assert bool((loaded.keys == s.keys).all())
@@ -258,7 +255,7 @@ def test_load_rejects_duplicates():
     lines.append(lines[1])
     with pytest.raises(ValueError):
         FixedVectorSet.load(io.StringIO("\n".join(lines) + "\n"), ctx,
-                            SingleMultiplier(2), SetLevel.CORE, LEX)
+                            2, SetLevel.CORE, LEX)
 
 
 @pytest.mark.parametrize("g,ell,lam", [(2, 7, 3), (3, 5, 2)])
@@ -299,4 +296,7 @@ def test_sidecar_fields():
     assert side == {"g": 2, "n": 3, "q": 2, "level": "union",
                     "strategy": "lex-canonical", "cardinality": "8208",
                     "seed-independent": True}
-    assert isinstance(build_union_set(GroupContext.of(2, 3)).selector, AllUnits)
+    assert s.lam is None
+    assert build_union_set(GroupContext.of(2, 3)).lam is None
+    core = build_core_set(ctx, 5)
+    assert core.lam == 2 and core.sidecar()["lam"] == 2
