@@ -17,34 +17,15 @@ import numpy as np
 def inverse_table(p: int) -> np.ndarray:
     """inv[x] = x^-1 mod p for x in [1, p); inv[0] = 0."""
     inv = np.zeros(p, dtype=np.int64)
-    if p > 1:
-        x = np.arange(p, dtype=np.int64)
-        # x^(p-2) mod p via square-and-multiply on the whole table
-        result = np.ones(p, dtype=np.int64)
-        base = x.copy()
-        e = p - 2
-        while e:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        inv[1:] = result[1:]
+    inv[1:] = [pow(x, -1, p) for x in range(1, p)]
     return inv
 
 
 def batch_det(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (N, d, d) batch, closed-form for d <= 4."""
+    """Determinants mod p of a (N, d, d) batch, closed-form for d = 2 and 4."""
     d = a.shape[-1]
-    if d == 1:
-        return a[:, 0, 0] % p
     if d == 2:
         return (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
-    if d == 3:
-        return (
-            a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-        ) % p
     if d == 4:
         # Laplace expansion along the first two rows: pair each 2x2 minor of
         # rows (0,1) with the complementary minor of rows (2,3).
@@ -62,7 +43,7 @@ def batch_det(a: np.ndarray, p: int) -> np.ndarray:
             - top(1, 3) * bot(0, 2)
             + top(2, 3) * bot(0, 1)
         ) % p
-    raise NotImplementedError(f"batch_det supports d <= 4, got {d}")
+    raise NotImplementedError(f"batch_det supports d = 2 and 4, got {d}")
 
 
 def batch_det_minus_identity(a: np.ndarray, p: int) -> np.ndarray:

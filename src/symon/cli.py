@@ -38,6 +38,7 @@ from .specialsets import (
     BlockStrategy,
     FixedVectorSet,
     SetLevel,
+    _require_materializable,
     build_core_set,
     build_full_set,
     build_union_set,
@@ -54,8 +55,8 @@ from .sympgroup import (
     GroupContext,
     INFINITY,
     _Infinity,
+    _require_unit,
     gsp_q_order,
-    multiplicative_order,
     scan_entries,
     sp_order,
 )
@@ -91,13 +92,6 @@ def _budget(args) -> int:
         except ValueError:
             raise UsageError(f"SYMON_BUDGET must be an integer, got {env!r}")
     return DEFAULT_BUDGET
-
-
-def _strategy(name: str) -> BlockStrategy:
-    for s in BlockStrategy:
-        if s.value == name:
-            return s
-    raise UsageError(f"unknown strategy {name!r}")
 
 
 def _q_str(q) -> str:
@@ -181,22 +175,16 @@ def cmd_verify_counts(args) -> int:
                    g=1, ell=ell, lam=lam)
 
     strategy = BlockStrategy.LEX_CANONICAL
-    tampered = bool(getattr(args, "tamper", False))
     for ell in ells:
         for lam in lam_grid[ell]:
             ctx = GroupContext.of(2, ell)
-            core = build_core_set(ctx, lam, strategy)
-            expected = core_cardinality(2, ell, strategy)
-            if tampered:
-                expected += 1
-                tampered = False
-            _check(checks, "core-cardinality", expected, core.cardinality,
-                   g=2, ell=ell, lam=lam)
+            # each set is dropped after its count is read, so no two are resident
+            _check(checks, "core-cardinality", core_cardinality(2, ell, strategy),
+                   build_core_set(ctx, lam, strategy).cardinality, g=2, ell=ell, lam=lam)
             full_expected = full_cardinality(2, ell, strategy)
             if full_expected <= args.set_budget:
-                full = build_full_set(ctx, lam, strategy)
-                _check(checks, "full-cardinality", full_expected, full.cardinality,
-                       g=2, ell=ell, lam=lam)
+                _check(checks, "full-cardinality", full_expected,
+                       build_full_set(ctx, lam, strategy).cardinality, g=2, ell=ell, lam=lam)
             else:
                 checks.append({"g": 2, "ell": ell, "lam": lam,
                                "name": "full-cardinality",
@@ -238,15 +226,19 @@ def _build_set(ctx: GroupContext, level: SetLevel, lam, strategy: BlockStrategy,
 def cmd_special_set_build(args) -> int:
     q = _parse_q(args.q)
     level = SetLevel(args.level)
-    strategy = _strategy(args.strategy)
+    strategy = BlockStrategy(args.strategy)
     ctx = GroupContext.of(args.g, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
         raise UsageError(f"--lam is required for level {level.value}")
-    s = _build_set(ctx, level, args.lam, strategy, args.allow_large_ell)
-    with _open(args.out, "w") as fh:
+    # validate before opening the outputs (which truncates them), and open
+    # them before the build, so that neither failure costs a build
+    _require_materializable(ctx, strategy, args.allow_large_ell)
+    if level is not SetLevel.UNION:
+        _require_unit(args.lam, args.ell)
+    with _open(args.out, "w") as fh, _open(args.out + ".json", "w") as side:
+        s = _build_set(ctx, level, args.lam, strategy, args.allow_large_ell)
         lines = s.dump(fh)
-    with _open(args.out + ".json", "w") as fh:
-        s.write_sidecar(fh)
+        s.write_sidecar(side)
     report = dict(s.sidecar())
     report["command"] = "special-set-build"
     report["out"] = args.out
@@ -256,10 +248,16 @@ def cmd_special_set_build(args) -> int:
 
 
 def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> None:
-    ell = s.ctx.modulus.n
+    ell, g = s.ctx.modulus.n, s.ctx.g
     if str(s.cardinality) != sidecar["cardinality"]:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"sidecar says {sidecar['cardinality']}")
+    formula = (union_cardinality(g, ell, s.ctx.q, s.strategy) if s.level is SetLevel.UNION
+               else core_cardinality(g, ell, s.strategy) if s.level is SetLevel.CORE
+               else full_cardinality(g, ell, s.strategy))
+    if s.cardinality != formula:
+        problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
+                        f"the closed formula gives {formula}")
     allowed = np.zeros(ell, dtype=bool)
     if s.lam is not None:
         allowed[s.lam % ell] = True
@@ -313,8 +311,11 @@ def cmd_special_set_verify(args) -> int:
     sidecar = _read_sidecar(args.dump + ".json")
     q = _parse_q(str(sidecar["q"]))
     level = SetLevel(sidecar["level"])
-    strategy = _strategy(sidecar["strategy"])
+    strategy = BlockStrategy(sidecar["strategy"])
     ctx = GroupContext.of(sidecar["g"], sidecar["n"], q)
+    # the checks list every unit mod n and may rebuild the set, so the
+    # sidecar must describe one that can be materialized
+    _require_materializable(ctx, strategy, allow_large=True)
     lam = None if level is SetLevel.UNION else sidecar["lam"]
     problems: list[str] = []
     with _open(args.dump) as fh:
@@ -366,7 +367,7 @@ def cmd_simulate_hit_frequency(args) -> int:
     primes = ctx.modulus.primes
     event = SetHitEvent(primes[0]) if len(primes) == 1 else JointSetHitEvent(primes)
     est = estimate_events(ctx, [event], 1, args.samples, args.seed,
-                          args.threads, _strategy(args.strategy))[0]
+                          args.threads, BlockStrategy(args.strategy))[0]
     report = {"command": "simulate-hit-frequency", "g": args.g, "n": args.n,
               "q": _q_str(q), "e": 1, "samples": args.samples, "seed": args.seed,
               **est.as_report_dict()}
@@ -385,7 +386,7 @@ def cmd_simulate_independence(args) -> int:
         raise UsageError("independence needs at least two primes")
     events = [SetHitEvent(ell) for ell in ells] + [JointSetHitEvent(tuple(ells))]
     ests = estimate_events(ctx, events, 1, args.samples, args.seed,
-                           args.threads, _strategy(args.strategy))
+                           args.threads, BlockStrategy(args.strategy))
     marginals, joint = ests[:-1], ests[-1]
     product = math.prod((m.estimate for m in marginals), start=Fraction(1))
     diff = abs(joint.estimate - product)
@@ -428,7 +429,7 @@ def cmd_simulate_borel_cantelli(args) -> int:
     ells = _parse_ints(args.ells)
     rep = borel_cantelli_experiment(args.g, q, ells, args.e, args.samples,
                                     args.seed, args.threads,
-                                    _strategy(args.strategy))
+                                    BlockStrategy(args.strategy))
     payload = rep.as_report_dict()
     payload["command"] = "simulate-borel-cantelli"
     _emit_json(args, payload)
@@ -441,18 +442,19 @@ def cmd_orders(args) -> int:
     q = _parse_q(args.q)
     ctx = GroupContext.of(args.g, args.n, q)
     primes = list(ctx.modulus.primes)
+    count = ctx.multiplier_count()
     report = {
         "command": "orders", "g": args.g, "n": args.n, "q": _q_str(q),
         "primes": primes,
         "sp_orders": {str(ell): str(sp_order(args.g, ell)) for ell in primes},
         "class_order": str(gsp_q_order(ctx)),
-        "multiplier_count": len(ctx.multiplier_values()),
+        "multiplier_count": count,
     }
     if not isinstance(q, _Infinity):
-        ord_q = multiplicative_order(q, args.n)
-        report["q_order_mod_n"] = ord_q
+        # for finite q the count is the order of q mod n
+        report["q_order_mod_n"] = count
         # degenerate configuration: q acts trivially on multipliers
-        report["q_is_trivial_mod_n"] = ord_q == 1
+        report["q_is_trivial_mod_n"] = count == 1
     _emit_json(args, report)
     return 0
 
@@ -513,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--q", dict(default="2,inf", help="comma-separated q values ('inf' allowed)")),
             "--budget",
             ("--set-budget", dict(type=int, default=2_000_000,
-                                  help="skip materializing layers larger than this")),
-            ("--tamper", dict(action="store_true", help=argparse.SUPPRESS))]),
+                                  help="skip materializing layers larger than this"))]),
         (("special-set", "build"), cmd_special_set_build, [
             "--g", "--ell", "--q",
             ("--level", dict(choices=[l.value for l in SetLevel], default="union")),
@@ -564,10 +565,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:
+    except (BudgetExceeded, ValueError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,6 @@ from .sympgroup import (
     GroupContext,
     _Infinity,
     gsp_q_order,
-    multiplicative_order,
     sample_entries,
 )
 
@@ -123,10 +122,9 @@ def _binomial_se(hits: int, n: int) -> float:
 
 def _draw_rows_by_prime(ctx: GroupContext, e: int, rng: CounterRng) -> dict[int, list[list[list[int]]]]:
     """Per-prime row matrices of one e-tuple: out[ell][slot] = rows."""
-    n = ctx.modulus.n
     out: dict[int, list] = {ell: [] for ell in ctx.modulus.primes}
     finite = not isinstance(ctx.q, _Infinity)
-    ord_n = multiplicative_order(ctx.q, n) if finite else 0
+    ord_n = ctx.multiplier_count() if finite else 0
     for _ in range(e):
         if finite:
             exp = rng.below(ord_n) + 1
@@ -160,10 +158,9 @@ def _stacked_rank_deficient(rows_list: Sequence[Sequence[Sequence[int]]], ell: i
 
 def has_common_fixed_vector(sig: SampleTuple, ell: int) -> bool:
     """True iff the reductions mod ell share a nonzero fixed vector."""
-    if ell not in sig.ctx.modulus.primes:
-        raise ValueError(f"{ell} does not divide the modulus {sig.ctx.modulus.n}")
+    dim = sig.ctx.restrict(ell).dim
     rows_list = [[[x % ell for x in row] for row in m.rows] for m in sig.elements]
-    return _stacked_rank_deficient(rows_list, ell, sig.ctx.dim)
+    return _stacked_rank_deficient(rows_list, ell, dim)
 
 
 def exact_common_fixed_fraction(ctx: GroupContext, ell: int, e: int) -> Fraction:
@@ -178,12 +175,10 @@ def exact_common_fixed_fraction(ctx: GroupContext, ell: int, e: int) -> Fraction
     """
     if ctx.g != 1:
         raise ValueError("exact mode is implemented for g = 1 only")
-    if ell not in ctx.modulus.primes:
-        raise ValueError(f"{ell} does not divide the modulus {ctx.modulus.n}")
+    sub = ctx.restrict(ell)
     if e < 1:
         raise ValueError("e must be >= 1")
-    sub = ctx.restrict(ell)
-    n1 = ell * len(sub.multiplier_values(ell))
+    n1 = ell * sub.multiplier_count()
     size = gsp_q_order(sub)
     m = ell + 1
     return Fraction(m * (n1 ** e - 1) + 1, size ** e)
@@ -195,11 +190,10 @@ def common_fixed_upper_bound(ctx: GroupContext, ell: int, e: int) -> Fraction:
     Upper enclosure of the fractional power, so the bound is safe to compare
     against from below.
     """
-    if ell not in ctx.modulus.primes:
-        raise ValueError(f"{ell} does not divide the modulus {ctx.modulus.n}")
+    sub = ctx.restrict(ell)
     if e < 1:
         raise ValueError("e must be >= 1")
-    size = gsp_q_order(ctx.restrict(ell))
+    size = gsp_q_order(sub)
     _, hi = pow_enclosure(size, -e, 2 * ctx.g)
     return Fraction(ell ** (2 * ctx.g) - 1, ell - 1) * hi
 

@@ -59,6 +59,3 @@ class CounterRng:
             u = self.next64()
             if u < limit:
                 return u % n
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

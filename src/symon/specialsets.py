@@ -30,14 +30,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import Iterator, Mapping, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from . import _gf
 from .modmat import (
     ModMatrix,
-    Modulus,
     kernel_basis,
     mat_inv,
     minus_identity,
@@ -52,8 +51,8 @@ from .sympgroup import (
     GroupContext,
     NotSimilitude,
     _Infinity,
+    _require_unit,
     is_member,
-    multiplicative_order,
     multiplier,
     sample_entries,
     scan_entries,
@@ -135,9 +134,7 @@ def _blocks_entries(ctx: GroupContext, lam: int,
                     strategy: BlockStrategy) -> np.ndarray:
     """Block pool as an (m, 2g-2, 2g-2) int64 array, deterministic order."""
     ell = _require_constructible(ctx, strategy)
-    lam %= ell
-    if math.gcd(lam, ell) != 1:
-        raise ValueError(f"multiplier {lam} is not a unit mod {ell}")
+    lam = _require_unit(lam, ell)
     if strategy is BlockStrategy.EXPLICIT_G2:
         rows = []
         for b11 in range(ell):
@@ -195,8 +192,7 @@ def union_cardinality(g: int, ell: int, q: int | _Infinity,
     The per-multiplier cardinality does not depend on the multiplier, so
     this is (number of admissible multipliers) * full cardinality.
     """
-    count = (ell - 1) if isinstance(q, _Infinity) else multiplicative_order(q, ell)
-    return count * full_cardinality(g, ell, strategy)
+    return GroupContext.of(g, ell, q).multiplier_count() * full_cardinality(g, ell, strategy)
 
 
 def composite_union_cardinality(g: int, n: int, q: int | _Infinity,
@@ -207,13 +203,9 @@ def composite_union_cardinality(g: int, n: int, q: int | _Infinity,
     global multiplier: each choice of the global multiplier exponent
     contributes the product of per-prime full layers.
     """
-    primes = Modulus.of(n).primes
-    if isinstance(q, _Infinity):
-        return math.prod(union_cardinality(g, ell, q, strategy) for ell in primes)
-    if math.gcd(q, n) != 1:
-        raise ValueError(f"gcd({q}, {n}) != 1")
-    return multiplicative_order(q, n) * math.prod(
-        full_cardinality(g, ell, strategy) for ell in primes)
+    ctx = GroupContext.of(g, n, q)
+    return ctx.multiplier_count() * math.prod(
+        full_cardinality(g, ell, strategy) for ell in ctx.modulus.primes)
 
 
 # -- materialized sets (g = 2) --
@@ -232,28 +224,33 @@ def _require_materializable(ctx: GroupContext, strategy: BlockStrategy,
 
 
 def _block_inverses(ctx: GroupContext, lam: int,
-                    strategy: BlockStrategy) -> dict[tuple[int, ...], tuple[int, ...]]:
+                    strategy: BlockStrategy) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(I - B)^-1 mod ell for each 2x2 pool block B, in pool order.
 
-    Keys and values are row-major entry tuples.
+    Keys are row-major entry tuples of B, values the rows of the inverse.
     """
     ell = ctx.modulus.n
     table = {}
+    rows: dict[tuple[int, int], tuple[int, int]] = {}
     for blk in _blocks_entries(ctx, lam, strategy):
         b11, b12, b21, b22 = (int(x) for x in blk.ravel())
         dinv = pow((1 - b11) * (1 - b22) - b12 * b21, -1, ell)
-        table[b11, b12, b21, b22] = ((1 - b22) * dinv % ell, b12 * dinv % ell,
-                                     b21 * dinv % ell, (1 - b11) * dinv % ell)
+        r1 = ((1 - b22) * dinv % ell, b12 * dinv % ell)
+        r2 = (b21 * dinv % ell, (1 - b11) * dinv % ell)
+        # at most ell^2 distinct rows: sharing them keeps the table as small
+        # as one of flat 4-tuples (tables for every multiplier stay resident)
+        table[b11, b12, b21, b22] = (rows.setdefault(r1, r1), rows.setdefault(r2, r2))
     return table
 
 
-def _excluded_corner(minv: tuple[int, ...], d1, d2, b1, b2, ell: int):
-    """The corner value -(b1, b2) (I - B)^-1 (d1, d2)^t that would enlarge
-    the fixed space; elementwise over numpy arrays as well as on ints."""
-    m11, m12, m21, m22 = minv
-    t1 = (m11 * d1 + m12 * d2) % ell
-    t2 = (m21 * d1 + m22 * d2) % ell
-    return (-(b1 * t1 + b2 * t2)) % ell
+def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, ell: int):
+    """The corner value -b (I - B)^-1 d that would enlarge the fixed space.
+
+    ``minv`` holds the rows of (I - B)^-1; the entries of the vectors d and
+    b may be ints or numpy arrays, which are then handled elementwise.
+    """
+    t = [sum(m * x for m, x in zip(row, d)) % ell for row in minv]
+    return -sum(x * y for x, y in zip(b, t)) % ell
 
 
 def _core_entries(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.ndarray:
@@ -268,7 +265,7 @@ def _core_entries(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.nd
         # forced top-row entries and the excluded corner value, per (d1, d2)
         b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
         b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
-        excl = _excluded_corner(minv, d1, d2, b1, b2, ell)
+        excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
         dgrid = np.arange(ell, dtype=np.int64)
         keep = dgrid[None, :] != excl[:, None]          # (ell^2, ell)
         pair_idx, d_vals = np.nonzero(keep)
@@ -296,19 +293,17 @@ def _conjugator_pair(ctx: GroupContext, alpha, beta: int) -> tuple[np.ndarray, n
 
 
 class FixedVectorSet:
-    """A materialized (or formula-only) layer of the construction.
+    """A materialized layer of the construction.
 
-    Materialized sets hold their elements as sorted packed integer keys, so
-    membership is a binary search and dumps are canonically ordered.
-    ``cardinality`` is always the measured deduplicated count for
-    materialized sets and the closed-formula value otherwise.  ``lam`` is
-    the multiplier of a core or full layer and None for a union layer,
-    whose multipliers are those of ``ctx.q``.
+    The elements are held as sorted packed integer keys, so membership is a
+    binary search and dumps are canonically ordered.  ``cardinality`` is
+    the measured deduplicated count of the keys.  ``lam`` is the multiplier
+    of a core or full layer and None for a union layer, whose multipliers
+    are those of ``ctx.q``.
     """
 
     def __init__(self, ctx: GroupContext, lam: int | None, level: SetLevel,
-                 strategy: BlockStrategy, cardinality: int,
-                 keys: np.ndarray | None):
+                 strategy: BlockStrategy, cardinality: int, keys: np.ndarray):
         self.ctx = ctx
         self.lam = lam
         self.level = level
@@ -316,20 +311,10 @@ class FixedVectorSet:
         self.cardinality = cardinality
         self.keys = keys
 
-    @property
-    def is_materialized(self) -> bool:
-        return self.keys is not None
-
-    def _require_keys(self) -> np.ndarray:
-        if self.keys is None:
-            raise ValueError("set is not materialized")
-        return self.keys
-
     def contains_flat(self, flat: np.ndarray) -> np.ndarray:
         """Membership mask for an (N, dim*dim) int64 entry array."""
-        keys = self._require_keys()
         q = _gf.pack_entries(np.asarray(flat, dtype=np.int64), self.ctx.modulus.n)
-        return _gf.searchsorted_keys(keys, q)
+        return _gf.searchsorted_keys(self.keys, q)
 
     def contains(self, mat: ModMatrix) -> bool:
         if mat.modulus != self.ctx.modulus or mat.dim != self.ctx.dim:
@@ -338,10 +323,9 @@ class FixedVectorSet:
         return bool(self.contains_flat(flat)[0])
 
     def iter_entries(self, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-        keys = self._require_keys()
         dd = self.ctx.dim * self.ctx.dim
-        for start in range(0, keys.shape[0], chunk):
-            yield _gf.unpack_entries(keys[start:start + chunk], self.ctx.modulus.n, dd)
+        for start in range(0, self.keys.shape[0], chunk):
+            yield _gf.unpack_entries(self.keys[start:start + chunk], self.ctx.modulus.n, dd)
 
     def __iter__(self) -> Iterator[ModMatrix]:
         for block in self.iter_entries():
@@ -350,7 +334,6 @@ class FixedVectorSet:
 
     def dump(self, fh: TextIO) -> int:
         """Write the canonical sorted dump in the one-matrix-per-line format."""
-        self._require_keys()
         flats = (flat for block in self.iter_entries() for flat in block)
         return write_matrices(fh, flats, self.ctx.dim, self.ctx.modulus.n)
 
@@ -501,8 +484,7 @@ class DirectMembership:
         minv = table.get((core[2][2], core[2][3], core[3][2], core[3][3]))
         if minv is None:
             return False
-        return core[0][1] != _excluded_corner(minv, core[2][1], core[3][1],
-                                              core[0][2], core[0][3], ell)
+        return core[0][1] != _excluded_corner(minv, (core[2][1], core[3][1]), core[0][2:], ell)
 
 
 class CompositeUnionSet:
@@ -552,24 +534,20 @@ def sample_core_witness(ctx: GroupContext, lam: int, seed: int, index: int) -> M
     properties of the family rather than membership in one pinned set.
     """
     ell = _require_constructible(ctx, BlockStrategy.LEX_CANONICAL)
-    lam %= ell
-    if math.gcd(lam, ell) != 1:
-        raise ValueError(f"multiplier {lam} is not a unit mod {ell}")
+    lam = _require_unit(lam, ell)
     rng = CounterRng(seed, index)
     d = ctx.dim
     while True:
         block_rows = sample_entries(ctx.g - 1, ell, lam, rng)
-        shifted = minus_identity(block_rows, ell)
-        if rank_mod(shifted, ell) == d - 2:
+        i_minus_b = [[-x % ell for x in row] for row in minus_identity(block_rows, ell)]
+        if rank_mod(i_minus_b, ell) == d - 2:
             break
     block = ModMatrix.from_rows(ctx.modulus, block_rows)
     d_vec = tuple(rng.below(ell) for _ in range(d - 2))
-    # the forced top row b does not depend on the corner entry; the excluded
-    # corner value is -b (I - B)^{-1} d_vec = b (B - I)^{-1} d_vec
+    # the forced top row b does not depend on the corner entry
     b = stabilizer_matrix(ctx, StabilizerParams(lam, 0, d_vec, block)).rows[0][2:]
-    m_inv = mat_inv(ModMatrix.from_rows(ctx.modulus, shifted))
-    t = [sum(m_inv.rows[i][j] * d_vec[j] for j in range(d - 2)) % ell for i in range(d - 2)]
-    excluded = sum(x * y for x, y in zip(b, t)) % ell
+    minv = mat_inv(ModMatrix.from_rows(ctx.modulus, i_minus_b)).rows
+    excluded = _excluded_corner(minv, d_vec, b, ell)
     d_val = (excluded + 1 + rng.below(ell - 1)) % ell
     return stabilizer_matrix(ctx, StabilizerParams(lam, d_val, d_vec, block))
 

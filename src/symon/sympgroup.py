@@ -118,6 +118,15 @@ class GroupContext:
             raise ValueError(f"{ell} does not divide the modulus {self.modulus.n}")
         return GroupContext(self.g, Modulus.of(ell), self.q)
 
+    def multiplier_count(self, m: int | None = None) -> int:
+        """How many admissible multipliers there are mod a squarefree m
+        (default: the context modulus), without listing them: prod (p - 1)
+        over the primes of m for INFINITY, the order of q mod m otherwise."""
+        m = self.modulus.n if m is None else m
+        if isinstance(self.q, _Infinity):
+            return math.prod(p - 1 for p, _ in prime_factors(m))
+        return multiplicative_order(self.q, m)
+
     def multiplier_values(self, m: int | None = None) -> tuple[int, ...]:
         """Admissible multipliers mod m (default: the context modulus).
 
@@ -205,14 +214,16 @@ def sp_order(g: int, ell: int) -> int:
 
 
 def gsp_q_order(ctx: GroupContext) -> int:
-    """Exact size of the similitude class over the (squarefree) modulus.
+    """Exact size of the similitude class over the (squarefree) modulus:
+    the multiplier count times prod_l |Sp|."""
+    return ctx.multiplier_count() * math.prod(sp_order(ctx.g, ell) for ell in ctx.modulus.primes)
 
-    Finite q: ord_n(q) * prod_l |Sp|; INFINITY: prod_l (l - 1) * |Sp|.
-    """
-    sp = {ell: sp_order(ctx.g, ell) for ell in ctx.modulus.primes}
-    if isinstance(ctx.q, _Infinity):
-        return math.prod((ell - 1) * sp[ell] for ell in ctx.modulus.primes)
-    return multiplicative_order(ctx.q, ctx.modulus.n) * math.prod(sp.values())
+
+def _require_unit(lam: int, n: int) -> int:
+    """lam reduced mod n; ValueError when it is not a unit mod n."""
+    if math.gcd(lam, n) != 1:
+        raise ValueError(f"multiplier {lam} is not a unit mod {n}")
+    return lam % n
 
 
 def _allowed_mask(ctx: GroupContext, ell: int, lam: int | None) -> np.ndarray:
@@ -220,10 +231,8 @@ def _allowed_mask(ctx: GroupContext, ell: int, lam: int | None) -> np.ndarray:
     for v in ctx.multiplier_values(ell):
         allowed[v] = True
     if lam is not None:
-        if math.gcd(lam, ell) != 1:
-            raise ValueError(f"multiplier {lam} is not a unit mod {ell}")
         only = np.zeros(ell, dtype=bool)
-        only[lam % ell] = True
+        only[_require_unit(lam, ell)] = True
         allowed &= only
     return allowed
 
@@ -360,10 +369,7 @@ def sample_uniform(ctx: GroupContext, lam: int, seed: int, index: int) -> ModMat
     if not ctx.modulus.is_prime:
         raise ValueError("sample_uniform requires a prime modulus")
     ell = ctx.modulus.n
-    if math.gcd(lam, ell) != 1:
-        raise ValueError(f"multiplier {lam} is not a unit mod {ell}")
-    rng = CounterRng(seed, index)
-    rows = sample_entries(ctx.g, ell, lam % ell, rng)
+    rows = sample_entries(ctx.g, ell, _require_unit(lam, ell), CounterRng(seed, index))
     return ModMatrix.from_rows(ctx.modulus, rows)
 
 

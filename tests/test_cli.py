@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from symon import cli
 
 
 def run_cli(*args, check=True, env_extra=None):
@@ -42,11 +45,14 @@ def test_verify_counts_rejects_ell_2():
     assert "ell-2" in proc.stderr or "(ell-2)" in proc.stderr
 
 
-def test_verify_counts_tamper_negative_control():
-    proc = run_cli("verify-counts", "--ells", "3", "--q", "2", "--tamper", check=False)
-    assert proc.returncode == 1
-    report = json.loads(proc.stdout)
-    assert report["counts"]["fail"] == 1
+def test_verify_counts_tamper_negative_control(monkeypatch, capsys):
+    # a closed formula that is off by one must fail the check against it
+    formula = cli.core_cardinality
+    monkeypatch.setattr(cli, "core_cardinality", lambda *args: formula(*args) + 1)
+    assert cli.main(["verify-counts", "--ells", "3", "--q", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert report["counts"]["fail"] >= 1 and failed == {"core-cardinality"}
 
 
 def test_special_set_build_verify_rebuild(tmp_path):
@@ -218,3 +224,92 @@ def test_verify_sidecar_without_q_is_input_error(tmp_path):
 ])
 def test_unwritable_out_is_input_error(argv):
     assert_input_error(run_cli(*argv, "--out", "/nonexistent/dir/x.json", check=False))
+
+
+IDENTITY_4 = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
+
+
+def write_dump(path, header, lines, **sidecar):
+    path.write_text("\n".join([header, *lines]) + "\n")
+    fields = {"q": "inf", "level": "union", "strategy": "lex-canonical"}
+    (path.parent / (path.name + ".json")).write_text(json.dumps({**fields, **sidecar}))
+
+
+@pytest.mark.parametrize("g,n,header,line", [
+    (2, 100000007, "# dim=4 mod=100000007", IDENTITY_4),
+    (3, 7, "# dim=6 mod=7", ",".join("1" if i % 7 == 0 else "0" for i in range(36))),
+], ids=["g2-n100000007", "g3-n7"])
+def test_verify_rejects_unmaterializable_sidecar(tmp_path, g, n, header, line):
+    # listing every unit mod 100000007 took GBs; the 6x6 case hit a traceback
+    dump = tmp_path / "one.txt"
+    write_dump(dump, header, [line], g=g, n=n, cardinality="1")
+    proc = run_cli("special-set", "verify", "--dump", str(dump), check=False)
+    assert_input_error(proc)
+    assert proc.stdout == ""
+
+
+def test_verify_checks_count_against_formula(tmp_path):
+    # the identity is a similitude with multiplier 1 fixing every vector, and
+    # the sidecar agrees with the dump; only the closed formula disagrees
+    dump = tmp_path / "identity.txt"
+    write_dump(dump, "# dim=4 mod=7", [IDENTITY_4], g=2, n=7, cardinality="1")
+    proc = run_cli("special-set", "verify", "--dump", str(dump), check=False)
+    assert proc.returncode == 1
+    problems = json.loads(proc.stdout)["problems"]
+    assert problems == ["cardinality mismatch: dump has 1, the closed formula gives "
+                        "145706400"]
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Counts special-set builds; the stand-in builds nothing."""
+    calls = []
+    monkeypatch.setattr(cli, "_build_set", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("blocked", ["out", "sidecar"])
+def test_build_opens_outputs_before_building(tmp_path, capsys, build_calls, blocked):
+    out = tmp_path / "set.txt"
+    if blocked == "out":
+        out = tmp_path / "missing" / "set.txt"
+    else:
+        (tmp_path / "set.txt.json").mkdir()
+    argv = ["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert build_calls == []
+    assert capsys.readouterr().err.startswith("error: cannot open")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--ell", "2"),
+    ("--ell", "37"),
+    ("--lam", "5", "--ell", "5", "--level", "core"),
+])
+def test_failed_build_validation_leaves_out_alone(tmp_path, capsys, build_calls, argv):
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"earlier bytes\n")
+    assert cli.main(["special-set", "build", *argv, "--out", str(out)]) == 2
+    assert build_calls == []
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert not (tmp_path / "kept.txt.json").exists()
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_orders_at_a_large_prime_lists_no_units():
+    # counting the units mod 10000019 by listing them peaked at 414 MB.  The
+    # child reports VmHWM, its own peak: Linux carries the spawning process's
+    # peak into ru_maxrss across exec, so ru_maxrss would read pytest's
+    code = ("import sys\n"
+            "from symon.cli import main\n"
+            "rc = main(['orders', '--g', '2', '--n', '10000019'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(*[ln for ln in fh if ln.startswith('VmHWM:')], file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "c55309be6e96b560c79324670d4fec4b42cb7758bfddce07d79eaed411fa2502"
+    peak_kib = int(proc.stderr.split()[-2])
+    assert peak_kib < 100 * 1024

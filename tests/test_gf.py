@@ -52,7 +52,7 @@ def test_searchsorted_keys_membership(p):
         assert bool(hit) == (tuple(row) in expect)
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (5, 3), (7, 4), (13, 4)])
+@pytest.mark.parametrize("p,d", [(3, 2), (7, 4), (13, 4)])
 def test_batch_det_against_scalar(p, d):
     flat = rand_entries(200, d * d, p, p + d)
     batch = flat.reshape(-1, d, d)

@@ -5,10 +5,13 @@ values, which a change that alters every report alike would still pass.
 These digests pin the exact bytes: the stdout of every criterion-13 case
 and the ell=3, q=2 union dump with its sidecar.  They were recorded from
 the code before the simplification pass and must not move under a
-refactor; a deliberate change of output re-records them.
+refactor; a deliberate change of output re-records them.  The ``--help``
+digests of every command pin the visible CLI surface the same way, so a
+flag that appears, disappears or changes its help text shows up here.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -36,12 +39,35 @@ STDOUT_SHA256 = {
     "simulate borel-cantelli --g 2 --q 2 --ells 3,5,7 --e 1 --samples 1000 --seed 11":
         "5cd47d1fd857495229c022a5132f9d428dcbc925cb42c6394a144f1eac499e7a",
 }
+# recorded with Python 3.11; argparse wraps help at the terminal width,
+# which COLUMNS fixes
+HELP_SHA256 = {
+    "": "311c54ae64d3c1248f7c31c385f2da47dde623335720943a4ff5e17d1bb34a84",
+    "verify-counts": "70cc4ca14c0f5371fd029525a8db2f04d34607142be4bc91fe1b6c8487867068",
+    "special-set": "e970982f3f526f14d87b2fcba766fe6235f41c396c686d92d2f121698afa4de0",
+    "special-set build": "0cf58ea5ae6d38734af20a2cc17aeb0f04c49d68a15706c1bcf69bc607f45c2b",
+    "special-set verify": "3a98cd17fe83a373401e7d7497656df110b4351106b010b100594b278234f085",
+    "series": "c52ed5951432cbbd19fd288a8bbf9d9924900dd8bda50455f4dc63be1eaf3394",
+    "series part-a": "0b97391732d102fab5935e0f76a479d5781996088bc7f4af8c448fe7d38b3286",
+    "series part-b": "6ecc0bf234b9ea4f3bf91cfb04efd0c82f274f57d0a328937c184e3dae655e20",
+    "simulate": "c1cf0d13897a4ab256fadcc876f7493ccfbc60f39e9a48c4c9e84a12bc05eed7",
+    "simulate hit-frequency":
+        "dc060ac7da262563818dd8594f0b15e0585cd1d95a9c36a3a83a44081d5380c0",
+    "simulate independence":
+        "bf6a80069515f08ed547b6224bf0c0bbbb387f2d556e5f1b7f0df959eac6cf42",
+    "simulate mu-x": "bde60ee5494774114414f4cb2a00380747faa97d86c26a4012481b8acee65c18",
+    "simulate borel-cantelli":
+        "ca98df4e43401a6e06e6784dc062231cc1b4c9088e1982d0c050c52138490617",
+    "orders": "c1722eb765614b69dbab0828db4d3b5a7fa345b0b0581b495df44cf03a0d0c42",
+    "enumerate": "250f2d6c1412211b8d84e70c13d15b1741e924cb03ebdffda00ac589f6d7ccaa",
+}
 UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb442610952"
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
 
 
 def _stdout(*args) -> bytes:
-    proc = subprocess.run([sys.executable, "-m", "symon.cli", *args], capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "symon.cli", *args], capture_output=True,
+                          env={**os.environ, "COLUMNS": "80"})
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -65,3 +91,8 @@ def test_union_dump_matches_golden(tmp_path):
             "--out", str(out))
     assert _sha(out.read_bytes()) == UNION_DUMP_SHA256
     assert _sha((tmp_path / "set3.txt.json").read_bytes()) == UNION_SIDECAR_SHA256
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: c or "symon")
+def test_help_text_matches_golden(command):
+    assert _sha(_stdout(*command.split(), "--help")) == HELP_SHA256[command]

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from symon import _gf
 from symon.modmat import ModMatrix, Modulus, crt_lift, fixed_space, has_eigenvalue_one, mat_mul
 from symon.prng import CounterRng
 from symon.specialsets import (
@@ -25,7 +26,14 @@ from symon.specialsets import (
     select_blocks,
     union_cardinality,
 )
-from symon.sympgroup import GroupContext, INFINITY, enumerate_group, multiplier, transvection
+from symon.sympgroup import (
+    GroupContext,
+    INFINITY,
+    enumerate_group,
+    multiplier,
+    sample_uniform,
+    transvection,
+)
 
 LEX = BlockStrategy.LEX_CANONICAL
 EXPLICIT = BlockStrategy.EXPLICIT_G2
@@ -186,6 +194,24 @@ def test_direct_membership_matches_materialized_everywhere(gsp4_f3):
         rows = [[rng.below(3) for _ in range(4)] for _ in range(4)]
         m = ModMatrix.from_rows(Modulus.of(3), rows)
         assert direct.contains(m) == union.contains(m)
+
+
+def test_direct_membership_matches_materialized_at_5():
+    # seeded members of the ell=5, q=2 union and uniform draws from the class
+    ell = 5
+    ctx = GroupContext.of(2, ell, 2)
+    union = build_union_set(ctx)
+    direct = DirectMembership(ctx)
+    rng = np.random.default_rng(5)
+    picks = rng.choice(union.keys.shape[0], size=10_000, replace=False)
+    for flat in _gf.unpack_entries(union.keys[picks], ell, 16):
+        assert direct.contains_rows(flat.reshape(4, 4).tolist())
+    lams = ctx.multiplier_values()
+    draws = [sample_uniform(ctx, lams[i % len(lams)], 55, i) for i in range(10_000)]
+    in_set = union.contains_flat(np.array([m.flat() for m in draws], dtype=np.int64))
+    assert 0 < in_set.sum() < len(draws)
+    for m, hit in zip(draws, in_set):
+        assert direct.contains_rows([list(r) for r in m.rows]) == bool(hit)
 
 
 def test_membership_dispatch_and_self_membership():

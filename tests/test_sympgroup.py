@@ -258,3 +258,13 @@ def test_context_validation():
     assert ctx.multiplier_values() == (2, 4, 8, 1)
     assert GroupContext.of(1, 5).multiplier_values() == (1, 2, 3, 4)
     assert math.prod(GroupContext.of(1, 5, INFINITY).multiplier_values()) % 5 == 4
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("n", [3, 5, 7, 15, 105])
+@pytest.mark.parametrize("q", [2, 4, INFINITY])
+def test_multiplier_count_matches_listed_values(g, n, q):
+    ctx = GroupContext.of(g, n, q)
+    assert ctx.multiplier_count() == len(ctx.multiplier_values())
+    for ell in ctx.modulus.primes:
+        assert ctx.multiplier_count(ell) == len(ctx.multiplier_values(ell))
