@@ -214,13 +214,16 @@ def cmd_verify_counts(args) -> int:
 
 # -- special-set --
 
-def _build_set(ctx: GroupContext, level: SetLevel, lam, strategy: BlockStrategy,
-               allow_large: bool) -> FixedVectorSet:
-    if level is SetLevel.CORE:
-        return build_core_set(ctx, lam, strategy, allow_large)
-    if level is SetLevel.FULL:
-        return build_full_set(ctx, lam, strategy, allow_large)
-    return build_union_set(ctx, strategy, allow_large)
+# level -> (its builder, its closed-formula cardinality); the lambdas look the
+# functions up when called, so a patched or traced one is the one used
+_LEVELS = {
+    SetLevel.CORE: (lambda ctx, lam, st, big: build_core_set(ctx, lam, st, big),
+                    lambda ctx, st: core_cardinality(ctx.g, ctx.modulus.n, st)),
+    SetLevel.FULL: (lambda ctx, lam, st, big: build_full_set(ctx, lam, st, big),
+                    lambda ctx, st: full_cardinality(ctx.g, ctx.modulus.n, st)),
+    SetLevel.UNION: (lambda ctx, lam, st, big: build_union_set(ctx, st, big),
+                     lambda ctx, st: union_cardinality(ctx.g, ctx.modulus.n, ctx.q, st)),
+}
 
 
 def cmd_special_set_build(args) -> int:
@@ -230,13 +233,17 @@ def cmd_special_set_build(args) -> int:
     ctx = GroupContext.of(args.g, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
         raise UsageError(f"--lam is required for level {level.value}")
-    # validate before opening the outputs (which truncates them), and open
-    # them before the build, so that neither failure costs a build
+    # validate before opening the outputs, and open both before the build, so
+    # that neither failure costs a build; neither is truncated until the set
+    # is built, so no failure empties an earlier dump
     _require_materializable(ctx, strategy, args.allow_large_ell)
     if level is not SetLevel.UNION:
         _require_unit(args.lam, args.ell)
-    with _open(args.out, "w") as fh, _open(args.out + ".json", "w") as side:
-        s = _build_set(ctx, level, args.lam, strategy, args.allow_large_ell)
+    with _open(args.out, "a") as fh, _open(args.out + ".json", "a") as side:
+        s = _LEVELS[level][0](ctx, args.lam, strategy, args.allow_large_ell)
+        for f in (fh, side):
+            f.seek(0)
+            f.truncate()
         lines = s.dump(fh)
         s.write_sidecar(side)
     report = dict(s.sidecar())
@@ -248,13 +255,11 @@ def cmd_special_set_build(args) -> int:
 
 
 def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> None:
-    ell, g = s.ctx.modulus.n, s.ctx.g
+    ell = s.ctx.modulus.n
     if str(s.cardinality) != sidecar["cardinality"]:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"sidecar says {sidecar['cardinality']}")
-    formula = (union_cardinality(g, ell, s.ctx.q, s.strategy) if s.level is SetLevel.UNION
-               else core_cardinality(g, ell, s.strategy) if s.level is SetLevel.CORE
-               else full_cardinality(g, ell, s.strategy))
+    formula = _LEVELS[s.level][1](s.ctx, s.strategy)
     if s.cardinality != formula:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"the closed formula gives {formula}")
@@ -327,7 +332,7 @@ def cmd_special_set_verify(args) -> int:
     if s is not None:
         _verify_loaded(s, sidecar, problems)
         if args.rebuild:
-            fresh = _build_set(ctx, level, lam, strategy, True)
+            fresh = _LEVELS[level][0](ctx, lam, strategy, True)
             if fresh.keys.shape != s.keys.shape or not bool((fresh.keys == s.keys).all()):
                 problems.append("rebuild does not reproduce the dump")
     report = {"command": "special-set-verify", "dump": args.dump,

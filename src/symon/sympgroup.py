@@ -118,14 +118,13 @@ class GroupContext:
             raise ValueError(f"{ell} does not divide the modulus {self.modulus.n}")
         return GroupContext(self.g, Modulus.of(ell), self.q)
 
-    def multiplier_count(self, m: int | None = None) -> int:
-        """How many admissible multipliers there are mod a squarefree m
-        (default: the context modulus), without listing them: prod (p - 1)
-        over the primes of m for INFINITY, the order of q mod m otherwise."""
-        m = self.modulus.n if m is None else m
+    def multiplier_count(self) -> int:
+        """How many admissible multipliers there are mod the (squarefree)
+        context modulus, without listing them: prod (p - 1) over its primes
+        for INFINITY, the order of q mod n otherwise."""
         if isinstance(self.q, _Infinity):
-            return math.prod(p - 1 for p, _ in prime_factors(m))
-        return multiplicative_order(self.q, m)
+            return math.prod(p - 1 for p in self.modulus.primes)
+        return multiplicative_order(self.q, self.modulus.n)
 
     def multiplier_values(self, m: int | None = None) -> tuple[int, ...]:
         """Admissible multipliers mod m (default: the context modulus).

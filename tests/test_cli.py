@@ -264,7 +264,8 @@ def test_verify_checks_count_against_formula(tmp_path):
 def build_calls(monkeypatch):
     """Counts special-set builds; the stand-in builds nothing."""
     calls = []
-    monkeypatch.setattr(cli, "_build_set", lambda *args: calls.append(args))
+    for name in ("build_core_set", "build_full_set", "build_union_set"):
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
     return calls
 
 
@@ -274,11 +275,28 @@ def test_build_opens_outputs_before_building(tmp_path, capsys, build_calls, bloc
     if blocked == "out":
         out = tmp_path / "missing" / "set.txt"
     else:
+        out.write_bytes(b"earlier bytes\n")
         (tmp_path / "set.txt.json").mkdir()
     argv = ["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)]
     assert cli.main(argv) == 2
     assert build_calls == []
     assert capsys.readouterr().err.startswith("error: cannot open")
+    if blocked == "sidecar":
+        assert out.read_bytes() == b"earlier bytes\n"
+
+
+def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch):
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"earlier bytes\n")
+    (tmp_path / "kept.txt.json").write_bytes(b"{}\n")
+
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "build_union_set", out_of_memory)
+    with pytest.raises(MemoryError):
+        cli.main(["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)])
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert (tmp_path / "kept.txt.json").read_bytes() == b"{}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -267,4 +267,4 @@ def test_multiplier_count_matches_listed_values(g, n, q):
     ctx = GroupContext.of(g, n, q)
     assert ctx.multiplier_count() == len(ctx.multiplier_values())
     for ell in ctx.modulus.primes:
-        assert ctx.multiplier_count(ell) == len(ctx.multiplier_values(ell))
+        assert ctx.restrict(ell).multiplier_count() == len(ctx.multiplier_values(ell))
