@@ -5,11 +5,25 @@ with entries already reduced mod p.  The scalar, exact public API lives in
 ``modmat``; these kernels exist so that exhaustive enumerations and
 million-element set constructions run at C speed.
 
-Intermediate products stay below 2**63 for every modulus this package
-accepts (p <= ~10**6, d <= 16), so no overflow handling is needed.
+Integer bounds, kernel by kernel (entries in [0, p) on input):
+
+* ``batch_det``: at d = 4 each 2x2 minor is reduced before the products of
+  two minors are summed, so every intermediate stays below 6 * p**2.
+* ``batch_rank``, ``pairings``, ``similitude_check``: products of two
+  entries, summed over at most d terms: below d * p**2.
+* ``pack_entries``: a word holds k base-p digits with p**k < 2**63 by
+  construction (``pack_words``).
+* ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact and
+  checked to fit int32; see its docstring.
+
+The int64 bounds hold far beyond any modulus whose scan fits the
+enumeration budget; ``conjugate_into`` checks its int32 bound and raises
+``ValueError`` past it (p > 512 at D = 16, above the materialization cap).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -127,21 +141,29 @@ def unpack_entries(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
     return out
 
 
-def sort_keys(keys: np.ndarray) -> np.ndarray:
-    """Sort (N, W) key rows lexicographically; returns a new array."""
-    if keys.shape[1] == 1:
-        return np.sort(keys, axis=0)
-    order = np.lexsort(tuple(keys[:, w] for w in range(keys.shape[1] - 1, -1, -1)))
-    return keys[order]
-
-
 def unique_keys(keys: np.ndarray) -> np.ndarray:
-    s = sort_keys(keys)
-    if s.shape[0] <= 1:
-        return s
-    keep = np.ones(s.shape[0], dtype=bool)
-    keep[1:] = (s[1:] != s[:-1]).any(axis=1)
-    return s[keep]
+    """Sort (N, W) key rows lexicographically in place and drop repeats.
+
+    Returns ``keys`` itself when its rows are distinct, else a compacted
+    copy of the sorted rows.  Distinct rows are counted by comparing each
+    sorted row with the one before, so the count is measured, not assumed.
+    """
+    n = keys.shape[0]
+    if keys.shape[1] == 1:
+        keys[:, 0].sort()
+    else:
+        keys[:] = keys[np.lexsort(keys.T[::-1])]
+    # compare slice by slice, so the scan adds no (N,)-sized temporary
+    step = 1 << 20
+    repeats = 0
+    for lo in range(1, n, step):
+        hi = min(lo + step, n)
+        repeats += int(np.count_nonzero((keys[lo:hi] == keys[lo - 1:hi - 1]).all(axis=1)))
+    if not repeats:
+        return keys
+    keep = np.ones(n, dtype=bool)
+    keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys[keep]
 
 
 def searchsorted_keys(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -160,6 +182,46 @@ def searchsorted_keys(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarra
     pos = np.searchsorted(hay, ned)
     pos = np.minimum(pos, hay.shape[0] - 1)
     return hay[pos] == ned
+
+
+# -- conjugation of a batch by a fixed family of matrices --
+#
+# With row-major flattening, vec(A C B) = (A kron B^T) vec(C), so one
+# conjugation C -> T^-1 C T of every row of an (N, d*d) batch is a single
+# dense product with the d*d x d*d operator kron(T^-1, T^T)^T.
+
+def conjugation_operators(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Stack kron(T^-1, T^T)^T over the (T, T^-1) pairs into a (D, D*m) float64 array.
+
+    Columns [j*D, (j+1)*D) hold the operator of the j-th pair, D = d*d.
+    """
+    return np.concatenate([np.kron(tinv, t.T).T for t, tinv in pairs],
+                          axis=1).astype(np.float64)
+
+
+def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write the packed keys of T^-1 C T for every row C of flat and every T of ops.
+
+    ``flat`` is an (N, D) batch of entries in [0, p), ``ops`` the stack that
+    ``conjugation_operators`` built from m pairs with entries in [0, p), and
+    ``out`` an (N*m, W) uint64 array: rows [j*N, (j+1)*N) receive the keys
+    (``pack_entries``) of the conjugates by the j-th pair.
+
+    Exactness: an operator entry is a product of two entries of T^-1 and T,
+    so each output entry is a sum of D nonnegative terms, each at most
+    (p-1)**3.  At g = 2 (D = 16) and the hard cap p = 31 that sum is below
+    16 * 30**3 = 432,000, so it is exact in float64 (below 2**53) whatever
+    order BLAS sums in, and it fits int32, where it is reduced mod p.
+    Raises ValueError when D * (p-1)**3 >= 2**31.
+    """
+    n, dd = flat.shape
+    if dd * (p - 1) ** 3 >= 1 << 31:
+        raise ValueError(f"conjugation sums at p={p}, D={dd} may not fit int32")
+    a = flat.astype(np.float64)
+    for j in range(ops.shape[1] // dd):
+        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(np.int32)
+        entries %= p
+        out[j * n:(j + 1) * n] = pack_entries(entries, p)
 
 
 # -- exhaustive candidate scan --

@@ -239,6 +239,9 @@ def cmd_special_set_build(args) -> int:
     _require_materializable(ctx, strategy, args.allow_large_ell)
     if level is not SetLevel.UNION:
         _require_unit(args.lam, args.ell)
+        if args.lam % args.ell not in ctx.multiplier_values(args.ell):
+            raise UsageError(f"--lam {args.lam} is not in the multiplier class of "
+                             f"q={_q_str(q)} mod {args.ell}")
     with _open(args.out, "a") as fh, _open(args.out + ".json", "a") as side:
         s = _LEVELS[level][0](ctx, args.lam, strategy, args.allow_large_ell)
         for f in (fh, side):
@@ -263,12 +266,12 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
     if s.cardinality != formula:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"the closed formula gives {formula}")
+    values = s.ctx.multiplier_values(ell)
+    if s.lam is not None and s.lam % ell not in values:
+        problems.append(f"lam {s.lam} is not in the multiplier class of "
+                        f"q={_q_str(s.ctx.q)} mod {ell}")
     allowed = np.zeros(ell, dtype=bool)
-    if s.lam is not None:
-        allowed[s.lam % ell] = True
-    else:
-        for v in s.ctx.multiplier_values(ell):
-            allowed[v] = True
+    allowed[list(values) if s.lam is None else s.lam % ell] = True
     dim = s.ctx.dim
     for entries in s.iter_entries():
         a = entries.reshape(-1, dim, dim)

@@ -382,17 +382,31 @@ def build_core_set(ctx: GroupContext, lam: int,
                           strategy, keys.shape[0], keys)
 
 
-def _full_keys(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.ndarray:
+def _construction_keys(ctx: GroupContext, lams: Sequence[int],
+                       strategy: BlockStrategy) -> np.ndarray:
+    """Unsorted keys of every matrix the full layers of ``lams`` are built from.
+
+    One key array, sized by the construction's row count (core rows times
+    conjugators + 1), receives each core and its conjugates under every
+    shear; ``_gf.unique_keys`` then sorts it in place and measures the
+    distinct count, which is never read from the closed formula.
+    """
     ell = ctx.modulus.n
-    core = _core_entries(ctx, lam, strategy)
-    parts = [_gf.pack_entries(core.reshape(core.shape[0], -1), ell)]
-    for a3 in range(ell):
-        for a4 in range(ell):
-            for beta in range(1, ell):
-                t, tinv = _conjugator_pair(ctx, (a3, a4), beta)
-                conj = np.matmul(np.matmul(tinv, core) % ell, t) % ell
-                parts.append(_gf.pack_entries(conj.reshape(conj.shape[0], -1), ell))
-    return _gf.unique_keys(np.concatenate(parts, axis=0))
+    dd = ctx.dim * ctx.dim
+    cores = [_core_entries(ctx, lam, strategy).reshape(-1, dd) for lam in lams]
+    ops = _gf.conjugation_operators([_conjugator_pair(ctx, (a3, a4), beta)
+                                     for a3 in range(ell) for a4 in range(ell)
+                                     for beta in range(1, ell)])
+    per_core = ops.shape[1] // dd + 1     # the core row itself and its conjugates
+    keys = np.empty((per_core * sum(core.shape[0] for core in cores),
+                     _gf.pack_words(ell, dd)), dtype=np.uint64)
+    at = 0
+    for core in cores:
+        n = core.shape[0]
+        keys[at:at + n] = _gf.pack_entries(core, ell)
+        _gf.conjugate_into(core, ops, ell, keys[at + n:at + per_core * n])
+        at += per_core * n
+    return keys
 
 
 def build_full_set(ctx: GroupContext, lam: int,
@@ -400,7 +414,7 @@ def build_full_set(ctx: GroupContext, lam: int,
                    allow_large: bool = False) -> FixedVectorSet:
     """Materialize the full (conjugation-closed) layer for one multiplier."""
     ell = _require_materializable(ctx, strategy, allow_large)
-    keys = _full_keys(ctx, lam, strategy)
+    keys = _gf.unique_keys(_construction_keys(ctx, [lam], strategy))
     return FixedVectorSet(ctx, lam % ell, SetLevel.FULL,
                           strategy, keys.shape[0], keys)
 
@@ -410,8 +424,7 @@ def build_union_set(ctx: GroupContext,
                     allow_large: bool = False) -> FixedVectorSet:
     """Materialize the union over all admissible multipliers of the context."""
     ell = _require_materializable(ctx, strategy, allow_large)
-    parts = [_full_keys(ctx, lam, strategy) for lam in ctx.multiplier_values(ell)]
-    keys = _gf.unique_keys(np.concatenate(parts, axis=0))
+    keys = _gf.unique_keys(_construction_keys(ctx, ctx.multiplier_values(ell), strategy))
     return FixedVectorSet(ctx, None, SetLevel.UNION, strategy, keys.shape[0], keys)
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from symon import cli
+from test_specialsets import duplicate_first_block
 
 
 def run_cli(*args, check=True, env_extra=None):
@@ -53,6 +54,14 @@ def test_verify_counts_tamper_negative_control(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
     assert report["counts"]["fail"] >= 1 and failed == {"core-cardinality"}
+
+
+def test_verify_counts_fails_on_a_repeated_conjugate_block(monkeypatch, capsys):
+    duplicate_first_block(monkeypatch)
+    assert cli.main(["verify-counts", "--ells", "3", "--q", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {"full-cardinality"}
 
 
 def test_special_set_build_verify_rebuild(tmp_path):
@@ -303,6 +312,8 @@ def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch):
     ("--ell", "2"),
     ("--ell", "37"),
     ("--lam", "5", "--ell", "5", "--level", "core"),
+    ("--lam", "2", "--ell", "5", "--q", "4", "--level", "core"),
+    ("--lam", "3", "--ell", "5", "--q", "4", "--level", "full"),
 ])
 def test_failed_build_validation_leaves_out_alone(tmp_path, capsys, build_calls, argv):
     out = tmp_path / "kept.txt"
@@ -331,3 +342,16 @@ def test_orders_at_a_large_prime_lists_no_units():
         "c55309be6e96b560c79324670d4fec4b42cb7758bfddce07d79eaed411fa2502"
     peak_kib = int(proc.stderr.split()[-2])
     assert peak_kib < 100 * 1024
+
+
+def test_verify_rejects_lam_outside_the_class_of_q(tmp_path):
+    # 2 is no power of 4 mod 3; the dump itself is a valid lam-2 core layer
+    dump = tmp_path / "core.txt"
+    run_cli("special-set", "build", "--ell", "3", "--level", "core", "--lam", "2",
+            "--out", str(dump))
+    side = tmp_path / "core.txt.json"
+    side.write_text(json.dumps(dict(json.loads(side.read_text()), q=4)))
+    proc = run_cli("special-set", "verify", "--dump", str(dump), check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["problems"] == [
+        "lam 2 is not in the multiplier class of q=4 mod 3"]

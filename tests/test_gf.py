@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symon import _gf
 from symon.modmat import ModMatrix, Modulus, det, rank_mod
 from symon.prng import CounterRng
-from symon.sympgroup import GroupContext, NotSimilitude, multiplier
+from symon.sympgroup import GroupContext, NotSimilitude, multiplier, transvection
 
 
 def rand_entries(n, dd, p, seed):
@@ -33,10 +34,22 @@ def test_pack_unpack_round_trip(p):
 @pytest.mark.parametrize("p", [13, 17])
 def test_key_order_matches_lexicographic(p):
     flat = rand_entries(400, 16, p, 3 * p)
-    keys = _gf.unique_keys(_gf.pack_entries(flat, p))
+    packed = _gf.pack_entries(flat, p)
+    keys = _gf.unique_keys(packed)
+    # distinct rows are sorted in place and come back as the input array
+    assert keys is packed and keys.shape[0] == 400
     back = _gf.unpack_entries(keys, p, 16)
     as_tuples = [tuple(row) for row in back]
     assert as_tuples == sorted(as_tuples)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_unique_keys_compacts_duplicates(p):
+    flat = rand_entries(300, 16, p, 11 * p)
+    flat = np.concatenate([flat, flat[::3], flat[:1]])
+    keys = _gf.unique_keys(_gf.pack_entries(flat, p))
+    assert keys.shape[1] == (1 if p == 13 else 2)
+    assert (_gf.unpack_entries(keys, p, 16) == np.unique(flat, axis=0)).all()
 
 
 @pytest.mark.parametrize("p", [13, 17, 31])
@@ -97,3 +110,49 @@ def test_similitude_check_against_scalar(p, g):
             assert bool(ok_) and int(l_) == want
         except NotSimilitude:
             assert not bool(ok_)
+
+
+def _core_shaped(ell, free):
+    """A 4x4 matrix with the zero pattern of a core member; free fills the rest."""
+    it = iter(free)
+    c = np.zeros((4, 4), dtype=np.int64)
+    c[0, 0] = 1
+    for i, j in [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (3, 1),
+                 (2, 2), (2, 3), (3, 2), (3, 3)]:
+        c[i, j] = next(it) % ell
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_conjugate_into_matches_scalar_conjugation(data):
+    ell = data.draw(st.sampled_from([3, 5, 7, 13, 31]))
+    ctx = GroupContext.of(2, ell)
+    residue = st.integers(0, ell - 1)
+    cores = data.draw(st.lists(st.lists(residue, min_size=10, max_size=10),
+                               min_size=1, max_size=5))
+    shears = data.draw(st.lists(st.tuples(residue, residue, residue), min_size=1, max_size=4))
+    flat = np.array([_core_shaped(ell, free).ravel() for free in cores])
+    ts = [(transvection(ctx, (a3, a4), beta), transvection(ctx, (a3, a4), -beta))
+          for a3, a4, beta in shears]
+    ops = _gf.conjugation_operators([(np.array(t.rows), np.array(tinv.rows))
+                                     for t, tinv in ts])
+    n = flat.shape[0]
+    out = np.empty((n * len(ts), _gf.pack_words(ell, 16)), dtype=np.uint64)
+    _gf.conjugate_into(flat, ops, ell, out)
+    got = _gf.unpack_entries(out, ell, 16)
+    modulus = Modulus.of(ell)
+    for j, (t, tinv) in enumerate(ts):
+        for i in range(n):
+            c = ModMatrix.from_flat(modulus, flat[i])
+            assert tuple(got[j * n + i]) == (tinv @ c @ t).flat()
+
+
+def test_conjugate_into_guards_its_int32_bound():
+    flat = np.zeros((1, 16), dtype=np.int64)
+    ops = np.zeros((16, 16))
+    out = np.empty((1, _gf.pack_words(509, 16)), dtype=np.uint64)
+    _gf.conjugate_into(flat, ops, 509, out)   # 16 * 508**3 < 2**31
+    assert (out == 0).all()
+    with pytest.raises(ValueError, match="int32"):
+        _gf.conjugate_into(flat, ops, 521, out)

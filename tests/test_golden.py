@@ -8,6 +8,10 @@ the code before the simplification pass and must not move under a
 refactor; a deliberate change of output re-records them.  The ``--help``
 digests of every command pin the visible CLI surface the same way, so a
 flag that appears, disappears or changes its help text shows up here.
+The key digests of two in-memory builds, recorded from the code before the
+one-pass set build, pin the materialized keys themselves: the ell=5, q=2
+union the benchmark builds, and an ell=7 full layer, a size the benchmark
+does not run.
 """
 
 import hashlib
@@ -17,6 +21,8 @@ import sys
 
 import pytest
 
+from symon.specialsets import build_full_set, build_union_set
+from symon.sympgroup import GroupContext
 from test_acceptance import CLI_CASES
 
 STDOUT_SHA256 = {
@@ -63,6 +69,8 @@ HELP_SHA256 = {
 }
 UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb442610952"
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
+UNION_5_Q2_KEYS_SHA256 = "3f78d249bd7459a4f453975820d71f39925b612d483c82a422eb45f21fba3e0b"
+FULL_7_LAM1_KEYS_SHA256 = "7bfd227b7399f07d6fa234afe8370272147d13d8e357954af58d673c71c93103"
 
 
 def _stdout(*args) -> bytes:
@@ -96,3 +104,13 @@ def test_union_dump_matches_golden(tmp_path):
 @pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: c or "symon")
 def test_help_text_matches_golden(command):
     assert _sha(_stdout(*command.split(), "--help")) == HELP_SHA256[command]
+
+
+def test_union_keys_match_golden():
+    keys = build_union_set(GroupContext.of(2, 5, 2)).keys
+    assert _sha(keys.tobytes()) == UNION_5_Q2_KEYS_SHA256
+
+
+def test_full_layer_keys_match_golden():
+    keys = build_full_set(GroupContext.of(2, 7), 1).keys
+    assert _sha(keys.tobytes()) == FULL_7_LAM1_KEYS_SHA256

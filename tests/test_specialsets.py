@@ -1,5 +1,8 @@
 import io
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +148,45 @@ def test_union_set_at_3():
     s = build_union_set(ctx)
     assert s.cardinality == union_cardinality(2, 3, 2) == 8208
     assert not s.contains(ModMatrix.identity(Modulus.of(3), 4))
+
+
+def duplicate_first_block(monkeypatch):
+    """Make the conjugation kernel write its first block over its second."""
+    conjugate = _gf.conjugate_into
+
+    def doubled(flat, ops, p, out):
+        conjugate(flat, ops, p, out)
+        n = flat.shape[0]
+        out[n:2 * n] = out[:n]
+    monkeypatch.setattr(_gf, "conjugate_into", doubled)
+
+
+def test_cardinality_is_measured_not_assumed(monkeypatch):
+    duplicate_first_block(monkeypatch)
+    s = build_full_set(GroupContext.of(2, 3), 1)
+    assert s.cardinality == s.keys.shape[0] < full_cardinality(2, 3)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_union_build_peak_memory_stays_near_key_bytes():
+    # one preallocated key array sorted in place; concatenating per-layer
+    # arrays and deduplicating them twice had peaked at about 5x the keys.
+    # The child reads its own VmRSS and VmHWM, as ru_maxrss would carry
+    # pytest's peak across exec
+    code = ("from symon.specialsets import build_union_set\n"
+            "from symon.sympgroup import GroupContext\n"
+            "def status(field):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith(field))\n"
+            "ctx = GroupContext.of(2, 5, 2)\n"
+            "before = status('VmRSS:')\n"
+            "s = build_union_set(ctx)\n"
+            "print(before, status('VmHWM:'), s.keys.nbytes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before_kib, peak_kib, key_bytes = map(int, proc.stdout.split())
+    assert key_bytes == 8 * union_cardinality(2, 5, 2)
+    assert (peak_kib - before_kib) * 1024 <= 2 * key_bytes
 
 
 def test_explicit_strategy_cardinalities():
