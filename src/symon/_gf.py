@@ -2,15 +2,17 @@
 
 Internal module: arrays here are raw ``int64`` stacks of shape (N, d, d)
 with entries already reduced mod p.  The scalar, exact public API lives in
-``modmat``; these kernels exist so that exhaustive enumerations and
-million-element set constructions run at C speed.
+``modmat``; these kernels exist so that exhaustive enumerations,
+million-element set constructions and Monte Carlo batches run at C speed.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
 * ``batch_det``: at d = 4 each 2x2 minor is reduced before the products of
   two minors are summed, so every intermediate stays below 6 * p**2.
-* ``batch_rank``, ``pairings``, ``similitude_check``: products of two
-  entries, summed over at most d terms: below d * p**2.
+* ``pairings``, ``similitude_check``: products of two entries, summed
+  over at most d terms: below d * p**2.
+* ``batch_rref`` (and ``batch_rank``, ``batch_kernel_basis``): entries
+  stay within p + c * p**2 for c columns before the final reduction.
 * ``pack_entries``: a word holds k base-p digits with p**k < 2**63 by
   construction (``pack_words``).
 * ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact and
@@ -67,35 +69,77 @@ def batch_det_minus_identity(a: np.ndarray, p: int) -> np.ndarray:
     return batch_det(b, p)
 
 
-def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over GF(p) of a (N, r, c) batch by vectorized elimination."""
-    a = (a % p).astype(np.int64).copy()
+def batch_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over GF(p) of a (N, r, c) batch.
+
+    Returns (reduced, pivots): ``reduced`` is the (N, r, c) batch of RREFs,
+    equal lane by lane to ``modmat.rref_mod`` (the RREF is unique), and
+    ``pivots[i, k]`` is the pivot column of row k of lane i, or -1 past the
+    lane's rank.  Each column pass takes, on every lane at once, the first
+    unused row that is nonzero there as the pivot row, scales it to a
+    leading 1 and clears the column in every other row; the pivot rows are
+    put in order once at the end.  Only the pivot row and the column
+    multipliers are reduced inside the loop, so an entry drifts by less
+    than p**2 per column and the batch is reduced once after the loop.
+    """
+    a = np.array(a, dtype=np.int64) % p
     n, nrows, ncols = a.shape
     inv = inverse_table(p)
-    rank = np.zeros(n, dtype=np.int64)
+    flat = a.reshape(n * nrows, ncols)
+    first_row = np.arange(n) * nrows
+    used = np.zeros((n, nrows), dtype=bool)
+    pivot_of_row = np.full(n * nrows, -1, dtype=np.int64)
     for c in range(ncols):
-        # bring a nonzero pivot into row rank[i] of each matrix that has one
-        found = np.zeros(n, dtype=bool)
-        for r in range(nrows):
-            cand = np.nonzero(~found & (r >= rank) & (a[:, r, c] != 0))[0]
-            if cand.size:
-                ri = rank[cand]
-                tmp = a[cand, r, :].copy()
-                a[cand, r, :] = a[cand, ri, :]
-                a[cand, ri, :] = tmp
-                found[cand] = True
-        live = np.nonzero(found)[0]
-        if live.size == 0:
+        col = a[:, :, c] % p
+        usable = (col != 0) & ~used
+        at = first_row + usable.argmax(axis=1)
+        live = usable.reshape(-1)[at]
+        if not live.any():
             continue
-        ri = rank[live]
-        a[live, ri, :] = a[live, ri, :] * inv[a[live, ri, c]][:, None] % p
-        for r in range(nrows):
-            sel = live[(a[live, r, c] != 0) & (r != ri)]
-            if sel.size:
-                f = a[sel, r, c]
-                a[sel, r, :] = (a[sel, r, :] - f[:, None] * a[sel, rank[sel], :]) % p
-        rank[live] += 1
-    return rank
+        top = flat[at] % p
+        top = top * inv[top[:, c]][:, None] % p
+        col *= live[:, None]
+        col.reshape(-1)[at] = 0
+        a -= col[:, :, None] * top[:, None, :]
+        at, top = at[live], top[live]
+        flat[at] = top
+        used.reshape(-1)[at] = True
+        pivot_of_row[at] = c
+    a %= p
+    pivots = pivot_of_row.reshape(n, nrows)
+    order = np.argsort(np.where(pivots >= 0, pivots, ncols), axis=1, kind="stable")
+    return (np.take_along_axis(a, order[:, :, None], axis=1),
+            np.take_along_axis(pivots, order, axis=1))
+
+
+def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over GF(p) of a (N, r, c) batch."""
+    return (batch_rref(a, p)[1] >= 0).sum(axis=1)
+
+
+def batch_kernel_basis(a: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right kernels of a (N, r, c) batch in the canonical form of ``modmat.kernel_basis``.
+
+    Returns (basis, rank): ``basis[i]`` is the (k, c) kernel basis of lane i
+    when that lane has nullity k (one vector per free column, ascending,
+    with a 1 there and minus the RREF entries at the pivots), and holds
+    meaningless rows otherwise; ``rank`` lets the caller tell the two apart.
+    """
+    reduced, pivots = batch_rref(a, p)
+    n, nrows, ncols = a.shape
+    lanes = np.arange(n)
+    # column ncols is a sink for the -1 slots of lanes past their rank
+    is_pivot = np.zeros((n, ncols + 1), dtype=bool)
+    is_pivot[lanes[:, None], pivots] = True
+    free = np.argsort(is_pivot[:, :ncols], axis=1, kind="stable")[:, :k]
+    basis = np.zeros((n, k, ncols), dtype=np.int64)
+    for t in range(k):
+        basis[lanes, t, free[:, t]] = 1
+    for row in range(nrows):
+        at = np.flatnonzero(pivots[:, row] >= 0)
+        for t in range(k):
+            basis[at, t, pivots[at, row]] = -reduced[at, row, free[at, t]] % p
+    return basis, (pivots >= 0).sum(axis=1)
 
 
 # -- packing matrices into sortable integer keys --

@@ -4,7 +4,8 @@ series).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or budget error,
 including an input file that cannot be read or parsed and an output file
-that cannot be written.
+that cannot be written, 3 internal error (any other exception, such as the
+Monte Carlo engine disagreeing with its scalar oracle).
 Every command is deterministic given its full flag set, including --threads:
 reruns produce byte-identical reports.  Group orders and cardinalities are
 emitted as decimal strings to stay lossless past 53-bit floats.
@@ -576,6 +577,10 @@ def main(argv=None) -> int:
     except (BudgetExceeded, ValueError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:   # a fault in symon itself, not in the input
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

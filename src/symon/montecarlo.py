@@ -20,28 +20,50 @@ Events:
 
 Estimates carry binomial standard errors, the exact value when one is
 computable, and the projective union bound for common-fixed-vector events.
-Work partitions across threads by sample index without changing any output.
+
+The estimators evaluate samples in chunks of CHUNK consecutive indexes on
+numpy lanes (``CounterLanes``, ``sample_entries_lanes``,
+``DirectMembership.contains_lanes`` and ``_gf.batch_rank``), which
+reproduce the scalar streams lane by lane.  The scalar functions
+(``sample_entries``, ``contains_rows``, ``rank_mod``) are the oracle: every
+chunk replays some of its lanes through them (see ``_tally``).  Chunks
+partition across threads without changing any output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
+from . import _gf
 from .analysis import density_ratio, frac_str, pow_enclosure
 from .modmat import ModMatrix, Modulus, crt_lift, minus_identity, rank_mod
-from .prng import CounterRng
+from .prng import CounterLanes, CounterRng
 from .specialsets import BlockStrategy, DirectMembership
 from .sympgroup import (
     GroupContext,
     _Infinity,
     gsp_q_order,
     sample_entries,
+    sample_entries_lanes,
 )
+
+# Sample indexes per batch chunk.  It bounds the batch arrays (a few
+# (CHUNK, 2g, 2g) int64 stacks per prime and slot) and fixes which lanes
+# the oracle replays, so no output depends on the thread count.
+CHUNK = 2048
+
+
+class OracleMismatch(RuntimeError):
+    """The batch engine and the scalar oracle disagree on a sample."""
 
 
 @dataclass(frozen=True)
@@ -137,6 +159,24 @@ def _draw_rows_by_prime(ctx: GroupContext, e: int, rng: CounterRng) -> dict[int,
     return out
 
 
+def _draw_lanes_by_prime(ctx: GroupContext, e: int,
+                        lanes: CounterLanes) -> dict[int, list[np.ndarray]]:
+    """``_draw_rows_by_prime`` on every lane: out[ell][slot] is an (N, dim, dim) batch."""
+    out: dict[int, list] = {ell: [] for ell in ctx.modulus.primes}
+    finite = not isinstance(ctx.q, _Infinity)
+    if finite:
+        ord_n = ctx.multiplier_count()
+        powers = {ell: np.array([pow(ctx.q, k, ell) for k in range(ord_n + 1)])
+                  for ell in ctx.modulus.primes}
+    for _ in range(e):
+        if finite:
+            exp = lanes.below(ord_n) + 1
+        for ell in ctx.modulus.primes:
+            lam = powers[ell][exp] if finite else 1 + lanes.below(ell - 1)
+            out[ell].append(sample_entries_lanes(ctx.g, ell, lam, lanes))
+    return out
+
+
 def sample_tuple(ctx: GroupContext, e: int, seed: int, index: int) -> SampleTuple:
     """e independent uniform draws from the context's class over Z/n."""
     if e < 1:
@@ -198,49 +238,97 @@ def common_fixed_upper_bound(ctx: GroupContext, ell: int, e: int) -> Fraction:
     return Fraction(ell ** (2 * ctx.g) - 1, ell - 1) * hi
 
 
-def _split_ranges(n: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, n)) if n else 1
-    step = -(-n // parts)
-    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _tally(outcomes: Callable[[int], tuple[bool, ...]], n_samples: int,
+def _tally(lanes_outcomes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+           oracle: Callable[[int], tuple[bool, ...]], n_samples: int,
            threads: int) -> Counter:
     """How often each outcome tuple occurs over sample indexes [0, n_samples).
 
-    Index ranges run on separate threads; every index owns its random
-    stream and the counts add up exactly, so the result does not depend on
+    ``lanes_outcomes(indexes)`` evaluates one chunk: it returns the (N, E)
+    bool outcomes of the chunk's indexes and the mask of lanes whose draws
+    were rejected.  ``oracle(index)`` is the scalar outcome tuple of one
+    index.  In every chunk the oracle replays each rejected lane, whose
+    answer it supplies, and, per event, the first other lane the batch
+    marks as a hit and the first it marks as a miss; a disagreement raises
+    OracleMismatch.  Chunks are CHUNK indexes wide whatever ``threads`` is,
+    and each index owns its random stream, so the counts do not depend on
     ``threads``.
     """
-    def run(indexes: range) -> Counter:
-        return Counter(outcomes(index) for index in indexes)
+    def run(lo: int) -> Counter:
+        indexes = np.arange(lo, min(lo + CHUNK, n_samples), dtype=np.uint64)
+        out, rejected = lanes_outcomes(indexes)
+        replay = set()
+        for k in range(out.shape[1]):
+            for hit in (True, False):
+                first = np.flatnonzero((out[:, k] == hit) & ~rejected)[:1]
+                replay.update(first.tolist())
+        for i in sorted(replay):
+            got, want = tuple(out[i].tolist()), oracle(lo + i)
+            if got != want:
+                raise OracleMismatch(f"sample index {lo + i}: batch outcomes {got}, "
+                                     f"scalar outcomes {want}")
+        for i in np.flatnonzero(rejected).tolist():
+            out[i] = oracle(lo + i)
+        rows, counts = np.unique(out, axis=0, return_counts=True)
+        return Counter(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
 
-    ranges = _split_ranges(n_samples, threads)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return sum(pool.map(run, ranges), Counter())
+    # worker k takes chunks k, k + workers, ...: one task per thread, so
+    # no per-chunk future is held however many chunks there are
+    starts = range(0, n_samples, CHUNK)
+    workers = max(1, min(threads, len(starts)))
+
+    def share(k: int) -> Counter:
+        return sum(map(run, starts[k::workers]), Counter())
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(share, range(workers)), Counter())
 
 
 def _hits_per_event(tally: Counter, n_events: int) -> list[int]:
     return [sum(n for outcome, n in tally.items() if outcome[k]) for k in range(n_events)]
 
 
-def _outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
-              by_prime: Mapping[int, Sequence[list[list[int]]]], dim: int) -> tuple[bool, ...]:
-    """Which events one sampled tuple hits.
+def _outcomes(events: Sequence[Event], in_set: Mapping, deficient: Callable) -> list:
+    """Which events a sampled tuple hits.
 
-    Set hits test the slot-one element at every prime of ``testers`` once;
-    a fixed-vector event is the stacked rank test over all slots.
+    ``in_set[ell]`` is the slot-one set hit at ell and ``deficient(ell)``
+    the stacked rank test over all slots at ell.  Both are bools for one
+    tuple or bool arrays over the lanes of a batch; they combine alike.
     """
-    in_set = {ell: testers[ell].contains_rows(by_prime[ell][0]) for ell in testers}
     out = []
     for ev in events:
         if isinstance(ev, SetHitEvent):
             out.append(in_set[ev.ell])
         elif isinstance(ev, JointSetHitEvent):
-            out.append(all(in_set[ell] for ell in ev.ells))
+            out.append(functools.reduce(operator.and_, (in_set[ell] for ell in ev.ells), True))
         else:
-            out.append(_stacked_rank_deficient(by_prime[ev.ell], ev.ell, dim))
-    return tuple(out)
+            out.append(deficient(ev.ell))
+    return out
+
+
+def _scalar_outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
+                     by_prime: Mapping[int, Sequence[list[list[int]]]],
+                     dim: int) -> tuple[bool, ...]:
+    """The oracle: ``_outcomes`` of one tuple by contains_rows and rank_mod."""
+    in_set = {ell: testers[ell].contains_rows(by_prime[ell][0]) for ell in testers}
+    return tuple(_outcomes(events, in_set,
+                           lambda ell: _stacked_rank_deficient(by_prime[ell], ell, dim)))
+
+
+def _lane_outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
+                   by_prime: Mapping[int, Sequence[np.ndarray]], dim: int,
+                   lanes: CounterLanes) -> tuple[np.ndarray, np.ndarray]:
+    """``_outcomes`` on every lane, as the (N, E) array ``_tally`` expects."""
+    in_set = {ell: testers[ell].contains_lanes(by_prime[ell][0]) for ell in testers}
+
+    def deficient(ell: int) -> np.ndarray:
+        eye = np.eye(dim, dtype=np.int64)
+        stacked = np.concatenate([a - eye for a in by_prime[ell]], axis=1)
+        return _gf.batch_rank(stacked, ell) < dim
+
+    out = np.zeros((lanes.lanes, len(events)), dtype=bool)
+    for k, col in enumerate(_outcomes(events, in_set, deficient)):
+        out[:, k] = col
+    return out, lanes.rejected
 
 
 def _estimate(ctx: GroupContext, ev: Event, e: int, hits: int, n_samples: int) -> EventEstimate:
@@ -282,11 +370,16 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
         raise ValueError("set-hit events are defined for e = 1 tuples")
     testers = {ell: DirectMembership(ctx.restrict(ell), strategy) for ell in sorted(need_sets)}
 
-    def outcomes(index: int) -> tuple[bool, ...]:
-        by_prime = _draw_rows_by_prime(ctx, e, CounterRng(seed, index))
-        return _outcomes(events, testers, by_prime, ctx.dim)
+    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lanes = CounterLanes(seed, indexes)
+        return _lane_outcomes(events, testers, _draw_lanes_by_prime(ctx, e, lanes),
+                              ctx.dim, lanes)
 
-    hits = _hits_per_event(_tally(outcomes, n_samples, threads), len(events))
+    def oracle(index: int) -> tuple[bool, ...]:
+        by_prime = _draw_rows_by_prime(ctx, e, CounterRng(seed, index))
+        return _scalar_outcomes(events, testers, by_prime, ctx.dim)
+
+    hits = _hits_per_event(_tally(lanes_outcomes, oracle, n_samples, threads), len(events))
     return [_estimate(ctx, ev, e, h, n_samples) for ev, h in zip(events, hits)]
 
 
@@ -366,16 +459,27 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
     testers = ({ell: DirectMembership(contexts[ell], strategy) for ell in ells}
                if part_a else {})
 
-    def outcomes(index: int) -> tuple[bool, ...]:
+    value_arrays = {ell: np.array(values) for ell, values in values_by_ell.items()}
+
+    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lanes = CounterLanes(seed, indexes)
+        by_prime = {}
+        for ell in ells:
+            values = value_arrays[ell]
+            by_prime[ell] = [sample_entries_lanes(g, ell, values[lanes.below(len(values))], lanes)
+                             for _ in range(e)]
+        return _lane_outcomes(events, testers, by_prime, 2 * g, lanes)
+
+    def oracle(index: int) -> tuple[bool, ...]:
         rng = CounterRng(seed, index)
         by_prime = {}
         for ell in ells:
             values = values_by_ell[ell]
             by_prime[ell] = [sample_entries(g, ell, values[rng.below(len(values))], rng)
                              for _ in range(e)]
-        return _outcomes(events, testers, by_prime, 2 * g)
+        return _scalar_outcomes(events, testers, by_prime, 2 * g)
 
-    tally = _tally(outcomes, n_samples, threads)
+    tally = _tally(lanes_outcomes, oracle, n_samples, threads)
     per_ell = _hits_per_event(tally, len(ells))
     hist: dict[int, int] = {}
     for outcome, n in tally.items():

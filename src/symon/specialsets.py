@@ -60,6 +60,7 @@ from .sympgroup import (
     stabilizer_matrix,
     StabilizerParams,
     transvection,
+    transvection_lanes,
 )
 
 DEFAULT_ELL_CAP = 13
@@ -223,24 +224,18 @@ def _require_materializable(ctx: GroupContext, strategy: BlockStrategy,
     return ell
 
 
-def _block_inverses(ctx: GroupContext, lam: int,
-                    strategy: BlockStrategy) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(I - B)^-1 mod ell for each 2x2 pool block B, in pool order.
+def _pool_inverses(ctx: GroupContext, lam: int,
+                   strategy: BlockStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 block pool of one multiplier with (I - B)^-1 mod ell for each block.
 
-    Keys are row-major entry tuples of B, values the rows of the inverse.
+    Returns (blocks, inverses), two (m, 2, 2) int64 arrays in pool order.
     """
     ell = ctx.modulus.n
-    table = {}
-    rows: dict[tuple[int, int], tuple[int, int]] = {}
-    for blk in _blocks_entries(ctx, lam, strategy):
-        b11, b12, b21, b22 = (int(x) for x in blk.ravel())
-        dinv = pow((1 - b11) * (1 - b22) - b12 * b21, -1, ell)
-        r1 = ((1 - b22) * dinv % ell, b12 * dinv % ell)
-        r2 = (b21 * dinv % ell, (1 - b11) * dinv % ell)
-        # at most ell^2 distinct rows: sharing them keeps the table as small
-        # as one of flat 4-tuples (tables for every multiplier stay resident)
-        table[b11, b12, b21, b22] = (rows.setdefault(r1, r1), rows.setdefault(r2, r2))
-    return table
+    blocks = _blocks_entries(ctx, lam, strategy)
+    b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
+    dinv = _gf.inverse_table(ell)[((1 - b11) * (1 - b22) - b12 * b21) % ell]
+    adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
+    return blocks, adj * dinv[:, None, None] % ell
 
 
 def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, ell: int):
@@ -256,12 +251,12 @@ def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, el
 def _core_entries(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.ndarray:
     ell = ctx.modulus.n
     lam %= ell
-    blocks = _block_inverses(ctx, lam, strategy)
+    blocks, inverses = _pool_inverses(ctx, lam, strategy)
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
     chunks = []
-    for (b11, b12, b21, b22), minv in blocks.items():
+    for (b11, b12, b21, b22), minv in zip(blocks.reshape(-1, 4).tolist(), inverses.tolist()):
         # forced top-row entries and the excluded corner value, per (d1, d2)
         b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
         b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
@@ -451,8 +446,31 @@ class DirectMembership:
         self.ctx = ctx
         self.strategy = strategy
         self.ell = ell
-        self._by_lam = {lam: _block_inverses(ctx, lam, strategy)
-                        for lam in ctx.multiplier_values(ell)}
+        lams = ctx.multiplier_values(ell)
+        self._admissible = np.zeros(ell, dtype=bool)
+        self._admissible[list(lams)] = True
+        # every pool block of every admissible multiplier, keyed by
+        # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
+        keys, inverses = [], []
+        for lam in lams:
+            blocks, inv = _pool_inverses(ctx, lam, strategy)
+            keys.append(self._block_key(lam, blocks[:, 0, 0], blocks[:, 0, 1],
+                                        blocks[:, 1, 0], blocks[:, 1, 1]))
+            inverses.append(inv)
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._inverses = np.concatenate(inverses)[order]
+
+    def _block_key(self, lam, b11, b12, b21, b22):
+        ell = self.ell
+        return (((lam * ell + b11) * ell + b12) * ell + b21) * ell + b22
+
+    def _block_inverse(self, lam, b11, b12, b21, b22):
+        """(found, (I - B)^-1) for a block B under multiplier lam; ints or arrays."""
+        key = self._block_key(lam, b11, b12, b21, b22)
+        pos = np.minimum(np.searchsorted(self._keys, key), self._keys.shape[0] - 1)
+        return self._keys[pos] == key, self._inverses[pos]
 
     @property
     def cardinality(self) -> int:
@@ -470,8 +488,7 @@ class DirectMembership:
                              ModMatrix.from_rows(self.ctx.modulus, rows))
         except NotSimilitude:
             return False
-        table = self._by_lam.get(lam)
-        if table is None:
+        if not self._admissible[lam]:
             return False
         # fixed space must be exactly one line
         ker = kernel_basis(minus_identity(rows, ell), ell)
@@ -494,10 +511,41 @@ class DirectMembership:
             core = (t @ np.array(rows, dtype=np.int64) @ tinv % ell).tolist()
         if any(core[i][0] != (1 if i == 0 else 0) for i in range(4)):
             return False
-        minv = table.get((core[2][2], core[2][3], core[3][2], core[3][3]))
-        if minv is None:
+        found, minv = self._block_inverse(lam, core[2][2], core[2][3], core[3][2], core[3][3])
+        if not found:
             return False
-        return core[0][1] != _excluded_corner(minv, (core[2][1], core[3][1]), core[0][2:], ell)
+        return core[0][1] != _excluded_corner(minv.tolist(), (core[2][1], core[3][1]),
+                                              core[0][2:], ell)
+
+    def contains_lanes(self, a: np.ndarray) -> np.ndarray:
+        """``contains_rows`` on every matrix of an (N, 4, 4) batch with entries in [0, ell).
+
+        The same decomposition on all lanes at once: the similitude check,
+        the canonical kernel vector of A - I (required to span the whole
+        fixed space), the shear it determines (the identity where its second
+        entry is 0, which then needs the vector to be e_1), the conjugate's
+        e_1 column, its block looked up in the sorted table, and the corner.
+        """
+        ell = self.ell
+        inv = _gf.inverse_table(ell)
+        lam, ok = _gf.similitude_check(a, ell)
+        ok &= self._admissible[lam]
+        eye = np.eye(4, dtype=np.int64)
+        kernel, rank = _gf.batch_kernel_basis(a - eye, ell, 1)
+        v = kernel[:, 0]
+        ok &= (rank == 3) & (v[:, 0] != 0)
+        v = v * inv[v[:, 0]][:, None] % ell
+        ok &= (v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0))
+        alpha = v[:, 2:] * inv[v[:, 1]][:, None] % ell
+        beta = -v[:, 1] % ell
+        core = np.matmul(np.matmul(transvection_lanes(ell, alpha, beta), a) % ell,
+                         transvection_lanes(ell, alpha, -beta)) % ell
+        ok &= (core[:, :, 0] == eye[0]).all(axis=1)
+        found, minv = self._block_inverse(lam, core[:, 2, 2], core[:, 2, 3],
+                                          core[:, 3, 2], core[:, 3, 3])
+        excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),
+                                    (core[:, 0, 2], core[:, 0, 3]), ell)
+        return ok & found & (core[:, 0, 1] != excluded)
 
 
 class CompositeUnionSet:

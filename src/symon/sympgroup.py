@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _gf
 from .modmat import MAX_DIM, ModMatrix, ModVector, Modulus, kernel_basis, prime_factors
-from .prng import CounterRng
+from .prng import CounterLanes, CounterRng
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -289,6 +289,21 @@ def transvection(ctx: GroupContext, alpha: Sequence[int], beta: int) -> ModMatri
     return ModMatrix.from_rows(ctx.modulus, [[cols[j][i] for j in range(d)] for i in range(d)])
 
 
+def transvection_lanes(ell: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``transvection`` on every lane: (N, 2g, 2g) for alpha (N, 2g-2) and beta (N,).
+
+    The matrix is I + beta * u c^t with c_i = e(e_i, u), the column form of
+    v -> v + beta * e(v, u) * u.
+    """
+    n, k = alpha.shape
+    g = k // 2 + 1
+    u = np.concatenate([np.zeros((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64),
+                        alpha % ell], axis=1)
+    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T
+    shear = (beta % ell)[:, None, None] * u[:, :, None] * c[:, None, :]
+    return (np.eye(2 * g, dtype=np.int64) + shear) % ell
+
+
 @dataclass(frozen=True)
 class StabilizerParams:
     """Free parameters of a similitude fixing the first basis vector.
@@ -419,3 +434,69 @@ def sample_entries(g: int, ell: int, lam: int, rng: CounterRng) -> list[list[int
 def _combine(coeffs: Sequence[int], basis: Sequence[Sequence[int]], ell: int) -> list[int]:
     dim = len(basis[0])
     return [sum(coeffs[i] * basis[i][j] for i in range(len(basis))) % ell for j in range(dim)]
+
+
+# Primes the batch sampler takes: its int64 products stay below 2g * ell**2
+# and its inverse tables hold ell entries.  Its draw range ell**(2g) - 1
+# must also fit CounterLanes.below; at g = 2 the scalar range reaches 2**64
+# at ell = 65536, past which CounterRng.below has no accepting draw.
+LANES_ELL_CAP = 1 << 16
+
+
+def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes) -> np.ndarray:
+    """``sample_entries`` on every lane of ``lanes`` at once.
+
+    Returns an (N, 2g, 2g) int64 batch whose lane i equals
+    ``sample_entries(g, ell, lam[i], rng_i)`` for the scalar stream rng_i of
+    that lane, wherever ``lanes.rejected[i]`` stays False.  Each step draws
+    in the scalar order (the digits of r, then the c2 entries in index order
+    skipping the pivot) and takes the complement from the canonical kernel
+    basis of (w1, w2), so the choices are the scalar ones lane by lane.
+    """
+    dim = 2 * g
+    if ell >= LANES_ELL_CAP or ell ** dim > 1 << 63:
+        raise ValueError(f"batch sampling at g={g} needs ell < {LANES_ELL_CAP} "
+                         f"and ell**{dim} <= 2**63, got ell={ell}")
+    n = lanes.lanes
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.int64), (n,))
+    inv = _gf.inverse_table(ell)
+    form = np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64)
+    at = np.arange(n)
+    basis = np.broadcast_to(np.eye(dim, dtype=np.int64), (n, dim, dim)).copy()
+    cols = []
+    while True:
+        d = basis.shape[1]
+        r = lanes.below(ell ** d - 1) + 1
+        c1 = np.empty((n, d), dtype=np.int64)
+        for i in range(d):
+            c1[:, i] = r % ell
+            r //= ell
+        f1 = _combine_lanes(c1, basis, ell)
+        w1 = _pair_lanes(f1, basis, form, ell)
+        p = (w1 != 0).argmax(axis=1)
+        # draw k goes to the k-th index other than the pivot: index j takes
+        # draw j before the pivot and draw j - 1 after it
+        draws = np.stack([lanes.below(ell) for _ in range(d - 1)], axis=1)
+        j = np.arange(d)
+        c2 = np.take_along_axis(draws, np.minimum(j - (j > p[:, None]), d - 2), axis=1)
+        c2[at, p] = 0
+        s = (w1 * c2).sum(axis=1)
+        c2[at, p] = (lam - s) % ell * inv[w1[at, p]] % ell
+        f2 = _combine_lanes(c2, basis, ell)
+        cols += [f1, f2]
+        if d == 2:
+            break
+        w2 = _pair_lanes(f2, basis, form, ell)
+        kernel, _ = _gf.batch_kernel_basis(np.stack([w1, w2], axis=1), ell, d - 2)
+        basis = np.matmul(kernel, basis) % ell
+    return np.stack(cols, axis=2)
+
+
+def _combine_lanes(coeffs: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
+    """Per lane, the combination sum_i coeffs[i] * basis[i] mod ell."""
+    return np.matmul(coeffs[:, None, :], basis)[:, 0] % ell
+
+
+def _pair_lanes(f: np.ndarray, basis: np.ndarray, form: np.ndarray, ell: int) -> np.ndarray:
+    """Per lane, the pairings e(f, b) with every basis vector b."""
+    return np.matmul(basis, (f @ form)[:, :, None])[:, :, 0] % ell

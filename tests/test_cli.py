@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from symon import cli
+from symon.specialsets import DirectMembership
 from test_specialsets import duplicate_first_block
 
 
@@ -294,7 +295,7 @@ def test_build_opens_outputs_before_building(tmp_path, capsys, build_calls, bloc
         assert out.read_bytes() == b"earlier bytes\n"
 
 
-def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch):
+def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch, capsys):
     out = tmp_path / "kept.txt"
     out.write_bytes(b"earlier bytes\n")
     (tmp_path / "kept.txt.json").write_bytes(b"{}\n")
@@ -302,8 +303,8 @@ def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
     monkeypatch.setattr(cli, "build_union_set", out_of_memory)
-    with pytest.raises(MemoryError):
-        cli.main(["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)])
+    assert cli.main(["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "internal error: MemoryError: \n"
     assert out.read_bytes() == b"earlier bytes\n"
     assert (tmp_path / "kept.txt.json").read_bytes() == b"{}\n"
 
@@ -355,3 +356,35 @@ def test_verify_rejects_lam_outside_the_class_of_q(tmp_path):
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["problems"] == [
         "lam 2 is not in the multiplier class of q=4 mod 3"]
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+    monkeypatch.setattr(cli, "cmd_orders", broken)
+    assert cli.main(["orders", "--g", "2", "--n", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_batch_oracle_mismatch_exits_3(monkeypatch, capsys):
+    # the benchmark's fault: a negated scalar membership test must not pass
+    contains = DirectMembership.contains_rows
+    monkeypatch.setattr(DirectMembership, "contains_rows",
+                        lambda self, rows: not contains(self, rows))
+    rc = cli.main(["simulate", "hit-frequency", "--n", "5", "--q", "2", "--samples", "300",
+                   "--seed", "42"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: OracleMismatch: ")
+
+
+@pytest.mark.parametrize("g,ell", [("3", "1999"), ("1", "70001")])
+def test_simulate_rejects_primes_past_the_sampler_range(g, ell, capsys):
+    # at g = 3, ell = 1999 the draw range ell**6 - 1 exceeds 2**64, where
+    # the scalar sampler never accepts a draw (it used to hang here)
+    argv = ["simulate", "mu-x", "--g", g, "--ell", ell, "--e", "1", "--samples", "5",
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: batch sampling at g=")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symon import _gf
-from symon.modmat import ModMatrix, Modulus, det, rank_mod
+from symon.modmat import ModMatrix, Modulus, det, kernel_basis, rank_mod, rref_mod
 from symon.prng import CounterRng
 from symon.sympgroup import GroupContext, NotSimilitude, multiplier, transvection
 
@@ -93,6 +93,28 @@ def test_batch_rank_degenerate_cases():
     assert (_gf.batch_rank(zeros, p) == 0).all()
     eye = np.broadcast_to(np.eye(4, dtype=np.int64), (3, 4, 4)).copy()
     assert (_gf.batch_rank(eye, p) == 4).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 10**6))
+def test_batch_rref_and_kernels_match_scalar(p, r, c, seed):
+    flat = rand_entries(60, r * c, p, seed)
+    flat[::3, :c] = 0                     # lanes of lower rank
+    flat[1::4, -c:] = flat[1::4, :c]
+    batch = flat.reshape(-1, r, c)
+    reduced, pivots = _gf.batch_rref(batch, p)
+    for k in range(c + 1):
+        kernels, ranks = _gf.batch_kernel_basis(batch, p, k)
+        for i, mat in enumerate(batch):
+            rows = mat.tolist()
+            if k == 0:
+                want, piv = rref_mod(rows, p)
+                assert reduced[i].tolist() == want
+                assert pivots[i].tolist() == piv + [-1] * (r - len(piv))
+            assert int(ranks[i]) == rank_mod(rows, p)
+            if c - ranks[i] == k:
+                assert kernels[i].tolist() == kernel_basis(rows, p)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (5, 2), (7, 2)])

@@ -11,18 +11,30 @@ flag that appears, disappears or changes its help text shows up here.
 The key digests of two in-memory builds, recorded from the code before the
 one-pass set build, pin the materialized keys themselves: the ell=5, q=2
 union the benchmark builds, and an ell=7 full layer, a size the benchmark
-does not run.
+does not run.  The Monte Carlo pins, recorded from the per-sample scalar
+loop before the batch engine replaced it, hold the exact hit counts of the
+criterion 9-11 estimates at their 100k samples and the digests of two
+borel-cantelli reports, so the engine is held byte-identical at the sizes
+the criteria use and not only at the 1k-2k samples of the CLI cases.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from symon.montecarlo import (
+    FixedVectorEvent,
+    JointSetHitEvent,
+    SetHitEvent,
+    borel_cantelli_experiment,
+    estimate_events,
+)
 from symon.specialsets import build_full_set, build_union_set
-from symon.sympgroup import GroupContext
+from symon.sympgroup import INFINITY, GroupContext
 from test_acceptance import CLI_CASES
 
 STDOUT_SHA256 = {
@@ -71,6 +83,20 @@ UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb4426
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
 UNION_5_Q2_KEYS_SHA256 = "3f78d249bd7459a4f453975820d71f39925b612d483c82a422eb45f21fba3e0b"
 FULL_7_LAM1_KEYS_SHA256 = "7bfd227b7399f07d6fa234afe8370272147d13d8e357954af58d673c71c93103"
+# (g, n, q, e, events, seed) -> hits per event, at the criteria's 100k samples
+CRITERIA_HITS = [
+    (2, 5, 2, 1, [SetHitEvent(5)], 1009, [9692]),
+    (2, 15, 2, 1, [SetHitEvent(3), SetHitEvent(5), JointSetHitEvent((3, 5))], 415,
+     [7849, 9765, 750]),
+    (2, 3, INFINITY, 2, [FixedVectorEvent(3)], 271828, [651]),
+    (1, 3, INFINITY, 2, [FixedVectorEvent(3)], 314159, [6199]),
+]
+# sha256 of the sorted-key JSON of borel_cantelli_experiment(2, inf,
+# (3, 5, 7, 11, 13), e, 20000, 2718).as_report_dict(), by e
+BOREL_CANTELLI_SHA256 = {
+    1: "7c021d1b7d8a0cbdb049c1937df65de9a12363156a50035f8df58e83f5045d5d",
+    2: "7df46bff9550e51160566c06f199d6623bcc4b160a926c35f4b553e10e89fac2",
+}
 
 
 def _stdout(*args) -> bytes:
@@ -114,3 +140,17 @@ def test_union_keys_match_golden():
 def test_full_layer_keys_match_golden():
     keys = build_full_set(GroupContext.of(2, 7), 1).keys
     assert _sha(keys.tobytes()) == FULL_7_LAM1_KEYS_SHA256
+
+
+@pytest.mark.parametrize("g,n,q,e,events,seed,hits", CRITERIA_HITS,
+                         ids=["crit09", "crit10", "crit11-g2", "crit11-g1"])
+def test_criteria_estimates_match_golden(g, n, q, e, events, seed, hits):
+    ests = estimate_events(GroupContext.of(g, n, q), events, e, 100_000, seed)
+    assert [est.hits for est in ests] == hits
+
+
+@pytest.mark.parametrize("e", sorted(BOREL_CANTELLI_SHA256))
+def test_borel_cantelli_report_matches_golden(e):
+    rep = borel_cantelli_experiment(2, INFINITY, (3, 5, 7, 11, 13), e, 20_000, 2718)
+    text = json.dumps(rep.as_report_dict(), sort_keys=True)
+    assert _sha(text.encode()) == BOREL_CANTELLI_SHA256[e]

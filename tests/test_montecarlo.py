@@ -2,12 +2,16 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symon.modmat import ModMatrix, Modulus, rank_mod
+from symon import _gf, montecarlo
+from symon.modmat import ModMatrix, Modulus, minus_identity, rank_mod, reduce_mod
 from symon.montecarlo import (
     FixedVectorEvent,
     JointSetHitEvent,
+    OracleMismatch,
     SampleTuple,
     SetHitEvent,
     borel_cantelli_experiment,
@@ -18,13 +22,16 @@ from symon.montecarlo import (
     has_common_fixed_vector,
     sample_tuple,
 )
-from symon.specialsets import build_full_set
+from symon.prng import CounterLanes, CounterRng
+from symon.specialsets import BlockStrategy, DirectMembership, build_full_set, build_union_set
 from symon.sympgroup import (
     GroupContext,
     INFINITY,
     enumerate_group,
     is_member,
     multiplier,
+    sample_entries,
+    sample_entries_lanes,
     stabilizer_matrix,
     StabilizerParams,
 )
@@ -173,16 +180,183 @@ def test_set_hit_requires_slot_one():
         estimate_event(ctx, SetHitEvent(5), 2, 100, 1)
 
 
-def test_estimate_event_matches_manual_replay():
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # several chunks per run, so chunk edges and per-chunk replays are hit
+    monkeypatch.setattr(montecarlo, "CHUNK", 64)
+
+
+def _manual_set_hits(ctx, seed, n):
+    """Per-index slot-one set hits at every prime, through sample_tuple."""
+    testers = {ell: DirectMembership(ctx.restrict(ell)) for ell in ctx.modulus.primes}
+    return [{ell: testers[ell].contains(reduce_mod(sample_tuple(ctx, 1, seed, i).elements[0], ell))
+             for ell in testers} for i in range(n)]
+
+
+def test_estimate_event_matches_manual_replay(small_chunks):
     # the estimator consumes the same per-index streams as sample_tuple
     ctx = GroupContext.of(2, 3, 2)
-    from symon.specialsets import DirectMembership
-    direct = DirectMembership(ctx)
     n = 300
-    manual = sum(
-        direct.contains(sample_tuple(ctx, 1, 44, i).elements[0]) for i in range(n))
+    manual = sum(hit[3] for hit in _manual_set_hits(ctx, 44, n))
     est = estimate_event(ctx, SetHitEvent(3), 1, n, 44)
     assert est.hits == manual
+
+
+def test_joint_estimates_match_manual_replay(small_chunks):
+    ctx = GroupContext.of(2, 15, 2)
+    n = 300
+    hits = _manual_set_hits(ctx, 45, n)
+    events = [SetHitEvent(3), SetHitEvent(5), JointSetHitEvent((3, 5))]
+    ests = estimate_events(ctx, events, 1, n, 45)
+    assert [est.hits for est in ests] == [sum(h[3] for h in hits), sum(h[5] for h in hits),
+                                          sum(h[3] and h[5] for h in hits)]
+    assert ests[2].hits > 0
+
+
+@pytest.mark.parametrize("g,n,q,e", [(1, 3, INFINITY, 2), (2, 3, 2, 1), (1, 15, 2, 1)])
+def test_fixed_vector_estimates_match_manual_replay(small_chunks, g, n, q, e):
+    ctx = GroupContext.of(g, n, q)
+    samples = 300
+    events = [FixedVectorEvent(ell) for ell in ctx.modulus.primes]
+    ests = estimate_events(ctx, events, e, samples, 46)
+    sigs = [sample_tuple(ctx, e, 46, i) for i in range(samples)]
+    assert [est.hits for est in ests] == [sum(has_common_fixed_vector(sig, ev.ell) for sig in sigs)
+                                          for ev in events]
+    assert all(est.hits > 0 for est in ests)
+
+
+@pytest.mark.parametrize("q,e", [(2, 1), (INFINITY, 2)])
+def test_borel_cantelli_matches_manual_replay(small_chunks, q, e):
+    ells = (3, 5, 7)
+    n = 200
+    rep = borel_cantelli_experiment(2, q, ells, e, n, 47)
+    ctxs = {ell: GroupContext.of(2, ell, q) for ell in ells}
+    testers = {ell: DirectMembership(ctxs[ell]) for ell in ells}
+    hist, per_ell = {}, dict.fromkeys(ells, 0)
+    for index in range(n):
+        rng = CounterRng(47, index)
+        count = 0
+        for ell in ells:
+            values = ctxs[ell].multiplier_values(ell)
+            mats = [sample_entries(2, ell, values[rng.below(len(values))], rng) for _ in range(e)]
+            if e == 1:
+                hit = testers[ell].contains_rows(mats[0])
+            else:
+                hit = rank_mod([r for m in mats for r in minus_identity(m, ell)], ell) < 4
+            per_ell[ell] += hit
+            count += hit
+        hist[count] = hist.get(count, 0) + 1
+    assert rep.hist == hist
+    assert [est.hits for est in rep.per_ell] == [per_ell[ell] for ell in ells]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([3, 5, 7, 13, 15, 35]),
+       st.sampled_from([2, INFINITY]), st.integers(1, 3), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**63))
+def test_lane_sampler_matches_sample_tuple(g, n, q, e, seed, start):
+    ctx = GroupContext.of(g, n, q)
+    indexes = [start + k for k in range(24)]
+    lanes = CounterLanes(seed, np.array(indexes, dtype=np.uint64))
+    by_prime = montecarlo._draw_lanes_by_prime(ctx, e, lanes)
+    assert not lanes.rejected.any()
+    for k, index in enumerate(indexes):
+        sig = sample_tuple(ctx, e, seed, index)
+        for ell in ctx.modulus.primes:
+            for slot, el in enumerate(sig.elements):
+                assert by_prime[ell][slot][k].tolist() == [list(r) for r in reduce_mod(el, ell).rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13, 15, 35]), st.sampled_from([2, INFINITY]),
+       st.sampled_from(list(BlockStrategy)), st.integers(0, 2**64 - 1))
+def test_lane_membership_matches_contains_rows(n, q, strategy, seed):
+    ctx = GroupContext.of(2, n, q)
+    for ell in ctx.modulus.primes:
+        direct = DirectMembership(ctx.restrict(ell), strategy)
+        lanes = CounterLanes(seed, np.arange(400, dtype=np.uint64))
+        values = np.array(ctx.multiplier_values(ell))
+        a = sample_entries_lanes(2, ell, values[lanes.below(len(values))], lanes)
+        # non-similitudes and similitudes with a multiplier outside the class
+        a[::9] = (a[::9] + np.eye(4, dtype=np.int64)) % ell
+        a[1::9, :, 0] = a[1::9, :, 0] * 2 % ell
+        got = direct.contains_lanes(a)
+        assert got.tolist() == [direct.contains_rows(m.tolist()) for m in a]
+
+
+@pytest.mark.parametrize("ell,q,members", [(3, 2, None), (3, INFINITY, None), (5, 2, 10_000)])
+def test_lane_membership_on_materialized_members(ell, q, members):
+    ctx = GroupContext.of(2, ell, q)
+    keys = build_union_set(ctx).keys
+    if members is not None:
+        pick = np.random.default_rng(ell).choice(keys.shape[0], members, replace=False)
+        keys = keys[np.sort(pick)]
+    a = _gf.unpack_entries(keys, ell, 16).reshape(-1, 4, 4)
+    direct = DirectMembership(ctx)
+    assert direct.contains_lanes(a).all()
+    assert all(direct.contains_rows(m.tolist()) for m in a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([3, 5, 7, 13, 15, 35]),
+       st.integers(1, 3), st.integers(0, 2**64 - 1))
+def test_lane_stacked_rank_matches_rank_mod(g, n, e, seed):
+    ctx = GroupContext.of(g, n)
+    lanes = CounterLanes(seed, np.arange(60, dtype=np.uint64))
+    by_prime = montecarlo._draw_lanes_by_prime(ctx, e, lanes)
+    for ell, slots in by_prime.items():
+        # repeating slot one makes the event about one matrix, so it occurs
+        slots = [slots[0]] * e if seed % 2 else slots
+        stacked = np.concatenate([m - np.eye(ctx.dim, dtype=np.int64) for m in slots], axis=1)
+        ranks = _gf.batch_rank(stacked, ell)
+        out, _ = montecarlo._lane_outcomes([FixedVectorEvent(ell)], {}, {ell: slots},
+                                           ctx.dim, lanes)
+        for k in range(60):
+            rows = [r for m in slots for r in minus_identity(m[k].tolist(), ell)]
+            assert int(ranks[k]) == rank_mod(rows, ell)
+            assert bool(out[k, 0]) == (rank_mod(rows, ell) < ctx.dim)
+
+
+def test_rejected_lanes_rerun_through_the_scalar_path(small_chunks, monkeypatch):
+    ctx = GroupContext.of(2, 15, 2)
+    events = [SetHitEvent(3), SetHitEvent(5), JointSetHitEvent((3, 5))]
+    n = 150                                   # chunks [0, 64), [64, 128), [128, 150)
+    want = estimate_events(ctx, events, 1, n, 48)
+    hits = _manual_set_hits(ctx, 48, n)
+    assert [est.hits for est in want] == [sum(h[3] for h in hits), sum(h[5] for h in hits),
+                                          sum(h[3] and h[5] for h in hits)]
+    flagged = [0, 5, 63, 64, 127, 128, 149]   # first and last lanes of every chunk
+
+    class Flagging(CounterLanes):
+        """Lanes whose chosen indexes draw from the rejection zone every time."""
+
+        def __init__(self, seed, indexes):
+            super().__init__(seed, indexes)
+            self.mark = np.isin(indexes.astype(np.int64), flagged)
+
+        def below(self, n):
+            value = super().below(n)
+            self.rejected |= self.mark
+            return np.where(self.mark, (value + 1) % n, value)   # a rejected draw means nothing
+
+    replayed = []
+
+    def recording_rng(seed, index):
+        replayed.append(index)
+        return CounterRng(seed, index)
+
+    monkeypatch.setattr(montecarlo, "CounterLanes", Flagging)
+    monkeypatch.setattr(montecarlo, "CounterRng", recording_rng)
+    assert estimate_events(ctx, events, 1, n, 48) == want
+    assert set(flagged) <= set(replayed)
+
+
+def test_oracle_disagreement_raises(monkeypatch):
+    contains = DirectMembership.contains_rows
+    monkeypatch.setattr(DirectMembership, "contains_rows",
+                        lambda self, rows: not contains(self, rows))
+    with pytest.raises(OracleMismatch, match="sample index"):
+        estimate_event(GroupContext.of(2, 5, 2), SetHitEvent(5), 1, 200, 42)
 
 
 def test_borel_cantelli_empty_range():

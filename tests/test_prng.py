@@ -1,6 +1,18 @@
+import warnings
 from collections import Counter
 
-from symon.prng import CounterRng, mix64
+import numpy as np
+import pytest
+
+from symon.prng import CounterLanes, CounterRng, mix64
+
+
+@pytest.fixture
+def warnings_are_errors():
+    # the uint64 kernels must wrap silently, never warn about overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def test_stream_is_deterministic():
@@ -38,3 +50,50 @@ def test_below_one_and_errors():
         pass
     else:
         raise AssertionError("below(0) must raise")
+
+
+def test_mix64_on_arrays_matches_ints(warnings_are_errors):
+    z = np.array([0, 1, 2**63, 2**64 - 1, 0xDEADBEEF], dtype=np.uint64)
+    assert mix64(z).tolist() == [mix64(int(x)) for x in z]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5, -3])
+def test_lanes_match_scalar_streams_near_the_top_index(seed, warnings_are_errors):
+    top = 2**64 - 1
+    indexes = [top - k for k in range(6)] + [0, 1, 2**63]
+    lanes = CounterLanes(seed, np.array(indexes, dtype=np.uint64))
+    rngs = [CounterRng(seed, i) for i in indexes]
+    for _ in range(8):    # draws k = 1 ... 8
+        assert lanes.next64().tolist() == [r.next64() for r in rngs]
+
+
+def test_lanes_below_matches_scalar(warnings_are_errors):
+    indexes = np.arange(300, dtype=np.uint64)
+    lanes = CounterLanes(7, indexes)
+    rngs = [CounterRng(7, int(i)) for i in indexes]
+    # n = 1 draws nothing; a power of two has no rejection zone
+    for n in (5, 1, 80, 2**40 + 3, 1, 64, 10**15):
+        assert lanes.below(n).tolist() == [r.below(n) for r in rngs]
+    assert not lanes.rejected.any()
+
+
+def test_lanes_flag_draws_in_the_rejection_zone(warnings_are_errors):
+    # below(2**62 + 1) redraws every u >= 3 * 2**62 + 3, about a quarter of
+    # all draws: the lanes must mark those and answer the rest like the
+    # scalar stream
+    n = 2**62 + 1
+    indexes = np.arange(64, dtype=np.uint64)
+    u = CounterLanes(3, indexes).next64()
+    lanes = CounterLanes(3, indexes)
+    got = lanes.below(n)
+    assert lanes.rejected.tolist() == (u >= np.uint64(3 * 2**62 + 3)).tolist()
+    assert 0 < lanes.rejected.sum() < 64
+    for i in np.flatnonzero(~lanes.rejected).tolist():
+        assert got[i] == CounterRng(3, i).below(n)
+
+
+def test_lanes_below_errors():
+    lanes = CounterLanes(0, np.arange(3, dtype=np.uint64))
+    for n in (0, 2**63):
+        with pytest.raises(ValueError):
+            lanes.below(n)
