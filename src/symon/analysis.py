@@ -15,11 +15,20 @@ Everything is computed in exact rational arithmetic.  The only non-rational
 quantity, the fractional power s^(-e/2g), is replaced by the upper endpoint
 of an integer-root interval enclosure whose relative width is below 1e-18,
 comfortably inside the 1e-12 budget the reports promise.
+
+Reports print every numerator and denominator in full, and past a few
+thousand primes the partial sums run to tens of thousands of digits.
+CPython's ``str(int)`` is quadratic in the digit count before 3.12 and
+refuses more than ``sys.get_int_max_str_digits()`` digits, so reports
+render integers through ``int_str``: ints of at most 2048 bits go through
+``str``, larger ones are split on powers of two and recombined in exact
+``decimal`` arithmetic (libmpdec), which is subquadratic and has no digit
+limit.  The output is the same string ``str`` gives.
 """
 
 from __future__ import annotations
 
-import sys
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -28,10 +37,54 @@ from .sympgroup import _Infinity, prime_power_base, sp_order
 
 ROOT_SCALE = 10 ** 18
 
-# Exact partial sums over a few thousand primes carry numerators far past
-# the default int-to-str conversion cap; reports must still print them.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+# int_str is radix conversion by divide and conquer (Brent & Zimmermann,
+# "Modern Computer Arithmetic", 2010, section 1.7; CPython 3.12 ships it as
+# _pylong.int_to_decimal_string).  Splitting at the fixed widths
+# _LEAF_BITS << j, not at half of each int's own width, means every
+# conversion needs only the powers 2**(_LEAF_BITS << j), so the one memo
+# _POW2 serves all of a report's ints.  _EXACT is used through its methods
+# only: its precision and exponent range admit every integer and Inexact
+# traps, so nothing is rounded, and the thread-local decimal context is
+# never read or changed.
+_LEAF_BITS = 2048
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+_POW2: dict[int, decimal.Decimal] = {}
+
+
+def _pow2_leaf(j: int) -> decimal.Decimal:
+    """2**(_LEAF_BITS << j) as an exact Decimal, memoized."""
+    p = _POW2.get(j)
+    if p is None:
+        if j == 0:
+            p = _EXACT.power(decimal.Decimal(2), _LEAF_BITS)
+        else:
+            half = _pow2_leaf(j - 1)
+            p = _EXACT.multiply(half, half)
+        _POW2[j] = p
+    return p
+
+
+def _to_decimal(n: int, j: int) -> decimal.Decimal:
+    """n >= 0 below 2**(_LEAF_BITS << (j + 1)) as an exact Decimal."""
+    if j < 0:
+        return decimal.Decimal(n)
+    width = _LEAF_BITS << j
+    hi = n >> width
+    lo = _to_decimal(n - (hi << width), j - 1)
+    if not hi:
+        return lo
+    return _EXACT.add(lo, _EXACT.multiply(_to_decimal(hi, j - 1), _pow2_leaf(j)))
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` for any int, in subquadratic time and past the digit cap."""
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return str(n)
+    j = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+    text = _EXACT.to_sci_string(_to_decimal(abs(n), j))
+    return "-" + text if n < 0 else text
 
 
 def primes_upto(n: int) -> list[int]:
@@ -135,10 +188,10 @@ class SeriesReport:
         out["rows"] = [
             {
                 "ell": r.ell,
-                "term_num": str(r.term.numerator),
-                "term_den": str(r.term.denominator),
-                "partial_num": str(r.partial.numerator),
-                "partial_den": str(r.partial.denominator),
+                "term_num": int_str(r.term.numerator),
+                "term_den": int_str(r.term.denominator),
+                "partial_num": int_str(r.partial.numerator),
+                "partial_den": int_str(r.partial.denominator),
                 "diagnostic": frac_str(r.diagnostic),
             }
             for r in self.rows
@@ -150,13 +203,12 @@ class SeriesReport:
     def csv_lines(self) -> Iterator[str]:
         yield "ell,term_num,term_den,partial_num,partial_den,diagnostic_num,diagnostic_den"
         for r in self.rows:
-            yield (f"{r.ell},{r.term.numerator},{r.term.denominator},"
-                   f"{r.partial.numerator},{r.partial.denominator},"
-                   f"{r.diagnostic.numerator},{r.diagnostic.denominator}")
+            yield ",".join([str(r.ell)] + [int_str(x) for f in (r.term, r.partial, r.diagnostic)
+                                           for x in (f.numerator, f.denominator)])
 
 
 def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{int_str(f.numerator)}/{int_str(f.denominator)}"
 
 
 def admissible_primes(q: int | _Infinity, ell_max: int) -> list[int]:

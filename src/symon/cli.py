@@ -17,6 +17,7 @@ SYMON_BUDGET environment variable, else 10^8 candidates.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -26,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _gf
-from .analysis import frac_str, part_a_series, part_b_series
-from .modmat import Modulus, header_line, matrix_line
+from .analysis import frac_str, int_str, part_a_series, part_b_series
+from .modmat import Modulus, write_matrix_lines
 from .montecarlo import (
     FixedVectorEvent,
     JointSetHitEvent,
@@ -455,8 +456,8 @@ def cmd_orders(args) -> int:
     report = {
         "command": "orders", "g": args.g, "n": args.n, "q": _q_str(q),
         "primes": primes,
-        "sp_orders": {str(ell): str(sp_order(args.g, ell)) for ell in primes},
-        "class_order": str(gsp_q_order(ctx)),
+        "sp_orders": {str(ell): int_str(sp_order(args.g, ell)) for ell in primes},
+        "class_order": int_str(gsp_q_order(ctx)),
         "multiplier_count": count,
     }
     if not isinstance(q, _Infinity):
@@ -471,12 +472,13 @@ def cmd_orders(args) -> int:
 def cmd_enumerate(args) -> int:
     q = _parse_q(args.q)
     ctx = GroupContext.of(args.g, args.ell, q)
-    lines = [header_line(ctx.dim, args.ell)]
-    for entries, _ in scan_entries(ctx, lam=args.lam, budget=_budget(args)):
-        lines.extend(matrix_line(flat) for flat in entries.reshape(entries.shape[0], -1))
-    _emit(args, "\n".join(lines) + "\n")
+    chunks = (entries.reshape(entries.shape[0], -1)
+              for entries, _ in scan_entries(ctx, lam=args.lam, budget=_budget(args)))
+    buf = io.StringIO()
+    count = write_matrix_lines(buf, chunks, ctx.dim, args.ell)
+    _emit(args, buf.getvalue())
     if args.out:
-        sys.stdout.write(json.dumps({"command": "enumerate", "count": len(lines) - 1}) + "\n")
+        sys.stdout.write(json.dumps({"command": "enumerate", "count": count}) + "\n")
     return 0
 
 

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 MAX_DIM = 16
 
@@ -344,15 +347,15 @@ def crt_lift(mats: Iterable[ModMatrix]) -> ModMatrix:
 
 # -- line-oriented serialization --
 #
-# One matrix per line: row-major decimal entries, comma-separated, no
-# spaces.  A single header line "# dim=<d> mod=<n>" opens the stream.
+# One matrix per line: row-major decimal entries in [0, n), comma-separated,
+# no spaces.  A single header line "# dim=<d> mod=<n>" opens the stream.
+# Both directions work on (N, d*d) int64 entry arrays, a chunk at a time.
+
+LINES_PER_CHUNK = 1 << 16
+
 
 def header_line(dim: int, n: int) -> str:
     return f"# dim={dim} mod={n}"
-
-
-def matrix_line(flat_entries: Sequence[int]) -> str:
-    return ",".join(str(int(x)) for x in flat_entries)
 
 
 def parse_header(line: str) -> tuple[int, int]:
@@ -362,23 +365,42 @@ def parse_header(line: str) -> tuple[int, int]:
     return int(parts[1][4:]), int(parts[2][4:])
 
 
-def write_matrices(fh: TextIO, flats: Iterable[Sequence[int]], dim: int, n: int) -> int:
+def write_matrix_lines(fh: TextIO, chunks: Iterable[np.ndarray], dim: int, n: int) -> int:
+    """Write the header and every row of each (N, dim*dim) entry chunk; returns the row count."""
     fh.write(header_line(dim, n) + "\n")
+    table = np.array([str(x) for x in range(n)], dtype=object)
     count = 0
-    for flat in flats:
-        fh.write(matrix_line(flat) + "\n")
-        count += 1
+    for chunk in chunks:
+        if chunk.shape[0]:
+            fh.write("\n".join(map(",".join, table[chunk].tolist())) + "\n")
+        count += chunk.shape[0]
     return count
 
 
-def read_matrices(fh: TextIO) -> Iterator[ModMatrix]:
-    dim, n = parse_header(fh.readline())
-    modulus = Modulus.of(n)
-    for line in fh:
-        line = line.strip()
-        if not line:
+def read_matrix_lines(fh: TextIO, dim: int, n: int) -> Iterator[np.ndarray]:
+    """The rows of a dump of dim x dim matrices mod n, as (N, dim*dim) int64 chunks.
+
+    Raises ValueError on a header other than ``header_line(dim, n)``, a line
+    of the wrong width, a token that is not a decimal integer, and an entry
+    outside [0, n).  Empty lines are skipped.
+    """
+    got = parse_header(fh.readline())
+    if got != (dim, n):
+        raise ValueError(f"dump header says dim={got[0]} mod={got[1]}, "
+                         f"expected dim={dim} mod={n}")
+    first = 2
+    while lines := list(islice(fh, LINES_PER_CHUNK)):
+        where = f"dump lines {first}-{first + len(lines) - 1}"
+        first += len(lines)
+        if all(line == "\n" for line in lines):     # np.loadtxt warns on no data
             continue
-        vals = [int(x) for x in line.split(",")]
-        if len(vals) != dim * dim:
-            raise ValueError(f"expected {dim * dim} entries, got {len(vals)}")
-        yield ModMatrix.from_flat(modulus, vals)
+        try:
+            chunk = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if chunk.shape[1] != dim * dim:
+            raise ValueError(f"{where}: expected {dim * dim} entries per line, "
+                             f"got {chunk.shape[1]}")
+        if chunk.min() < 0 or chunk.max() >= n:
+            raise ValueError(f"{where}: an entry lies outside [0, {n})")
+        yield chunk

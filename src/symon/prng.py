@@ -70,9 +70,15 @@ class CounterRng:
         return mix64((self._base + self._count * _GOLDEN) & _MASK64)
 
     def below(self, n: int) -> int:
-        """Uniform integer in ``[0, n)`` via rejection (no modulo bias)."""
+        """Uniform integer in ``[0, n)`` via rejection (no modulo bias).
+
+        Draws one 64-bit word per try, so n may be at most 2**64.
+        """
         if n <= 0:
             raise ValueError("below() requires n >= 1")
+        if n > 1 << 64:
+            # the acceptance bound 2**64 - (2**64 mod n) would be 0
+            raise ValueError(f"below() requires n <= 2**64, got a {n.bit_length()}-bit n")
         if n == 1:
             return 0
         limit = _rejection_limit(n)

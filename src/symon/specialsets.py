@@ -41,9 +41,9 @@ from .modmat import (
     mat_inv,
     minus_identity,
     rank_mod,
-    read_matrices,
+    read_matrix_lines,
     reduce_mod,
-    write_matrices,
+    write_matrix_lines,
 )
 from .prng import CounterRng
 from .sympgroup import (
@@ -329,8 +329,7 @@ class FixedVectorSet:
 
     def dump(self, fh: TextIO) -> int:
         """Write the canonical sorted dump in the one-matrix-per-line format."""
-        flats = (flat for block in self.iter_entries() for flat in block)
-        return write_matrices(fh, flats, self.ctx.dim, self.ctx.modulus.n)
+        return write_matrix_lines(fh, self.iter_entries(), self.ctx.dim, self.ctx.modulus.n)
 
     def sidecar(self) -> dict:
         q = self.ctx.q
@@ -354,14 +353,17 @@ class FixedVectorSet:
     @classmethod
     def load(cls, fh: TextIO, ctx: GroupContext, lam: int | None,
              level: SetLevel, strategy: BlockStrategy) -> "FixedVectorSet":
-        flats = []
-        for mat in read_matrices(fh):
-            if mat.modulus != ctx.modulus or mat.dim != ctx.dim:
-                raise ValueError("dump does not match the context")
-            flats.append(mat.flat())
-        arr = np.array(flats, dtype=np.int64).reshape(len(flats), ctx.dim * ctx.dim)
-        keys = _gf.unique_keys(_gf.pack_entries(arr, ctx.modulus.n))
-        if keys.shape[0] != len(flats):
+        """Read a dump written by ``dump``; raises ValueError on a malformed one.
+
+        Each chunk of lines is packed to keys as it is read, so the entries
+        of the whole dump are never held at once.
+        """
+        n = ctx.modulus.n
+        packed = [np.empty((0, _gf.pack_words(n, ctx.dim * ctx.dim)), dtype=np.uint64)]
+        packed += (_gf.pack_entries(chunk, n) for chunk in read_matrix_lines(fh, ctx.dim, n))
+        rows = sum(p.shape[0] for p in packed)
+        keys = _gf.unique_keys(np.concatenate(packed))
+        if keys.shape[0] != rows:
             raise ValueError("dump contains duplicate matrices")
         return cls(ctx, lam, level, strategy, keys.shape[0], keys)
 

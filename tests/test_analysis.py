@@ -1,11 +1,16 @@
+import decimal
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symon.analysis import (
     admissible_primes,
     density_ratio,
+    int_str,
     nth_root_floor,
     part_a_series,
     part_b_series,
@@ -149,3 +154,60 @@ def test_part_b_rejects_small_e():
         part_b_series(2, 1, 100)
     with pytest.raises(ValueError):
         part_b_term(2, 1, 5)
+
+
+LEAF = 2048     # the width below which int_str is plain str
+
+
+def _random_int(bits, seed):
+    return random.Random(seed).getrandbits(bits)
+
+
+# the sizes int_str's divide and conquer splits at: ints around the leaf
+# width and around its power-of-two multiples, powers of ten (long runs of
+# zero digits in the low half), and random ints up to about 10**5 digits
+BIG_INTS = st.one_of(
+    st.integers(-10**40, 10**40),
+    st.builds(lambda k, d: 2 ** k + d, st.sampled_from([LEAF << j for j in range(6)])
+              | st.integers(LEAF - 70, LEAF + 70), st.integers(-2, 2)),
+    st.builds(lambda k, d: 10 ** k + d, st.integers(600, 30_000), st.integers(-1, 1)),
+    st.builds(_random_int, st.integers(0, 332_000), st.integers(0, 2**32)),
+)
+
+
+@given(BIG_INTS, st.booleans())
+@settings(max_examples=120, deadline=None)
+@example(0, False)
+@example(2 ** LEAF, True)
+@example(2 ** (LEAF << 3) - 1, False)
+@example(10 ** 100_000, False)
+def test_int_str_matches_str(n, negate):
+    n = -n if negate else n
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)     # the oracle str() needs the cap lifted
+    try:
+        want = str(n)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert int_str(n) == want
+
+
+def test_int_str_leaves_the_digit_cap_and_decimal_context_alone():
+    cap = sys.get_int_max_str_digits()
+    ctx = decimal.getcontext()
+    prec, traps = ctx.prec, dict(ctx.traps)
+    text = int_str(7 ** 20_000)        # 16,902 digits, past the default cap of 4,300
+    assert len(text) == 16_902 and text.startswith("9136")
+    assert sys.get_int_max_str_digits() == cap
+    assert decimal.getcontext() is ctx and (ctx.prec, dict(ctx.traps)) == (prec, traps)
+
+
+def test_import_keeps_the_interpreter_digit_cap():
+    code = ("import sys\n"
+            "before = sys.get_int_max_str_digits()\n"
+            "import symon, symon.analysis, symon.cli\n"
+            "print(before, sys.get_int_max_str_digits())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    before, after = proc.stdout.split()
+    assert after == before

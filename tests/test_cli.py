@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from symon import cli
+from symon.analysis import int_str, primes_upto
 from symon.specialsets import DirectMembership
+from symon.sympgroup import GroupContext, gsp_q_order
 from test_specialsets import duplicate_first_block
 
 
@@ -388,3 +391,78 @@ def test_simulate_rejects_primes_past_the_sampler_range(g, ell, capsys):
             "--seed", "1"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: batch sampling at g=")
+
+
+@pytest.fixture(scope="module")
+def core_dump(tmp_path_factory):
+    """The ell=3, lam=1 core dump as built: its lines and its sidecar text."""
+    out = tmp_path_factory.mktemp("core") / "core.txt"
+    run_cli("special-set", "build", "--ell", "3", "--q", "inf", "--level", "core",
+            "--lam", "1", "--out", str(out))
+    return out.read_text().splitlines(), (out.parent / "core.txt.json").read_text()
+
+
+def verify_edited_core_dump(tmp_path, core_dump, edit, *flags):
+    """special-set verify on the core dump with its lines edited, sidecar kept."""
+    lines, sidecar = core_dump
+    dump = tmp_path / "core.txt"
+    dump.write_text("\n".join(edit(list(lines))) + "\n")
+    (tmp_path / "core.txt.json").write_text(sidecar)
+    return run_cli("special-set", "verify", "--dump", str(dump), *flags, check=False)
+
+
+def _with_entries(line, edits):
+    """A dump line with the tokens at the given positions replaced."""
+    vals = line.split(",")
+    for k, v in edits.items():
+        vals[k] = v
+    return ",".join(vals)
+
+
+def test_verify_rejects_non_canonical_entries(tmp_path, core_dump):
+    # 4 and -2 reduce to the member's own 1 and 1 mod 3, so a reader that
+    # reduces entries mod n loads the very same set; the format asks for
+    # entries in [0, n), and a dump that breaks it must not verify
+    first = core_dump[0][1].split(",")
+    assert first[0] == "1" and first[5] == "1"
+
+    def edit(ls):
+        return ls[:1] + [_with_entries(ls[1], {0: "4", 5: "-2"})] + ls[2:]
+
+    proc = verify_edited_core_dump(tmp_path, core_dump, edit, "--rebuild")
+    assert proc.returncode == 1, proc.stdout
+    report = json.loads(proc.stdout)
+    assert report["status"] == "fail" and report["problems"]
+    assert proc.stderr == ""
+
+
+CORRUPT_DUMPS = {
+    "ragged-line": lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:],
+    "float-token": lambda ls: ls[:2] + [_with_entries(ls[2], {3: "3.0"})] + ls[3:],
+    "letter-token": lambda ls: ls[:2] + [_with_entries(ls[2], {3: "x"})] + ls[3:],
+    "trailing-comma": lambda ls: ls[:2] + [ls[2] + ","] + ls[3:],
+    "comment-in-body": lambda ls: ls[:100] + ["# dim=4 mod=3"] + ls[100:],
+    "header-mod-differs": lambda ls: ["# dim=4 mod=5"] + ls[1:],
+    "header-dim-differs": lambda ls: ["# dim=2 mod=3"] + ls[1:],
+    "header-only": lambda ls: ls[:1],
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_DUMPS)
+def test_verify_reports_a_corrupt_dump(tmp_path, core_dump, corrupt):
+    # a verification failure (exit 1, problems listed), never an internal
+    # error, and nothing on stderr: no traceback and no numpy warning
+    proc = verify_edited_core_dump(tmp_path, core_dump, CORRUPT_DUMPS[corrupt])
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "fail" and report["problems"]
+    assert proc.stderr == ""
+
+
+def test_orders_print_past_the_default_digit_cap():
+    # the 46 primes up to 200 at g = 8: the class order has 11,218 digits,
+    # past CPython's default int-to-str cap of 4,300
+    n = math.prod(primes_upto(200))
+    out = json.loads(run_cli("orders", "--g", "8", "--n", str(n)).stdout)
+    assert len(out["class_order"]) == 11_218
+    assert out["class_order"] == int_str(gsp_q_order(GroupContext.of(8, n)))

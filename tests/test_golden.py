@@ -2,8 +2,9 @@
 
 Criterion 13 checks that reports agree across reruns and ``--threads``
 values, which a change that alters every report alike would still pass.
-These digests pin the exact bytes: the stdout of every criterion-13 case
-and the ell=3, q=2 union dump with its sidecar.  They were recorded from
+These digests pin the exact bytes: the stdout of every criterion-13 case,
+two series reports long enough for multi-thousand-digit rationals, and the
+ell=3, q=2 union dump with its sidecar.  They were recorded from
 the code before the simplification pass and must not move under a
 refactor; a deliberate change of output re-records them.  The ``--help``
 digests of every command pin the visible CLI surface the same way, so a
@@ -79,6 +80,15 @@ HELP_SHA256 = {
     "orders": "c1722eb765614b69dbab0828db4d3b5a7fa345b0b0581b495df44cf03a0d0c42",
     "enumerate": "250f2d6c1412211b8d84e70c13d15b1741e924cb03ebdffda00ac589f6d7ccaa",
 }
+# two series reports at --ell-max 3000, recorded from the code that
+# rendered them with str(int) before int_str; their largest integers run to
+# 13,195 digits, so every level of int_str's divide and conquer shows here
+SERIES_3000_SHA256 = {
+    "series part-b --g 2 --e 2 --ell-max 3000 --format csv":
+        "a2df0b099fdd2d5dec5134b3bbbdcfb1086e63cc7ba1997e0f6d975a8e44dfa0",
+    "series part-a --g 2 --q 2 --ell-max 3000":
+        "fd2346bf1a1bfed926108949a414ac2909f539782c0b3ee3b4c70d73584a2d37",
+}
 UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb442610952"
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
 UNION_5_Q2_KEYS_SHA256 = "3f78d249bd7459a4f453975820d71f39925b612d483c82a422eb45f21fba3e0b"
@@ -117,6 +127,11 @@ def test_every_criterion_13_case_is_pinned():
 @pytest.mark.parametrize("case", CLI_CASES, ids=" ".join)
 def test_cli_stdout_matches_golden(case):
     assert _sha(_stdout(*case)) == STDOUT_SHA256[" ".join(case)]
+
+
+@pytest.mark.parametrize("case", SERIES_3000_SHA256)
+def test_long_series_report_matches_golden(case):
+    assert _sha(_stdout(*case.split())) == SERIES_3000_SHA256[case]
 
 
 def test_union_dump_matches_golden(tmp_path):

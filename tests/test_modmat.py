@@ -1,5 +1,7 @@
 import io
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,10 +17,11 @@ from symon.modmat import (
     mat_inv,
     mat_mul,
     mat_vec,
+    LINES_PER_CHUNK,
     rank_mod,
-    read_matrices,
+    read_matrix_lines,
     reduce_mod,
-    write_matrices,
+    write_matrix_lines,
 )
 from symon.prng import CounterRng
 
@@ -166,13 +169,61 @@ def test_det_matches_prime_field():
 def test_serialization_round_trip():
     mats = [rand_matrix(M15, 2, CounterRng(4, i)) for i in range(10)]
     buf = io.StringIO()
-    write_matrices(buf, [m.flat() for m in mats], 2, 15)
+    assert write_matrix_lines(buf, [np.array([m.flat() for m in mats])], 2, 15) == 10
     buf.seek(0)
-    back = list(read_matrices(buf))
+    back = [ModMatrix.from_flat(M15, flat) for chunk in read_matrix_lines(buf, 2, 15)
+            for flat in chunk.tolist()]
     assert back == mats
 
 
 def test_serialization_format():
     buf = io.StringIO()
-    write_matrices(buf, [(1, 2, 3, 4)], 2, 15)
-    assert buf.getvalue() == "# dim=2 mod=15\n1,2,3,4\n"
+    write_matrix_lines(buf, [np.array([[1, 2, 3, 4]]), np.empty((0, 4), dtype=np.int64),
+                             np.array([[14, 0, 10, 9]])], 2, 15)
+    assert buf.getvalue() == "# dim=2 mod=15\n1,2,3,4\n14,0,10,9\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * LINES_PER_CHUNK, 2 * LINES_PER_CHUNK + 77])
+def test_matrix_lines_round_trip_across_chunks(rows):
+    # chunk boundaries on both sides: the writer gets uneven chunks, the
+    # reader ends exactly on a chunk boundary or inside one; no warning
+    # (numpy's "input contained no data") may escape
+    entries = np.random.default_rng(rows).integers(0, 13, size=(rows, 16))
+    buf = io.StringIO()
+    pieces = np.array_split(entries, [5, 70_000]) if rows else [entries]
+    assert write_matrix_lines(buf, pieces, 4, 13) == rows
+    buf.seek(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chunks = list(read_matrix_lines(buf, 4, 13))
+    assert all(c.shape[0] <= LINES_PER_CHUNK for c in chunks)
+    back = np.concatenate(chunks) if chunks else np.empty((0, 16), dtype=np.int64)
+    assert np.array_equal(back, entries)
+
+
+def test_read_matrix_lines_skips_empty_lines():
+    buf = io.StringIO("# dim=2 mod=5\n\n1,2,3,4\n\n\n0,0,0,4\n\n")
+    chunks = list(read_matrix_lines(buf, 2, 5))
+    assert np.concatenate(chunks).tolist() == [[1, 2, 3, 4], [0, 0, 0, 4]]
+
+
+@pytest.mark.parametrize("text", [
+    "# dim=2 mod=7\n1,2,3,4\n",            # header disagrees
+    "# dim=3 mod=5\n1,2,3,4\n",
+    "",                                       # no header
+    "1,2,3,4\n",
+    "# dim=2 mod=5\n1,2,3\n",               # every line too short
+    "# dim=2 mod=5\n1,2,3,4\n1,2,3\n",     # ragged
+    "# dim=2 mod=5\n1,2,3,4,0\n",
+    "# dim=2 mod=5\n1,2,3.0,4\n",           # not an integer
+    "# dim=2 mod=5\n1,2,x,4\n",
+    "# dim=2 mod=5\n1,2,3,4,\n",
+    "# dim=2 mod=5\n1,2,3,4\n# dim=2 mod=5\n",
+    "# dim=2 mod=5\n1,2,3,4\n  \n",
+    "# dim=2 mod=5\n1,2,3,5\n",             # not canonical
+    "# dim=2 mod=5\n1,-2,3,4\n",
+    "# dim=2 mod=5\n1,2,3,99999999999999999999\n",
+], ids=lambda t: repr(t[:40]))
+def test_read_matrix_lines_rejects(text):
+    with pytest.raises(ValueError):
+        list(read_matrix_lines(io.StringIO(text), 2, 5))

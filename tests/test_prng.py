@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -97,3 +99,25 @@ def test_lanes_below_errors():
     for n in (0, 2**63):
         with pytest.raises(ValueError):
             lanes.below(n)
+
+
+def test_below_refuses_ranges_past_64_bits():
+    # every 64-bit draw lies below 2**64 - (2**64 mod n) = 0 once n > 2**64,
+    # so below(n) used to redraw forever; 2**64 itself has no rejection zone
+    rng = CounterRng(5, 0)
+    assert rng.below(2**64) == CounterRng(5, 0).next64()
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)
+
+
+def test_sample_uniform_past_the_64_bit_range_raises():
+    # at g = 3, ell = 1999 the first draw is below(1999**6 - 1), past 2**64
+    code = ("from symon.sympgroup import GroupContext, sample_uniform\n"
+            "try:\n"
+            "    sample_uniform(GroupContext.of(3, 1999), 1, 0, 0)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError:")

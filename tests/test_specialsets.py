@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from symon import _gf
-from symon.modmat import ModMatrix, Modulus, crt_lift, fixed_space, has_eigenvalue_one, mat_mul
+from symon.modmat import (
+    LINES_PER_CHUNK,
+    ModMatrix,
+    Modulus,
+    crt_lift,
+    fixed_space,
+    has_eigenvalue_one,
+    mat_mul,
+)
 from symon.prng import CounterRng
 from symon.specialsets import (
     BlockStrategy,
@@ -309,6 +317,25 @@ def test_dump_load_round_trip():
                                  SetLevel.FULL, LEX)
     assert loaded.cardinality == s.cardinality
     assert bool((loaded.keys == s.keys).all())
+    buf2 = io.StringIO()
+    loaded.dump(buf2)
+    assert buf2.getvalue() == text
+
+
+def test_dump_load_round_trip_across_reader_chunks():
+    # 150,001 distinct keys mod 5: more than two chunks of the dump writer
+    # (iter_entries) and of the reader, the last one partial
+    ctx = GroupContext.of(2, 5)
+    entries = np.random.default_rng(5).integers(0, 5, size=(150_001, 16))
+    keys = _gf.unique_keys(_gf.pack_entries(entries, 5))
+    assert keys.shape[0] == 150_001 > 2 * LINES_PER_CHUNK
+    s = FixedVectorSet(ctx, None, SetLevel.UNION, LEX, keys.shape[0], keys)
+    buf = io.StringIO()
+    assert s.dump(buf) == 150_001
+    text = buf.getvalue()
+    loaded = FixedVectorSet.load(io.StringIO(text), ctx, None, SetLevel.UNION, LEX)
+    assert loaded.cardinality == 150_001
+    assert np.array_equal(loaded.keys, keys)
     buf2 = io.StringIO()
     loaded.dump(buf2)
     assert buf2.getvalue() == text
