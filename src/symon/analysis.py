@@ -20,18 +20,27 @@ Reports print every numerator and denominator in full, and past a few
 thousand primes the partial sums run to tens of thousands of digits.
 CPython's ``str(int)`` is quadratic in the digit count before 3.12 and
 refuses more than ``sys.get_int_max_str_digits()`` digits, so reports
-render integers through ``int_str``: ints of at most 2048 bits go through
-``str``, larger ones are split on powers of two and recombined in exact
-``decimal`` arithmetic (libmpdec), which is subquadratic and has no digit
-limit.  The output is the same string ``str`` gives.
+never call it on large ints.  The partial sums are carried along the
+running sum: partial k is partial k-1 plus a term with a short numerator
+and denominator, so its exact ``decimal`` form (libmpdec) follows from the
+previous one by multiplications and exact divisions by small ints, in time
+linear in its length.  The same steps run on the ints as a guard; a row
+they do not reproduce (the first row of a report that starts mid-series,
+rows out of summation order) is converted from scratch and the carried
+form re-seeded from it.  Every other integer, and that fallback, goes
+through ``int_str``: ints of at most 2048 bits go through ``str``, larger
+ones are split on powers of two and recombined in exact ``decimal``
+arithmetic, which is subquadratic and has no digit limit.  Either way the
+output is the same string ``str`` gives.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .sympgroup import _Infinity, prime_power_base, sp_order
 
@@ -68,7 +77,7 @@ def _pow2_leaf(j: int) -> decimal.Decimal:
 def _to_decimal(n: int, j: int) -> decimal.Decimal:
     """n >= 0 below 2**(_LEAF_BITS << (j + 1)) as an exact Decimal."""
     if j < 0:
-        return decimal.Decimal(n)
+        return _EXACT.create_decimal(n)
     width = _LEAF_BITS << j
     hi = n >> width
     lo = _to_decimal(n - (hi << width), j - 1)
@@ -77,14 +86,20 @@ def _to_decimal(n: int, j: int) -> decimal.Decimal:
     return _EXACT.add(lo, _EXACT.multiply(_to_decimal(hi, j - 1), _pow2_leaf(j)))
 
 
-def int_str(n: int) -> str:
-    """``str(n)`` for any int, in subquadratic time and past the digit cap."""
+def _decimal(n: int) -> decimal.Decimal:
+    """n as an exact Decimal, in subquadratic time."""
     bits = n.bit_length()
     if bits <= _LEAF_BITS:
+        return _EXACT.create_decimal(n)
+    d = _to_decimal(abs(n), ((bits - 1) // _LEAF_BITS).bit_length() - 1)
+    return _EXACT.copy_negate(d) if n < 0 else d
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` for any int, in subquadratic time and past the digit cap."""
+    if n.bit_length() <= _LEAF_BITS:
         return str(n)
-    j = ((bits - 1) // _LEAF_BITS).bit_length() - 1
-    text = _EXACT.to_sci_string(_to_decimal(abs(n), j))
-    return "-" + text if n < 0 else text
+    return _EXACT.to_sci_string(_decimal(n))
 
 
 def primes_upto(n: int) -> list[int]:
@@ -190,11 +205,11 @@ class SeriesReport:
                 "ell": r.ell,
                 "term_num": int_str(r.term.numerator),
                 "term_den": int_str(r.term.denominator),
-                "partial_num": int_str(r.partial.numerator),
-                "partial_den": int_str(r.partial.denominator),
+                "partial_num": partial_num,
+                "partial_den": partial_den,
                 "diagnostic": frac_str(r.diagnostic),
             }
-            for r in self.rows
+            for r, (partial_num, partial_den) in zip(self.rows, _partial_strs(self.rows))
         ]
         if self.tail_bound is not None:
             out["tail_bound"] = frac_str(self.tail_bound)
@@ -202,9 +217,42 @@ class SeriesReport:
 
     def csv_lines(self) -> Iterator[str]:
         yield "ell,term_num,term_den,partial_num,partial_den,diagnostic_num,diagnostic_den"
-        for r in self.rows:
-            yield ",".join([str(r.ell)] + [int_str(x) for f in (r.term, r.partial, r.diagnostic)
-                                           for x in (f.numerator, f.denominator)])
+        for r, partial in zip(self.rows, _partial_strs(self.rows)):
+            yield ",".join([str(r.ell), int_str(r.term.numerator), int_str(r.term.denominator),
+                            *partial, int_str(r.diagnostic.numerator),
+                            int_str(r.diagnostic.denominator)])
+
+
+def _partial_strs(rows: Sequence[SeriesRow]) -> Iterator[tuple[str, str]]:
+    """``int_str`` of each row's partial numerator and denominator, in row order.
+
+    The steps of ``Fraction`` addition take the previous partial (pn, pd)
+    and the term (nb, db) to the next partial through the small ints
+    g = gcd(pd, db), db // g, nb, g2 = gcd(t, g) and db // g2, so they
+    carry the exact Decimals of (pn, pd) forward in time linear in their
+    length.  The ints go through the same steps; where the result is not
+    the row's partial, the row's strings come from ``int_str``'s conversion
+    and the Decimals are re-seeded from it.  The running sum starts at 0/1,
+    so a report from ``part_a_series`` or ``part_b_series`` converts no
+    partial from scratch.
+    """
+    mul, add, div = _EXACT.multiply, _EXACT.add, _EXACT.divide_int
+    pn, pd = 0, 1
+    dn, dd = _decimal(0), _decimal(1)
+    for r in rows:
+        nb, db = r.term.numerator, r.term.denominator
+        g = math.gcd(pd, db)
+        s = pd // g
+        t = pn * (db // g) + nb * s
+        g2 = math.gcd(t, g)
+        pn, pd = r.partial.numerator, r.partial.denominator
+        if t // g2 == pn and s * (db // g2) == pd:
+            ds = div(dd, _decimal(g))
+            dt = add(mul(dn, _decimal(db // g)), mul(_decimal(nb), ds))
+            dn, dd = div(dt, _decimal(g2)), mul(ds, _decimal(db // g2))
+        else:
+            dn, dd = _decimal(pn), _decimal(pd)
+        yield _EXACT.to_sci_string(dn), _EXACT.to_sci_string(dd)
 
 
 def frac_str(f: Fraction) -> str:

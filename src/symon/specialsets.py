@@ -131,44 +131,55 @@ def _require_constructible(ctx: GroupContext, strategy: BlockStrategy) -> int:
     return ell
 
 
-def _blocks_entries(ctx: GroupContext, lam: int,
-                    strategy: BlockStrategy) -> np.ndarray:
-    """Block pool as an (m, 2g-2, 2g-2) int64 array, deterministic order."""
+def _explicit_pool(ell: int, lam: int) -> np.ndarray:
+    rows = []
+    for b11 in range(ell):
+        for b12 in range(1, ell):
+            inv12 = pow(b12, -1, ell)
+            for b22 in range(ell):
+                if b22 == (1 - b11 + lam) % ell:
+                    continue
+                b21 = inv12 * (b11 * b22 - lam) % ell
+                rows.append((b11, b12, b21, b22))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
+
+
+def _blocks_entries(ctx: GroupContext, lams: Sequence[int],
+                    strategy: BlockStrategy) -> list[np.ndarray]:
+    """Block pools of the multipliers ``lams``, each an (m, 2g-2, 2g-2) int64 array.
+
+    The canonical pool of lam is the first eligible blocks of multiplier lam
+    in the scan order of the genus g-1 group.  One scan of that group, its
+    eigenvalue-one-free rows split by multiplier, serves every lam.
+    """
     ell = _require_constructible(ctx, strategy)
-    lam = _require_unit(lam, ell)
+    lams = [_require_unit(lam, ell) for lam in lams]
     if strategy is BlockStrategy.EXPLICIT_G2:
-        rows = []
-        for b11 in range(ell):
-            for b12 in range(1, ell):
-                inv12 = pow(b12, -1, ell)
-                for b22 in range(ell):
-                    if b22 == (1 - b11 + lam) % ell:
-                        continue
-                    b21 = inv12 * (b11 * b22 - lam) % ell
-                    rows.append((b11, b12, b21, b22))
-        return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
+        return [_explicit_pool(ell, lam) for lam in lams]
     need = _block_count(ell, ctx.g, strategy)
-    sub = GroupContext(ctx.g - 1, ctx.modulus)
-    picked = []
-    have = 0
-    for entries, _ in scan_entries(sub, lam=lam):
-        keep = entries[_gf.batch_det_minus_identity(entries, ell) != 0]
-        if have + keep.shape[0] > need:
-            keep = keep[: need - have]
-        picked.append(keep)
-        have += keep.shape[0]
-        if have == need:
+    picked: dict[int, list[np.ndarray]] = {lam: [] for lam in lams}
+    have = dict.fromkeys(lams, 0)
+    for entries, mults in scan_entries(GroupContext(ctx.g - 1, ctx.modulus)):
+        for lam in picked:
+            # take and compress: several times faster than indexing here
+            cand = np.take(entries, np.flatnonzero(mults == lam), axis=0)
+            free = _gf.batch_det_minus_identity(cand, ell) != 0
+            keep = np.compress(free, cand, axis=0)[: need - have[lam]]
+            picked[lam].append(keep)
+            have[lam] += keep.shape[0]
+        if all(n == need for n in have.values()):
             break
-    if have < need:
-        raise InsufficientMatrices(
-            f"only {have} eigenvalue-one-free blocks available, need {need}")
-    return np.concatenate(picked, axis=0)
+    for lam in lams:
+        if have[lam] < need:
+            raise InsufficientMatrices(
+                f"only {have[lam]} eigenvalue-one-free blocks available, need {need}")
+    return [np.concatenate(picked[lam], axis=0) for lam in lams]
 
 
 def select_blocks(ctx: GroupContext, lam: int,
                   strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> list[ModMatrix]:
     """The chosen block pool for one multiplier, as matrices."""
-    entries = _blocks_entries(ctx, lam, strategy)
+    entries = _blocks_entries(ctx, [lam], strategy)[0]
     return [ModMatrix.from_flat(ctx.modulus, m.ravel()) for m in entries]
 
 
@@ -224,18 +235,12 @@ def _require_materializable(ctx: GroupContext, strategy: BlockStrategy,
     return ell
 
 
-def _pool_inverses(ctx: GroupContext, lam: int,
-                   strategy: BlockStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 block pool of one multiplier with (I - B)^-1 mod ell for each block.
-
-    Returns (blocks, inverses), two (m, 2, 2) int64 arrays in pool order.
-    """
-    ell = ctx.modulus.n
-    blocks = _blocks_entries(ctx, lam, strategy)
+def _pool_inverses(blocks: np.ndarray, ell: int) -> np.ndarray:
+    """(I - B)^-1 mod ell for each block of an (m, 2, 2) pool, in pool order."""
     b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
     dinv = _gf.inverse_table(ell)[((1 - b11) * (1 - b22) - b12 * b21) % ell]
     adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
-    return blocks, adj * dinv[:, None, None] % ell
+    return adj * dinv[:, None, None] % ell
 
 
 def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, ell: int):
@@ -248,10 +253,11 @@ def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, el
     return -sum(x * y for x, y in zip(b, t)) % ell
 
 
-def _core_entries(ctx: GroupContext, lam: int, strategy: BlockStrategy) -> np.ndarray:
+def _core_entries(ctx: GroupContext, lam: int, blocks: np.ndarray) -> np.ndarray:
+    """The core layer of multiplier lam built on the 2x2 block pool ``blocks``."""
     ell = ctx.modulus.n
     lam %= ell
-    blocks, inverses = _pool_inverses(ctx, lam, strategy)
+    inverses = _pool_inverses(blocks, ell)
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
@@ -373,7 +379,7 @@ def build_core_set(ctx: GroupContext, lam: int,
                    allow_large: bool = False) -> FixedVectorSet:
     """Materialize the core layer for one multiplier (g = 2)."""
     ell = _require_materializable(ctx, strategy, allow_large)
-    entries = _core_entries(ctx, lam, strategy)
+    entries = _core_entries(ctx, lam, _blocks_entries(ctx, [lam], strategy)[0])
     keys = _gf.unique_keys(_gf.pack_entries(entries.reshape(entries.shape[0], -1), ell))
     return FixedVectorSet(ctx, lam % ell, SetLevel.CORE,
                           strategy, keys.shape[0], keys)
@@ -390,7 +396,8 @@ def _construction_keys(ctx: GroupContext, lams: Sequence[int],
     """
     ell = ctx.modulus.n
     dd = ctx.dim * ctx.dim
-    cores = [_core_entries(ctx, lam, strategy).reshape(-1, dd) for lam in lams]
+    cores = [_core_entries(ctx, lam, blocks).reshape(-1, dd)
+             for lam, blocks in zip(lams, _blocks_entries(ctx, lams, strategy))]
     ops = _gf.conjugation_operators([_conjugator_pair(ctx, (a3, a4), beta)
                                      for a3 in range(ell) for a4 in range(ell)
                                      for beta in range(1, ell)])
@@ -454,11 +461,10 @@ class DirectMembership:
         # every pool block of every admissible multiplier, keyed by
         # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
         keys, inverses = [], []
-        for lam in lams:
-            blocks, inv = _pool_inverses(ctx, lam, strategy)
+        for lam, blocks in zip(lams, _blocks_entries(ctx, lams, strategy)):
             keys.append(self._block_key(lam, blocks[:, 0, 0], blocks[:, 0, 1],
                                         blocks[:, 1, 0], blocks[:, 1, 1]))
-            inverses.append(inv)
+            inverses.append(_pool_inverses(blocks, ell))
         keys = np.concatenate(keys)
         order = np.argsort(keys)
         self._keys = keys[order]

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import random
 import subprocess
@@ -7,7 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from symon import analysis
 from symon.analysis import (
+    SeriesReport,
+    SeriesRow,
     admissible_primes,
     density_ratio,
     int_str,
@@ -211,3 +215,84 @@ def test_import_keeps_the_interpreter_digit_cap():
                           check=True)
     before, after = proc.stdout.split()
     assert after == before
+
+
+def _int_str_rows(rep):
+    """Every row's fields, each integer converted from scratch by int_str."""
+    return [[str(r.ell)] + [int_str(x) for f in (r.term, r.partial, r.diagnostic)
+                            for x in (f.numerator, f.denominator)] for r in rep.rows]
+
+
+def _rendered_rows(rep):
+    """The same fields as the JSON report and as the CSV report print them."""
+    as_dict = [[str(row["ell"]), row["term_num"], row["term_den"], row["partial_num"],
+                row["partial_den"], *row["diagnostic"].split("/")]
+               for row in rep.as_report_dict()["rows"]]
+    as_csv = [line.split(",") for line in list(rep.csv_lines())[1:]]
+    return as_dict, as_csv
+
+
+def _no_conversion(*args):
+    raise AssertionError("a partial sum was converted from scratch")
+
+
+SERIES_CASES = (
+    [("a", g, q, 600) for g in (2, 3) for q in (2, 3, 4, INFINITY)]
+    + [("b", g, e, 600) for g in (1, 2, 3) for e in (2, 3, 4)]
+    + [("a", 2, 3, 3), ("a", 2, 2, 3), ("b", 2, 2, 1), ("b", 2, 2, 2), ("b", 1, 3, 60)]
+)
+
+
+@pytest.mark.parametrize("kind,g,param,ell_max", SERIES_CASES, ids=str)
+def test_carried_partials_match_int_str(kind, g, param, ell_max, monkeypatch):
+    series = part_a_series if kind == "a" else part_b_series
+    rep = series(g, param, ell_max)
+    want = _int_str_rows(rep)
+    # the running sum starts at 0/1, so no partial of a computed series is
+    # converted from scratch; 11 of these cases pass int_str's 2048-bit leaf
+    monkeypatch.setattr(analysis, "_to_decimal", _no_conversion)
+    as_dict, as_csv = _rendered_rows(rep)
+    assert as_dict == want
+    assert as_csv == want
+
+
+def _fallback_cases():
+    rep = part_b_series(2, 2, 600)
+    rows = list(rep.rows)
+    bumped = dataclasses.replace(rows[50], partial=rows[50].partial + Fraction(1, 7))
+    return {
+        "reversed": rows[::-1],
+        "mid-series": rows[40:],
+        "one-perturbed": rows[:50] + [bumped] + rows[51:],
+    }
+
+
+@pytest.mark.parametrize("case", ["reversed", "mid-series", "one-perturbed"])
+def test_partials_not_a_running_sum_fall_back_to_int_str(case):
+    rows = _fallback_cases()[case]
+    rep = dataclasses.replace(part_b_series(2, 2, 5), rows=tuple(rows))
+    assert max(r.partial.denominator.bit_length() for r in rows) > LEAF
+    want = _int_str_rows(rep)
+    as_dict, as_csv = _rendered_rows(rep)
+    assert as_dict == want
+    assert as_csv == want
+
+
+RATIONALS = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-10**700, 10**700), st.integers(1, 10**700)),
+)
+
+
+@given(st.lists(st.tuples(RATIONALS, st.none() | RATIONALS), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_partials_of_arbitrary_rows_match_int_str(steps):
+    # each row adds its term to the running sum, or jumps to an unrelated
+    # partial; signs, zeros and ints past the leaf width all occur
+    rows, partial = [], Fraction(0)
+    for ell, (term, jump) in enumerate(steps):
+        partial = partial + term if jump is None else jump
+        rows.append(SeriesRow(ell, term, partial, term))
+    rep = SeriesReport("part-b", 1, len(rows), None, 2, tuple(rows), None)
+    want = _int_str_rows(rep)
+    assert list(_rendered_rows(rep)) == [want, want]

@@ -3,7 +3,7 @@
 Criterion 13 checks that reports agree across reruns and ``--threads``
 values, which a change that alters every report alike would still pass.
 These digests pin the exact bytes: the stdout of every criterion-13 case,
-two series reports long enough for multi-thousand-digit rationals, and the
+five series reports long enough for multi-thousand-digit rationals, and the
 ell=3, q=2 union dump with its sidecar.  They were recorded from
 the code before the simplification pass and must not move under a
 refactor; a deliberate change of output re-records them.  The ``--help``
@@ -89,6 +89,17 @@ SERIES_3000_SHA256 = {
     "series part-a --g 2 --q 2 --ell-max 3000":
         "fd2346bf1a1bfed926108949a414ac2909f539782c0b3ee3b4c70d73584a2d37",
 }
+# three more series reports, recorded from the code that converted every
+# partial sum from scratch with int_str, before the partials were carried
+# along the running sum; the 10**4 report's partials run to 40,321 digits
+SERIES_RUNNING_SUM_SHA256 = {
+    "series part-b --g 2 --e 2 --ell-max 3000":
+        "7988ad0d04f0c96a22a41eb2344d8a03cc660df4bde5efb90b489ef3b3b58c61",
+    "series part-a --g 2 --q 2 --ell-max 3000 --format csv":
+        "285ccd03ad42696b004a295811bab810d7d44b8166eadcd6cef17bc6e78baad4",
+    "series part-b --g 2 --e 2 --ell-max 10000":
+        "641cc4adb40e5176b25d97aab792e8c1e280f8181007baad46970bdcc4e851bb",
+}
 UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb442610952"
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
 UNION_5_Q2_KEYS_SHA256 = "3f78d249bd7459a4f453975820d71f39925b612d483c82a422eb45f21fba3e0b"
@@ -129,9 +140,12 @@ def test_cli_stdout_matches_golden(case):
     assert _sha(_stdout(*case)) == STDOUT_SHA256[" ".join(case)]
 
 
-@pytest.mark.parametrize("case", SERIES_3000_SHA256)
+SERIES_SHA256 = {**SERIES_3000_SHA256, **SERIES_RUNNING_SUM_SHA256}
+
+
+@pytest.mark.parametrize("case", SERIES_SHA256)
 def test_long_series_report_matches_golden(case):
-    assert _sha(_stdout(*case.split())) == SERIES_3000_SHA256[case]
+    assert _sha(_stdout(*case.split())) == SERIES_SHA256[case]
 
 
 def test_union_dump_matches_golden(tmp_path):

@@ -20,6 +20,7 @@ from symon.modmat import (
 from symon.prng import CounterRng
 from symon.specialsets import (
     BlockStrategy,
+    _blocks_entries,
     CompositeUnionSet,
     DirectMembership,
     FixedVectorSet,
@@ -43,6 +44,7 @@ from symon.sympgroup import (
     enumerate_group,
     multiplier,
     sample_uniform,
+    scan_entries,
     transvection,
 )
 
@@ -98,6 +100,22 @@ def test_select_blocks_availability_at_3():
     blocks = select_blocks(ctx, 1, LEX)
     assert len(blocks) == 12
     assert count_without_eigenvalue_one(3, 1, 1) == 15   # 15 available >= 12 needed
+
+
+@pytest.mark.parametrize("q", [2, INFINITY], ids=["q2", "qinf"])
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
+    # the pools of every multiplier, split from one genus-1 scan, against
+    # one scan restricted to each multiplier, truncated to the pool size
+    ctx = GroupContext.of(2, ell, q)
+    lams = ctx.multiplier_values()
+    need = no_eigenvalue_one_floor(ell, 1)
+    for lam, pool in zip(lams, _blocks_entries(ctx, lams, LEX), strict=True):
+        scan = np.concatenate([entries for entries, _ in
+                               scan_entries(GroupContext.of(1, ell), lam=lam)])
+        want = scan[_gf.batch_det_minus_identity(scan, ell) != 0][:need]
+        assert want.shape == (need, 2, 2)
+        assert pool.dtype == want.dtype and np.array_equal(pool, want)
 
 
 def test_select_blocks_explicit():
