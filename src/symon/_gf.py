@@ -329,4 +329,4 @@ def scan_similitudes(g: int, p: int, allowed: np.ndarray | None = None,
         if allowed is not None:
             ok &= allowed[lam]
         if ok.any():
-            yield a[ok], lam[ok]
+            yield np.compress(ok, a, axis=0), np.compress(ok, lam)

@@ -391,7 +391,7 @@ def cmd_simulate_independence(args) -> int:
     ells = tuple(_parse_ints(args.ells)) if args.ells else ctx.modulus.primes
     for ell in ells:
         if ell not in ctx.modulus.primes:
-            raise UsageError(f"{ell} does not divide n={args.n}")
+            raise UsageError(f"{ell} is not a prime factor of n={args.n}")
     if len(ells) < 2:
         raise UsageError("independence needs at least two primes")
     events = [SetHitEvent(ell) for ell in ells] + [JointSetHitEvent(tuple(ells))]

@@ -6,7 +6,9 @@ per slot, one global multiplier exponent (finite q) or independent unit
 multipliers per prime (q = INFINITY), then one uniform coset element per
 prime factor in ascending order; the per-prime draws CRT-lift to the
 element mod n.  Drawing the exponent once per slot is what makes the
-per-prime hit events exactly independent with the product density.
+per-prime hit events exactly independent with the product density.  A
+borel-cantelli stream draws, prime by prime in ascending order on the one
+stream, the single-prime tuple of that protocol at each prime of its range.
 
 Events:
 
@@ -26,8 +28,10 @@ numpy lanes (``CounterLanes``, ``sample_entries_lanes``,
 ``DirectMembership.contains_lanes`` and ``_gf.batch_rank``), which
 reproduce the scalar streams lane by lane.  The scalar functions
 (``sample_entries``, ``contains_rows``, ``rank_mod``) are the oracle: every
-chunk replays some of its lanes through them (see ``_tally``).  Chunks
-partition across threads without changing any output.
+chunk replays some of its lanes through them (see ``_tally``).  Both
+estimators reach ``_tally`` through ``_tally_events``, which builds the
+batch and the oracle draw from the same protocol.  Chunks partition across
+threads without changing any output.
 """
 
 from __future__ import annotations
@@ -331,6 +335,34 @@ def _lane_outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembersh
     return out, lanes.rejected
 
 
+def _tally_events(draws: Sequence[GroupContext], events: Sequence[Event],
+                  testers: Mapping[int, DirectMembership], e: int, n_samples: int,
+                  seed: int, threads: int) -> Counter:
+    """``_tally`` of the events over e-tuples drawn for each context in turn.
+
+    Every sample index draws ``_draw_rows_by_prime`` of each context of
+    ``draws``, in order, from its one stream; the batch draws the same on
+    ``CounterLanes`` and the oracle on ``CounterRng``.
+    """
+    dim = draws[0].dim
+
+    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lanes = CounterLanes(seed, indexes)
+        by_prime = {}
+        for ctx in draws:
+            by_prime.update(_draw_lanes_by_prime(ctx, e, lanes))
+        return _lane_outcomes(events, testers, by_prime, dim, lanes)
+
+    def oracle(index: int) -> tuple[bool, ...]:
+        rng = CounterRng(seed, index)
+        by_prime = {}
+        for ctx in draws:
+            by_prime.update(_draw_rows_by_prime(ctx, e, rng))
+        return _scalar_outcomes(events, testers, by_prime, dim)
+
+    return _tally(lanes_outcomes, oracle, n_samples, threads)
+
+
 def _estimate(ctx: GroupContext, ev: Event, e: int, hits: int, n_samples: int) -> EventEstimate:
     """The estimate of one event with its exact value or bound where known."""
     exact = bound = None
@@ -361,6 +393,8 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
     need_sets = set()
     for ev in events:
         ells = ev.ells if isinstance(ev, JointSetHitEvent) else (ev.ell,)
+        if len(set(ells)) != len(ells):
+            raise ValueError(f"{ev.name()} repeats a prime")
         for ell in ells:
             if ell not in ctx.modulus.primes:
                 raise ValueError(f"event prime {ell} does not divide the modulus")
@@ -369,17 +403,8 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
     if need_sets and e != 1:
         raise ValueError("set-hit events are defined for e = 1 tuples")
     testers = {ell: DirectMembership(ctx.restrict(ell), strategy) for ell in sorted(need_sets)}
-
-    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lanes = CounterLanes(seed, indexes)
-        return _lane_outcomes(events, testers, _draw_lanes_by_prime(ctx, e, lanes),
-                              ctx.dim, lanes)
-
-    def oracle(index: int) -> tuple[bool, ...]:
-        by_prime = _draw_rows_by_prime(ctx, e, CounterRng(seed, index))
-        return _scalar_outcomes(events, testers, by_prime, ctx.dim)
-
-    hits = _hits_per_event(_tally(lanes_outcomes, oracle, n_samples, threads), len(events))
+    tally = _tally_events([ctx], events, testers, e, n_samples, seed, threads)
+    hits = _hits_per_event(tally, len(events))
     return [_estimate(ctx, ev, e, h, n_samples) for ev, h in zip(events, hits)]
 
 
@@ -414,7 +439,7 @@ class BorelCantelliReport:
     mean_hits: float
     mean_std_error: float
     expected_mean: Fraction
-    threshold: int | None
+    threshold: int
     frac_tail_hit: float
     frac_zero_tail: float
 
@@ -450,36 +475,19 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
     if e < 1 or n_samples < 1:
         raise ValueError("need e >= 1 and n_samples >= 1")
     ells = tuple(sorted(ells))
+    if not ells:
+        raise ValueError("need at least one prime")
     if len(set(ells)) != len(ells):
         raise ValueError("primes must be distinct")
-    contexts = {ell: GroupContext.of(g, ell, q) for ell in ells}
-    values_by_ell = {ell: contexts[ell].multiplier_values(ell) for ell in ells}
+    contexts = [GroupContext.of(g, ell, q) for ell in ells]
+    for ctx in contexts:
+        if not ctx.modulus.is_prime:
+            raise ValueError(f"ells entry {ctx.modulus.n} is not a prime")
     part_a = e == 1
     events = [SetHitEvent(ell) if part_a else FixedVectorEvent(ell) for ell in ells]
-    testers = ({ell: DirectMembership(contexts[ell], strategy) for ell in ells}
+    testers = ({ell: DirectMembership(ctx, strategy) for ell, ctx in zip(ells, contexts)}
                if part_a else {})
-
-    value_arrays = {ell: np.array(values) for ell, values in values_by_ell.items()}
-
-    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lanes = CounterLanes(seed, indexes)
-        by_prime = {}
-        for ell in ells:
-            values = value_arrays[ell]
-            by_prime[ell] = [sample_entries_lanes(g, ell, values[lanes.below(len(values))], lanes)
-                             for _ in range(e)]
-        return _lane_outcomes(events, testers, by_prime, 2 * g, lanes)
-
-    def oracle(index: int) -> tuple[bool, ...]:
-        rng = CounterRng(seed, index)
-        by_prime = {}
-        for ell in ells:
-            values = values_by_ell[ell]
-            by_prime[ell] = [sample_entries(g, ell, values[rng.below(len(values))], rng)
-                             for _ in range(e)]
-        return _scalar_outcomes(events, testers, by_prime, 2 * g)
-
-    tally = _tally(lanes_outcomes, oracle, n_samples, threads)
+    tally = _tally_events(contexts, events, testers, e, n_samples, seed, threads)
     per_ell = _hits_per_event(tally, len(ells))
     hist: dict[int, int] = {}
     for outcome, n in tally.items():
@@ -487,8 +495,8 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
     mid = len(ells) // 2
     tail_hit = sum(n for outcome, n in tally.items() if any(outcome[mid:]))
 
-    estimates = [_estimate(contexts[ell], ev, e, hits, n_samples)
-                 for ell, ev, hits in zip(ells, events, per_ell)]
+    estimates = [_estimate(ctx, ev, e, hits, n_samples)
+                 for ctx, ev, hits in zip(contexts, events, per_ell)]
     expected = sum((est.exact_value if part_a else est.bound for est in estimates),
                    Fraction(0))
     var_sum = 0.0
@@ -496,13 +504,12 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
         p = hits / n_samples
         var_sum += p * (1.0 - p)
     mean_hits = sum(per_ell) / n_samples
-    threshold = ells[mid] if ells else None
     frac_tail = tail_hit / n_samples
     return BorelCantelliReport(
         regime="part-a" if part_a else "part-b",
         g=g, q=q, e=e, ells=ells, n_samples=n_samples, seed=seed,
         per_ell=tuple(estimates), hist=hist,
         mean_hits=mean_hits, mean_std_error=math.sqrt(var_sum / n_samples),
-        expected_mean=expected, threshold=threshold,
+        expected_mean=expected, threshold=ells[mid],
         frac_tail_hit=frac_tail, frac_zero_tail=1.0 - frac_tail,
     )

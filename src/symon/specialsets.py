@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -565,25 +565,16 @@ class CompositeUnionSet:
     """
 
     def __init__(self, ctx: GroupContext,
-                 parts: Mapping[int, FixedVectorSet | DirectMembership]):
-        if set(parts) != set(ctx.modulus.primes):
-            raise ValueError("need one per-prime part for every prime factor")
+                 strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL):
         self.ctx = ctx
-        self.parts = dict(parts)
-
-    @classmethod
-    def direct(cls, ctx: GroupContext,
-               strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> "CompositeUnionSet":
-        return cls(ctx, {ell: DirectMembership(ctx.restrict(ell), strategy)
-                         for ell in ctx.modulus.primes})
+        self.strategy = strategy
+        self.parts = {ell: DirectMembership(ctx.restrict(ell), strategy)
+                      for ell in ctx.modulus.primes}
 
     @property
     def cardinality(self) -> int:
-        strategies = {p.strategy for p in self.parts.values()}
-        if len(strategies) != 1:
-            raise ValueError("mixed block strategies across primes")
         return composite_union_cardinality(self.ctx.g, self.ctx.modulus.n,
-                                           self.ctx.q, strategies.pop())
+                                           self.ctx.q, self.strategy)
 
     def contains(self, mat: ModMatrix) -> bool:
         if not is_member(self.ctx, mat):

@@ -225,17 +225,6 @@ def _require_unit(lam: int, n: int) -> int:
     return lam % n
 
 
-def _allowed_mask(ctx: GroupContext, ell: int, lam: int | None) -> np.ndarray:
-    allowed = np.zeros(ell, dtype=bool)
-    for v in ctx.multiplier_values(ell):
-        allowed[v] = True
-    if lam is not None:
-        only = np.zeros(ell, dtype=bool)
-        only[_require_unit(lam, ell)] = True
-        allowed &= only
-    return allowed
-
-
 def scan_entries(ctx: GroupContext, lam: int | None = None,
                  budget: int = DEFAULT_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunked array stream of group members, in canonical scan order.
@@ -251,7 +240,10 @@ def scan_entries(ctx: GroupContext, lam: int | None = None,
     estimate = ell ** (ctx.dim * ctx.dim)
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
-    allowed = _allowed_mask(ctx, ell, lam)
+    allowed = np.zeros(ell, dtype=bool)
+    allowed[list(ctx.multiplier_values(ell))] = True
+    if lam is not None:
+        allowed &= np.arange(ell) == _require_unit(lam, ell)
     return _gf.scan_similitudes(ctx.g, ell, allowed)
 
 

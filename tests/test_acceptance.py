@@ -214,7 +214,7 @@ def test_criterion_07_composite_product(materialized_layers):
         Fraction(union_cardinality(g, 5, q), gsp_q_order(GroupContext.of(g, 5, q)))
     exact_ok = lhs == rhs == density_ratio(g, 3, q) * density_ratio(g, 5, q)
 
-    comp = CompositeUnionSet.direct(ctx15)
+    comp = CompositeUnionSet(ctx15)
     rng = CounterRng(20260810, 0)
     trips_ok = True
     m3, m5 = Modulus.of(3), Modulus.of(5)

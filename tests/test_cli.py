@@ -212,6 +212,21 @@ def assert_input_error(proc):
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("ells,named", [("3,15", "15"), ("", "prime")])
+def test_borel_cantelli_needs_a_list_of_primes(ells, named):
+    proc = run_cli("simulate", "borel-cantelli", "--g", "2", "--q", "inf", "--ells", ells,
+                   "--e", "2", "--samples", "50", "--seed", "1", check=False)
+    assert_input_error(proc)
+    assert named in proc.stderr
+
+
+def test_independence_rejects_a_repeated_prime():
+    proc = run_cli("simulate", "independence", "--n", "15", "--q", "2", "--ells", "3,3",
+                   "--samples", "300", "--seed", "7", check=False)
+    assert_input_error(proc)
+    assert "joint-set-hit(3,3)" in proc.stderr
+
+
 def test_verify_missing_dump_is_input_error(tmp_path):
     assert_input_error(run_cli("special-set", "verify", "--dump",
                                str(tmp_path / "missing.txt"), check=False))

@@ -17,6 +17,8 @@ loop before the batch engine replaced it, hold the exact hit counts of the
 criterion 9-11 estimates at their 100k samples and the digests of two
 borel-cantelli reports, so the engine is held byte-identical at the sizes
 the criteria use and not only at the 1k-2k samples of the CLI cases.
+Those two reports are at q = inf; the finite-q borel-cantelli digests, at
+q = 2 and 4 in both regimes, pin the cyclic multiplier draw as well.
 """
 
 import hashlib
@@ -118,6 +120,23 @@ BOREL_CANTELLI_SHA256 = {
     1: "7c021d1b7d8a0cbdb049c1937df65de9a12363156a50035f8df58e83f5045d5d",
     2: "7df46bff9550e51160566c06f199d6623bcc4b160a926c35f4b553e10e89fac2",
 }
+# sha256 of the sorted-key JSON of borel_cantelli_experiment(g, q, ells, e,
+# 300, 100 g + 10 q + e).as_report_dict() at finite q, by (g, q, e), with
+# ells (3, 5, 7, 11, 13) for g = 1 and (3, 5, 7, 11) for g = 2; set hits
+# (e = 1) are defined from g = 2 on.  Recorded before the borel-cantelli
+# draws moved onto the per-prime sampler of estimate_events.
+BOREL_CANTELLI_FINITE_Q_SHA256 = {
+    (1, 2, 2): "e4c8ec72fdfcd60e7ba4237ebebf4d18d705a60f1c889bf0bd49f32395dd6493",
+    (1, 2, 3): "60babe0b9fa20aa30949dccf5d14a92adef01610f6ca30f7ae7c978be4008b22",
+    (1, 4, 2): "9be16399435e9f74c5b49c1958b72aa71fc9f86bd1d1005c8be5b4dee70c1f8a",
+    (1, 4, 3): "5b6270ac559d337225c8b2343e945ae7244e23661e574dbdfb7fccfa2415844d",
+    (2, 2, 1): "9a3f1921393580d0dedbe6dc57d39aa8e16f8e59b0e26f533da6b8ec5585d889",
+    (2, 2, 2): "46a4b97af6e58c136368f59fcccfa022fb82524e4918c7832d5094412d468b05",
+    (2, 2, 3): "98592d73ed268a6c2989043f473ff0db6de89a7e3a8cfd79e26eebbfd66ea011",
+    (2, 4, 1): "85a778727ae9a4c8aa7c4a60b4cc30a82d3b878a8d88cda10d5f14cabfbf3cac",
+    (2, 4, 2): "aeb0eb975a432a4bfc9c018ccdc01d1ee8ca623db7ffca5aadb6937117592556",
+    (2, 4, 3): "25ee690c645ad168de8f1fc6c3da6445389dcdce8829821567163bd8b7fcf8e3",
+}
 
 
 def _stdout(*args) -> bytes:
@@ -183,3 +202,12 @@ def test_borel_cantelli_report_matches_golden(e):
     rep = borel_cantelli_experiment(2, INFINITY, (3, 5, 7, 11, 13), e, 20_000, 2718)
     text = json.dumps(rep.as_report_dict(), sort_keys=True)
     assert _sha(text.encode()) == BOREL_CANTELLI_SHA256[e]
+
+
+@pytest.mark.parametrize("g,q,e", sorted(BOREL_CANTELLI_FINITE_Q_SHA256),
+                         ids=lambda v: str(v))
+def test_borel_cantelli_finite_q_matches_golden(g, q, e):
+    ells = (3, 5, 7, 11, 13) if g == 1 else (3, 5, 7, 11)
+    rep = borel_cantelli_experiment(g, q, ells, e, 300, 100 * g + 10 * q + e)
+    text = json.dumps(rep.as_report_dict(), sort_keys=True)
+    assert _sha(text.encode()) == BOREL_CANTELLI_FINITE_Q_SHA256[(g, q, e)]

@@ -359,11 +359,11 @@ def test_oracle_disagreement_raises(monkeypatch):
         estimate_event(GroupContext.of(2, 5, 2), SetHitEvent(5), 1, 200, 42)
 
 
-def test_borel_cantelli_empty_range():
-    rep = borel_cantelli_experiment(2, 2, [], 1, 50, 9)
-    assert rep.hist == {0: 50}
-    assert rep.mean_hits == 0.0
-    assert rep.expected_mean == 0
+def test_borel_cantelli_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="at least one prime"):
+        borel_cantelli_experiment(2, 2, [], 1, 50, 9)
+    with pytest.raises(ValueError, match="15 is not a prime"):
+        borel_cantelli_experiment(2, INFINITY, [3, 15], 2, 50, 9)
 
 
 def test_borel_cantelli_part_a_small():

@@ -296,7 +296,7 @@ def test_membership_dispatch_and_self_membership():
 def test_composite_membership_via_crt():
     g, q = 2, 2
     ctx15 = GroupContext.of(g, 15, q)
-    comp = CompositeUnionSet.direct(ctx15)
+    comp = CompositeUnionSet(ctx15)
     full3 = build_full_set(GroupContext.of(g, 3, q), 2)
     full5 = build_full_set(GroupContext.of(g, 5, q), 2)
     mats3 = list(itertools.islice(full3, 40))

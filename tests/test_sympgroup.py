@@ -21,6 +21,7 @@ from symon.sympgroup import (
     orbit_size,
     pairing,
     sample_uniform,
+    scan_entries,
     sp_order,
     stabilizer_matrix,
     transvection,
@@ -111,6 +112,16 @@ def test_enumerate_counts_and_budget():
     assert sum(1 for _ in enumerate_group(GroupContext.of(2, 2), lam=1)) == 720
     with pytest.raises(BudgetExceeded):
         list(enumerate_group(GroupContext.of(2, 7), budget=10**6))
+    # q = 2 mod 7 admits the multipliers {1, 2, 4}: 3 is a unit outside the
+    # class, so the scan restricted to it is empty; 14 is no unit mod 7
+    ctx = GroupContext.of(1, 7, 2)
+    assert sum(1 for _ in enumerate_group(ctx, lam=2)) == sp_order(1, 7)
+    assert list(enumerate_group(ctx, lam=3)) == []
+    assert list(scan_entries(ctx, lam=3)) == []
+    with pytest.raises(ValueError, match="not a unit mod 7"):
+        scan_entries(ctx, lam=14)
+    with pytest.raises(ValueError, match="not a unit mod 7"):
+        list(enumerate_group(ctx, lam=0))
 
 
 def test_enumerate_order_is_lexicographic():
