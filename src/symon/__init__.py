@@ -37,7 +37,6 @@ from .sympgroup import (
     transvection,
 )
 from .specialsets import (
-    BlockStrategy,
     CompositeUnionSet,
     DirectMembership,
     FixedVectorSet,

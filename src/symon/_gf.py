@@ -309,24 +309,21 @@ def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, ok
 
 
-def scan_similitudes(g: int, p: int, allowed: np.ndarray | None = None,
-                     chunk: int = 1 << 20):
+def scan_similitudes(g: int, p: int, allowed: np.ndarray):
     """Scan all p**(2g)^2 candidate matrices in row-major lexicographic order.
 
     Yields (entries, multipliers) array pairs for the candidates that are
     symplectic similitudes whose multiplier is allowed.  ``allowed`` is a
-    boolean mask over residues [0, p); None admits every unit multiplier.
+    boolean mask over residues [0, p).  Candidates are checked 2^20 at a time.
     """
     dim = 2 * g
     dd = dim * dim
     total = p ** dd
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    step = 1 << 20
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
         a = index_to_entries(idx, p, dd).reshape(-1, dim, dim)
         lam, ok = similitude_check(a, p)
-        if allowed is not None:
-            ok &= allowed[lam]
+        ok &= allowed[lam]
         if ok.any():
             yield np.compress(ok, a, axis=0), np.compress(ok, lam)

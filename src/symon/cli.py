@@ -37,8 +37,8 @@ from .montecarlo import (
     estimate_events,
 )
 from .specialsets import (
-    BlockStrategy,
     FixedVectorSet,
+    POOL_NAME,
     SetLevel,
     _require_materializable,
     build_core_set,
@@ -176,17 +176,16 @@ def cmd_verify_counts(args) -> int:
             _check(checks, "block-availability", f">={floor}", actual, actual >= floor,
                    g=1, ell=ell, lam=lam)
 
-    strategy = BlockStrategy.LEX_CANONICAL
     for ell in ells:
         for lam in lam_grid[ell]:
             ctx = GroupContext.of(2, ell)
             # each set is dropped after its count is read, so no two are resident
-            _check(checks, "core-cardinality", core_cardinality(2, ell, strategy),
-                   build_core_set(ctx, lam, strategy).cardinality, g=2, ell=ell, lam=lam)
-            full_expected = full_cardinality(2, ell, strategy)
+            _check(checks, "core-cardinality", core_cardinality(2, ell),
+                   build_core_set(ctx, lam).cardinality, g=2, ell=ell, lam=lam)
+            full_expected = full_cardinality(2, ell)
             if full_expected <= args.set_budget:
                 _check(checks, "full-cardinality", full_expected,
-                       build_full_set(ctx, lam, strategy).cardinality, g=2, ell=ell, lam=lam)
+                       build_full_set(ctx, lam).cardinality, g=2, ell=ell, lam=lam)
             else:
                 checks.append({"g": 2, "ell": ell, "lam": lam,
                                "name": "full-cardinality",
@@ -197,10 +196,10 @@ def cmd_verify_counts(args) -> int:
     n = math.prod(ells)
     for q in qs:
         ctx_n = GroupContext.of(2, n, q)
-        lhs = Fraction(composite_union_cardinality(2, n, q, strategy), gsp_q_order(ctx_n))
+        lhs = Fraction(composite_union_cardinality(2, n, q), gsp_q_order(ctx_n))
         rhs = Fraction(1)
         for ell in ells:
-            rhs *= Fraction(union_cardinality(2, ell, q, strategy),
+            rhs *= Fraction(union_cardinality(2, ell, q),
                             gsp_q_order(GroupContext.of(2, ell, q)))
         _check(checks, "composite-density-product", frac_str(lhs), frac_str(rhs),
                g=2, n=n, q=_q_str(q))
@@ -219,33 +218,32 @@ def cmd_verify_counts(args) -> int:
 # level -> (its builder, its closed-formula cardinality); the lambdas look the
 # functions up when called, so a patched or traced one is the one used
 _LEVELS = {
-    SetLevel.CORE: (lambda ctx, lam, st, big: build_core_set(ctx, lam, st, big),
-                    lambda ctx, st: core_cardinality(ctx.g, ctx.modulus.n, st)),
-    SetLevel.FULL: (lambda ctx, lam, st, big: build_full_set(ctx, lam, st, big),
-                    lambda ctx, st: full_cardinality(ctx.g, ctx.modulus.n, st)),
-    SetLevel.UNION: (lambda ctx, lam, st, big: build_union_set(ctx, st, big),
-                     lambda ctx, st: union_cardinality(ctx.g, ctx.modulus.n, ctx.q, st)),
+    SetLevel.CORE: (lambda ctx, lam, big: build_core_set(ctx, lam, big),
+                    lambda ctx: core_cardinality(ctx.g, ctx.modulus.n)),
+    SetLevel.FULL: (lambda ctx, lam, big: build_full_set(ctx, lam, big),
+                    lambda ctx: full_cardinality(ctx.g, ctx.modulus.n)),
+    SetLevel.UNION: (lambda ctx, lam, big: build_union_set(ctx, big),
+                     lambda ctx: union_cardinality(ctx.g, ctx.modulus.n, ctx.q)),
 }
 
 
 def cmd_special_set_build(args) -> int:
     q = _parse_q(args.q)
     level = SetLevel(args.level)
-    strategy = BlockStrategy(args.strategy)
     ctx = GroupContext.of(args.g, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
         raise UsageError(f"--lam is required for level {level.value}")
     # validate before opening the outputs, and open both before the build, so
     # that neither failure costs a build; neither is truncated until the set
     # is built, so no failure empties an earlier dump
-    _require_materializable(ctx, strategy, args.allow_large_ell)
+    _require_materializable(ctx, args.allow_large_ell)
     if level is not SetLevel.UNION:
         _require_unit(args.lam, args.ell)
         if args.lam % args.ell not in ctx.multiplier_values(args.ell):
             raise UsageError(f"--lam {args.lam} is not in the multiplier class of "
                              f"q={_q_str(q)} mod {args.ell}")
     with _open(args.out, "a") as fh, _open(args.out + ".json", "a") as side:
-        s = _LEVELS[level][0](ctx, args.lam, strategy, args.allow_large_ell)
+        s = _LEVELS[level][0](ctx, args.lam, args.allow_large_ell)
         for f in (fh, side):
             f.seek(0)
             f.truncate()
@@ -264,7 +262,7 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
     if str(s.cardinality) != sidecar["cardinality"]:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"sidecar says {sidecar['cardinality']}")
-    formula = _LEVELS[s.level][1](s.ctx, s.strategy)
+    formula = _LEVELS[s.level][1](s.ctx)
     if s.cardinality != formula:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"the closed formula gives {formula}")
@@ -314,6 +312,9 @@ def _read_sidecar(path: str) -> dict:
         raise UsageError(f"sidecar {path} lacks {', '.join(missing)}")
     if any(type(sidecar.get(k, 0)) is not int for k in ("g", "n", "lam")):
         raise UsageError(f"sidecar {path}: g, n and lam must be integers")
+    if sidecar["strategy"] != POOL_NAME:
+        raise UsageError(f"sidecar {path}: strategy must be {POOL_NAME!r}, "
+                         f"got {sidecar['strategy']!r}")
     return sidecar
 
 
@@ -321,23 +322,22 @@ def cmd_special_set_verify(args) -> int:
     sidecar = _read_sidecar(args.dump + ".json")
     q = _parse_q(str(sidecar["q"]))
     level = SetLevel(sidecar["level"])
-    strategy = BlockStrategy(sidecar["strategy"])
     ctx = GroupContext.of(sidecar["g"], sidecar["n"], q)
     # the checks list every unit mod n and may rebuild the set, so the
     # sidecar must describe one that can be materialized
-    _require_materializable(ctx, strategy, allow_large=True)
+    _require_materializable(ctx, allow_large=True)
     lam = None if level is SetLevel.UNION else sidecar["lam"]
     problems: list[str] = []
     with _open(args.dump) as fh:
         try:
-            s = FixedVectorSet.load(fh, ctx, lam, level, strategy)
+            s = FixedVectorSet.load(fh, ctx, lam, level)
         except ValueError as exc:
             problems.append(str(exc))
             s = None
     if s is not None:
         _verify_loaded(s, sidecar, problems)
         if args.rebuild:
-            fresh = _LEVELS[level][0](ctx, lam, strategy, True)
+            fresh = _LEVELS[level][0](ctx, lam, True)
             if fresh.keys.shape != s.keys.shape or not bool((fresh.keys == s.keys).all()):
                 problems.append("rebuild does not reproduce the dump")
     report = {"command": "special-set-verify", "dump": args.dump,
@@ -376,8 +376,7 @@ def cmd_simulate_hit_frequency(args) -> int:
     ctx = GroupContext.of(args.g, args.n, q)
     primes = ctx.modulus.primes
     event = SetHitEvent(primes[0]) if len(primes) == 1 else JointSetHitEvent(primes)
-    est = estimate_events(ctx, [event], 1, args.samples, args.seed,
-                          args.threads, BlockStrategy(args.strategy))[0]
+    est = estimate_events(ctx, [event], 1, args.samples, args.seed, args.threads)[0]
     report = {"command": "simulate-hit-frequency", "g": args.g, "n": args.n,
               "q": _q_str(q), "e": 1, "samples": args.samples, "seed": args.seed,
               **est.as_report_dict()}
@@ -395,8 +394,7 @@ def cmd_simulate_independence(args) -> int:
     if len(ells) < 2:
         raise UsageError("independence needs at least two primes")
     events = [SetHitEvent(ell) for ell in ells] + [JointSetHitEvent(tuple(ells))]
-    ests = estimate_events(ctx, events, 1, args.samples, args.seed,
-                           args.threads, BlockStrategy(args.strategy))
+    ests = estimate_events(ctx, events, 1, args.samples, args.seed, args.threads)
     marginals, joint = ests[:-1], ests[-1]
     product = math.prod((m.estimate for m in marginals), start=Fraction(1))
     diff = abs(joint.estimate - product)
@@ -438,8 +436,7 @@ def cmd_simulate_borel_cantelli(args) -> int:
     q = _parse_q(args.q)
     ells = _parse_ints(args.ells)
     rep = borel_cantelli_experiment(args.g, q, ells, args.e, args.samples,
-                                    args.seed, args.threads,
-                                    BlockStrategy(args.strategy))
+                                    args.seed, args.threads)
     payload = rep.as_report_dict()
     payload["command"] = "simulate-borel-cantelli"
     _emit_json(args, payload)
@@ -494,8 +491,6 @@ _FLAGS = {
     "--budget": dict(type=int, default=None),
     "--samples": dict(type=int, default=100_000),
     "--seed": dict(type=int, required=True),
-    "--strategy": dict(choices=[s.value for s in BlockStrategy],
-                       default=BlockStrategy.LEX_CANONICAL.value),
     "--ell-max": dict(type=int, default=1000),
     "--format": dict(choices=["json", "csv"], default="json"),
     "--threads": dict(type=int, default=1, help="worker threads; output is independent of this"),
@@ -530,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         (("special-set", "build"), cmd_special_set_build, [
             "--g", "--ell", "--q",
             ("--level", dict(choices=[l.value for l in SetLevel], default="union")),
-            "--lam", "--strategy", ("--allow-large-ell", dict(action="store_true")),
+            "--lam", ("--allow-large-ell", dict(action="store_true")),
             ("--out", dict(required=True, help=None))]),
         (("special-set", "verify"), cmd_special_set_verify, [
             ("--dump", dict(required=True)),
@@ -540,15 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
         (("series", "part-b"), cmd_series, [
             "--g", ("--e", dict(default=2)), "--ell-max", "--format"]),
         (("simulate", "hit-frequency"), cmd_simulate_hit_frequency, [
-            "--g", "--n", "--q", ("--e", dict(default=1)), "--samples", "--seed", "--strategy"]),
+            "--g", "--n", "--q", ("--e", dict(default=1)), "--samples", "--seed"]),
         (("simulate", "independence"), cmd_simulate_independence, [
-            "--g", "--n", "--q", ("--ells", dict(default=None)), "--samples", "--seed",
-            "--strategy"]),
+            "--g", "--n", "--q", ("--ells", dict(default=None)), "--samples", "--seed"]),
         (("simulate", "mu-x"), cmd_simulate_mu_x, [
             "--g", "--ell", "--q", ("--e", dict(default=2)), "--samples", "--seed"]),
         (("simulate", "borel-cantelli"), cmd_simulate_borel_cantelli, [
             "--g", "--q", ("--ells", dict(required=True)), ("--e", dict(default=1)),
-            ("--samples", dict(default=10_000)), "--seed", "--strategy"]),
+            ("--samples", dict(default=10_000)), "--seed"]),
         (("orders",), cmd_orders, ["--g", "--n", "--q"]),
         (("enumerate",), cmd_enumerate, [
             ("--g", dict(default=1)), "--ell", "--q", "--lam", "--budget"]),

@@ -80,6 +80,12 @@ class Modulus:
     def is_prime(self) -> bool:
         return len(self.primes) == 1
 
+    def restrict(self, ell: int) -> "Modulus":
+        """The prime modulus ell; ValueError unless ell is one of the prime factors."""
+        if ell not in self.primes:
+            raise ValueError(f"{ell} is not a prime factor of the modulus {self.n}")
+        return Modulus(ell, (ell,))
+
 
 @dataclass(frozen=True)
 class ModMatrix:
@@ -271,7 +277,7 @@ def det(a: ModMatrix) -> int:
     r, m = 0, 1
     for p in a.modulus.primes:
         dp = _det_prime([list(row) for row in a.rows], p)
-        r, m = (crt_pair(r, m, dp, p), m * p) if m > 1 else (dp, p)
+        r, m = crt_pair(r, m, dp, p), m * p
     return r
 
 
@@ -307,10 +313,7 @@ def has_eigenvalue_one(a: ModMatrix) -> bool:
 
 def reduce_mod(a: ModMatrix, ell: int) -> ModMatrix:
     """Entrywise reduction of a to the prime factor ell of its modulus."""
-    if ell not in a.modulus.primes:
-        raise ValueError(f"{ell} does not divide the modulus {a.modulus.n}")
-    m = Modulus.of(ell)
-    return ModMatrix(m, tuple(tuple(x % ell for x in row) for row in a.rows))
+    return ModMatrix(a.modulus.restrict(ell), tuple(tuple(x % ell for x in row) for row in a.rows))
 
 
 def crt_lift(mats: Iterable[ModMatrix]) -> ModMatrix:
@@ -340,7 +343,7 @@ def crt_lift(mats: Iterable[ModMatrix]) -> ModMatrix:
         for r in range(d):
             for c in range(d):
                 x = mats[i].rows[r][c]
-                acc[r][c] = crt_pair(acc[r][c], mod, x, p) if mod > 1 else x
+                acc[r][c] = crt_pair(acc[r][c], mod, x, p)
         mod *= p
     return ModMatrix.from_rows(Modulus.of(mod), acc)
 

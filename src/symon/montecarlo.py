@@ -51,7 +51,7 @@ from . import _gf
 from .analysis import density_ratio, frac_str, pow_enclosure
 from .modmat import ModMatrix, Modulus, crt_lift, minus_identity, rank_mod
 from .prng import CounterLanes, CounterRng
-from .specialsets import BlockStrategy, DirectMembership
+from .specialsets import DirectMembership
 from .sympgroup import (
     GroupContext,
     _Infinity,
@@ -380,8 +380,7 @@ def _estimate(ctx: GroupContext, ev: Event, e: int, hits: int, n_samples: int) -
 
 
 def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
-                    n_samples: int, seed: int, threads: int = 1,
-                    strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> list[EventEstimate]:
+                    n_samples: int, seed: int, threads: int = 1) -> list[EventEstimate]:
     """Monte Carlo estimates of several events over one shared sample stream.
 
     All events are evaluated on the same n_samples tuples, so a joint event
@@ -396,22 +395,20 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
         if len(set(ells)) != len(ells):
             raise ValueError(f"{ev.name()} repeats a prime")
         for ell in ells:
-            if ell not in ctx.modulus.primes:
-                raise ValueError(f"event prime {ell} does not divide the modulus")
+            ctx.restrict(ell)     # ValueError unless ell is a prime factor of n
         if not isinstance(ev, FixedVectorEvent):
             need_sets.update(ells)
     if need_sets and e != 1:
         raise ValueError("set-hit events are defined for e = 1 tuples")
-    testers = {ell: DirectMembership(ctx.restrict(ell), strategy) for ell in sorted(need_sets)}
+    testers = {ell: DirectMembership(ctx.restrict(ell)) for ell in sorted(need_sets)}
     tally = _tally_events([ctx], events, testers, e, n_samples, seed, threads)
     hits = _hits_per_event(tally, len(events))
     return [_estimate(ctx, ev, e, h, n_samples) for ev, h in zip(events, hits)]
 
 
 def estimate_event(ctx: GroupContext, event: Event, e: int, n_samples: int,
-                   seed: int, threads: int = 1,
-                   strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> EventEstimate:
-    return estimate_events(ctx, [event], e, n_samples, seed, threads, strategy)[0]
+                   seed: int, threads: int = 1) -> EventEstimate:
+    return estimate_events(ctx, [event], e, n_samples, seed, threads)[0]
 
 
 @dataclass(frozen=True)
@@ -465,8 +462,8 @@ class BorelCantelliReport:
 
 
 def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
-                              e: int, n_samples: int, seed: int, threads: int = 1,
-                              strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> BorelCantelliReport:
+                              e: int, n_samples: int, seed: int,
+                              threads: int = 1) -> BorelCantelliReport:
     """Simulate per-prime event streams and summarize their hit counts.
 
     Any finite range can only exhibit the monotone trend of the zero-one
@@ -485,7 +482,7 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
             raise ValueError(f"ells entry {ctx.modulus.n} is not a prime")
     part_a = e == 1
     events = [SetHitEvent(ell) if part_a else FixedVectorEvent(ell) for ell in ells]
-    testers = ({ell: DirectMembership(ctx, strategy) for ell, ctx in zip(ells, contexts)}
+    testers = ({ell: DirectMembership(ctx) for ell, ctx in zip(ells, contexts)}
                if part_a else {})
     tally = _tally_events(contexts, events, testers, e, n_samples, seed, threads)
     per_ell = _hits_per_event(tally, len(ells))

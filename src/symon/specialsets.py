@@ -15,10 +15,10 @@ The construction runs in three layers over F_ell (genus g >= 2):
 
 Cardinalities obey closed formulas which the materialized builders measure
 independently (build, pack, deduplicate, count); the test suite pins the two
-against each other.  Block pools come in two flavours: the canonical pool
-takes the first eligible blocks in the group's lexicographic enumeration
-order (reproducible across runs and machines), and an explicit closed-form
-pool is available at g = 2.
+against each other.  There is one block pool per multiplier: the first
+eligible blocks in the genus g-1 group's lexicographic enumeration order,
+reproducible across runs and machines.  Dump sidecars name it
+``POOL_NAME``.
 
 Materialization is a g = 2 feature; for larger genus the module still
 provides exact cardinalities and witness sampling by construction, but no
@@ -65,15 +65,11 @@ from .sympgroup import (
 
 DEFAULT_ELL_CAP = 13
 HARD_ELL_CAP = 31
+POOL_NAME = "lex-canonical"    # the sidecar's "strategy" field
 
 
 class InsufficientMatrices(RuntimeError):
     """Fewer eligible blocks exist than the construction requires."""
-
-
-class BlockStrategy(enum.Enum):
-    LEX_CANONICAL = "lex-canonical"
-    EXPLICIT_G2 = "explicit-g2"
 
 
 class SetLevel(enum.Enum):
@@ -110,13 +106,11 @@ def count_without_eigenvalue_one(ell: int, g: int, lam: int,
 
 # -- block pools --
 
-def _block_count(ell: int, g: int, strategy: BlockStrategy) -> int:
-    if strategy is BlockStrategy.EXPLICIT_G2:
-        return ell * (ell - 1) ** 2
+def _block_count(ell: int, g: int) -> int:
     return no_eigenvalue_one_floor(ell, g - 1) * sp_order(g - 2, ell)
 
 
-def _require_constructible(ctx: GroupContext, strategy: BlockStrategy) -> int:
+def _require_constructible(ctx: GroupContext) -> int:
     if not ctx.modulus.is_prime:
         raise ValueError("set construction requires a prime modulus")
     ell = ctx.modulus.n
@@ -126,37 +120,19 @@ def _require_constructible(ctx: GroupContext, strategy: BlockStrategy) -> int:
             "floor zero, so the block pool and every derived set are empty")
     if ctx.g < 2:
         raise ValueError("set construction needs g >= 2")
-    if strategy is BlockStrategy.EXPLICIT_G2 and ctx.g != 2:
-        raise ValueError("the explicit block pool is defined only for g = 2")
     return ell
 
 
-def _explicit_pool(ell: int, lam: int) -> np.ndarray:
-    rows = []
-    for b11 in range(ell):
-        for b12 in range(1, ell):
-            inv12 = pow(b12, -1, ell)
-            for b22 in range(ell):
-                if b22 == (1 - b11 + lam) % ell:
-                    continue
-                b21 = inv12 * (b11 * b22 - lam) % ell
-                rows.append((b11, b12, b21, b22))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
-
-
-def _blocks_entries(ctx: GroupContext, lams: Sequence[int],
-                    strategy: BlockStrategy) -> list[np.ndarray]:
+def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
     """Block pools of the multipliers ``lams``, each an (m, 2g-2, 2g-2) int64 array.
 
     The canonical pool of lam is the first eligible blocks of multiplier lam
     in the scan order of the genus g-1 group.  One scan of that group, its
     eigenvalue-one-free rows split by multiplier, serves every lam.
     """
-    ell = _require_constructible(ctx, strategy)
+    ell = _require_constructible(ctx)
     lams = [_require_unit(lam, ell) for lam in lams]
-    if strategy is BlockStrategy.EXPLICIT_G2:
-        return [_explicit_pool(ell, lam) for lam in lams]
-    need = _block_count(ell, ctx.g, strategy)
+    need = _block_count(ell, ctx.g)
     picked: dict[int, list[np.ndarray]] = {lam: [] for lam in lams}
     have = dict.fromkeys(lams, 0)
     for entries, mults in scan_entries(GroupContext(ctx.g - 1, ctx.modulus)):
@@ -176,39 +152,34 @@ def _blocks_entries(ctx: GroupContext, lams: Sequence[int],
     return [np.concatenate(picked[lam], axis=0) for lam in lams]
 
 
-def select_blocks(ctx: GroupContext, lam: int,
-                  strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> list[ModMatrix]:
-    """The chosen block pool for one multiplier, as matrices."""
-    entries = _blocks_entries(ctx, [lam], strategy)[0]
+def select_blocks(ctx: GroupContext, lam: int) -> list[ModMatrix]:
+    """The block pool of one multiplier, as matrices."""
+    entries = _blocks_entries(ctx, [lam])[0]
     return [ModMatrix.from_flat(ctx.modulus, m.ravel()) for m in entries]
 
 
 # -- cardinality formulas --
 
-def core_cardinality(g: int, ell: int,
-                     strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> int:
+def core_cardinality(g: int, ell: int) -> int:
     """ell^(2g-2) * (ell-1) * |block pool|."""
-    return ell ** (2 * g - 2) * (ell - 1) * _block_count(ell, g, strategy)
+    return ell ** (2 * g - 2) * (ell - 1) * _block_count(ell, g)
 
 
-def full_cardinality(g: int, ell: int,
-                     strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> int:
+def full_cardinality(g: int, ell: int) -> int:
     """(ell^(2g-2) * (ell-1) + 1) * core cardinality."""
-    return (ell ** (2 * g - 2) * (ell - 1) + 1) * core_cardinality(g, ell, strategy)
+    return (ell ** (2 * g - 2) * (ell - 1) + 1) * core_cardinality(g, ell)
 
 
-def union_cardinality(g: int, ell: int, q: int | _Infinity,
-                      strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> int:
+def union_cardinality(g: int, ell: int, q: int | _Infinity) -> int:
     """Sum of full layers over the admissible multipliers mod ell.
 
     The per-multiplier cardinality does not depend on the multiplier, so
     this is (number of admissible multipliers) * full cardinality.
     """
-    return GroupContext.of(g, ell, q).multiplier_count() * full_cardinality(g, ell, strategy)
+    return GroupContext.of(g, ell, q).multiplier_count() * full_cardinality(g, ell)
 
 
-def composite_union_cardinality(g: int, n: int, q: int | _Infinity,
-                                strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL) -> int:
+def composite_union_cardinality(g: int, n: int, q: int | _Infinity) -> int:
     """Cardinality of the union-level set over squarefree composite n.
 
     Residues mod n with every reduction in the per-prime set and a single
@@ -217,14 +188,13 @@ def composite_union_cardinality(g: int, n: int, q: int | _Infinity,
     """
     ctx = GroupContext.of(g, n, q)
     return ctx.multiplier_count() * math.prod(
-        full_cardinality(g, ell, strategy) for ell in ctx.modulus.primes)
+        full_cardinality(g, ell) for ell in ctx.modulus.primes)
 
 
 # -- materialized sets (g = 2) --
 
-def _require_materializable(ctx: GroupContext, strategy: BlockStrategy,
-                            allow_large: bool) -> int:
-    ell = _require_constructible(ctx, strategy)
+def _require_materializable(ctx: GroupContext, allow_large: bool) -> int:
+    ell = _require_constructible(ctx)
     if ctx.g != 2:
         raise ValueError("materialization is implemented for g = 2 only; "
                          "use the cardinality formulas and witness samplers for larger g")
@@ -297,20 +267,22 @@ class FixedVectorSet:
     """A materialized layer of the construction.
 
     The elements are held as sorted packed integer keys, so membership is a
-    binary search and dumps are canonically ordered.  ``cardinality`` is
-    the measured deduplicated count of the keys.  ``lam`` is the multiplier
-    of a core or full layer and None for a union layer, whose multipliers
-    are those of ``ctx.q``.
+    binary search and dumps are canonically ordered.  ``lam`` is the
+    multiplier of a core or full layer and None for a union layer, whose
+    multipliers are those of ``ctx.q``.
     """
 
     def __init__(self, ctx: GroupContext, lam: int | None, level: SetLevel,
-                 strategy: BlockStrategy, cardinality: int, keys: np.ndarray):
+                 keys: np.ndarray):
         self.ctx = ctx
         self.lam = lam
         self.level = level
-        self.strategy = strategy
-        self.cardinality = cardinality
         self.keys = keys
+
+    @property
+    def cardinality(self) -> int:
+        """The measured count of the deduplicated keys."""
+        return self.keys.shape[0]
 
     def contains_flat(self, flat: np.ndarray) -> np.ndarray:
         """Membership mask for an (N, dim*dim) int64 entry array."""
@@ -344,7 +316,7 @@ class FixedVectorSet:
             "n": self.ctx.modulus.n,
             "q": "inf" if isinstance(q, _Infinity) else q,
             "level": self.level.value,
-            "strategy": self.strategy.value,
+            "strategy": POOL_NAME,
             "cardinality": str(self.cardinality),
             "seed-independent": True,
         }
@@ -358,7 +330,7 @@ class FixedVectorSet:
 
     @classmethod
     def load(cls, fh: TextIO, ctx: GroupContext, lam: int | None,
-             level: SetLevel, strategy: BlockStrategy) -> "FixedVectorSet":
+             level: SetLevel) -> "FixedVectorSet":
         """Read a dump written by ``dump``; raises ValueError on a malformed one.
 
         Each chunk of lines is packed to keys as it is read, so the entries
@@ -371,22 +343,19 @@ class FixedVectorSet:
         keys = _gf.unique_keys(np.concatenate(packed))
         if keys.shape[0] != rows:
             raise ValueError("dump contains duplicate matrices")
-        return cls(ctx, lam, level, strategy, keys.shape[0], keys)
+        return cls(ctx, lam, level, keys)
 
 
 def build_core_set(ctx: GroupContext, lam: int,
-                   strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL,
                    allow_large: bool = False) -> FixedVectorSet:
     """Materialize the core layer for one multiplier (g = 2)."""
-    ell = _require_materializable(ctx, strategy, allow_large)
-    entries = _core_entries(ctx, lam, _blocks_entries(ctx, [lam], strategy)[0])
+    ell = _require_materializable(ctx, allow_large)
+    entries = _core_entries(ctx, lam, _blocks_entries(ctx, [lam])[0])
     keys = _gf.unique_keys(_gf.pack_entries(entries.reshape(entries.shape[0], -1), ell))
-    return FixedVectorSet(ctx, lam % ell, SetLevel.CORE,
-                          strategy, keys.shape[0], keys)
+    return FixedVectorSet(ctx, lam % ell, SetLevel.CORE, keys)
 
 
-def _construction_keys(ctx: GroupContext, lams: Sequence[int],
-                       strategy: BlockStrategy) -> np.ndarray:
+def _construction_keys(ctx: GroupContext, lams: Sequence[int]) -> np.ndarray:
     """Unsorted keys of every matrix the full layers of ``lams`` are built from.
 
     One key array, sized by the construction's row count (core rows times
@@ -397,7 +366,7 @@ def _construction_keys(ctx: GroupContext, lams: Sequence[int],
     ell = ctx.modulus.n
     dd = ctx.dim * ctx.dim
     cores = [_core_entries(ctx, lam, blocks).reshape(-1, dd)
-             for lam, blocks in zip(lams, _blocks_entries(ctx, lams, strategy))]
+             for lam, blocks in zip(lams, _blocks_entries(ctx, lams))]
     ops = _gf.conjugation_operators([_conjugator_pair(ctx, (a3, a4), beta)
                                      for a3 in range(ell) for a4 in range(ell)
                                      for beta in range(1, ell)])
@@ -414,22 +383,18 @@ def _construction_keys(ctx: GroupContext, lams: Sequence[int],
 
 
 def build_full_set(ctx: GroupContext, lam: int,
-                   strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL,
                    allow_large: bool = False) -> FixedVectorSet:
     """Materialize the full (conjugation-closed) layer for one multiplier."""
-    ell = _require_materializable(ctx, strategy, allow_large)
-    keys = _gf.unique_keys(_construction_keys(ctx, [lam], strategy))
-    return FixedVectorSet(ctx, lam % ell, SetLevel.FULL,
-                          strategy, keys.shape[0], keys)
+    ell = _require_materializable(ctx, allow_large)
+    keys = _gf.unique_keys(_construction_keys(ctx, [lam]))
+    return FixedVectorSet(ctx, lam % ell, SetLevel.FULL, keys)
 
 
-def build_union_set(ctx: GroupContext,
-                    strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL,
-                    allow_large: bool = False) -> FixedVectorSet:
+def build_union_set(ctx: GroupContext, allow_large: bool = False) -> FixedVectorSet:
     """Materialize the union over all admissible multipliers of the context."""
-    ell = _require_materializable(ctx, strategy, allow_large)
-    keys = _gf.unique_keys(_construction_keys(ctx, ctx.multiplier_values(ell), strategy))
-    return FixedVectorSet(ctx, None, SetLevel.UNION, strategy, keys.shape[0], keys)
+    ell = _require_materializable(ctx, allow_large)
+    keys = _gf.unique_keys(_construction_keys(ctx, ctx.multiplier_values(ell)))
+    return FixedVectorSet(ctx, None, SetLevel.UNION, keys)
 
 
 # -- membership without materialization --
@@ -441,19 +406,17 @@ class DirectMembership:
     line, that line meets the orbit of e_1 under the shear conjugators
     (equivalently, contains a vector (1, b, c, d) with the right shape), and
     conjugating back by the unique shear lands in the core layer: e_1-fixing
-    shape, block in the chosen pool, corner entry off the excluded value.
+    shape, block in the pool, corner entry off the excluded value.
     Works for any prime ell at g = 2 with O(1) memory in the set size, which
     is what makes simulation at moduli whose materialized sets would not fit
     in RAM possible.
     """
 
-    def __init__(self, ctx: GroupContext,
-                 strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL):
-        ell = _require_constructible(ctx, strategy)
+    def __init__(self, ctx: GroupContext):
+        ell = _require_constructible(ctx)
         if ctx.g != 2:
             raise ValueError("direct membership is implemented for g = 2 only")
         self.ctx = ctx
-        self.strategy = strategy
         self.ell = ell
         lams = ctx.multiplier_values(ell)
         self._admissible = np.zeros(ell, dtype=bool)
@@ -461,7 +424,7 @@ class DirectMembership:
         # every pool block of every admissible multiplier, keyed by
         # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
         keys, inverses = [], []
-        for lam, blocks in zip(lams, _blocks_entries(ctx, lams, strategy)):
+        for lam, blocks in zip(lams, _blocks_entries(ctx, lams)):
             keys.append(self._block_key(lam, blocks[:, 0, 0], blocks[:, 0, 1],
                                         blocks[:, 1, 0], blocks[:, 1, 1]))
             inverses.append(_pool_inverses(blocks, ell))
@@ -482,7 +445,7 @@ class DirectMembership:
 
     @property
     def cardinality(self) -> int:
-        return union_cardinality(self.ctx.g, self.ell, self.ctx.q, self.strategy)
+        return union_cardinality(self.ctx.g, self.ell, self.ctx.q)
 
     def contains(self, mat: ModMatrix) -> bool:
         if mat.modulus != self.ctx.modulus or mat.dim != self.ctx.dim:
@@ -564,17 +527,13 @@ class CompositeUnionSet:
     union layer.
     """
 
-    def __init__(self, ctx: GroupContext,
-                 strategy: BlockStrategy = BlockStrategy.LEX_CANONICAL):
+    def __init__(self, ctx: GroupContext):
         self.ctx = ctx
-        self.strategy = strategy
-        self.parts = {ell: DirectMembership(ctx.restrict(ell), strategy)
-                      for ell in ctx.modulus.primes}
+        self.parts = {ell: DirectMembership(ctx.restrict(ell)) for ell in ctx.modulus.primes}
 
     @property
     def cardinality(self) -> int:
-        return composite_union_cardinality(self.ctx.g, self.ctx.modulus.n,
-                                           self.ctx.q, self.strategy)
+        return composite_union_cardinality(self.ctx.g, self.ctx.modulus.n, self.ctx.q)
 
     def contains(self, mat: ModMatrix) -> bool:
         if not is_member(self.ctx, mat):
@@ -593,7 +552,7 @@ def sample_core_witness(ctx: GroupContext, lam: int, seed: int, index: int) -> M
     enumerable beyond g = 2), so witnesses demonstrate the structural
     properties of the family rather than membership in one pinned set.
     """
-    ell = _require_constructible(ctx, BlockStrategy.LEX_CANONICAL)
+    ell = _require_constructible(ctx)
     lam = _require_unit(lam, ell)
     rng = CounterRng(seed, index)
     d = ctx.dim

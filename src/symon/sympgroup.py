@@ -36,8 +36,8 @@ class NotSimilitude(ValueError):
 class BudgetExceeded(RuntimeError):
     """An exhaustive operation would touch more candidates than allowed."""
 
-    def __init__(self, estimate: int, budget: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {estimate} candidates, budget is {budget}")
+    def __init__(self, estimate: int, budget: int):
+        super().__init__(f"enumeration needs {estimate} candidates, budget is {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -114,9 +114,7 @@ class GroupContext:
         return form_matrix(self.g, self.modulus)
 
     def restrict(self, ell: int) -> "GroupContext":
-        if ell not in self.modulus.primes:
-            raise ValueError(f"{ell} does not divide the modulus {self.modulus.n}")
-        return GroupContext(self.g, Modulus.of(ell), self.q)
+        return GroupContext(self.g, self.modulus.restrict(ell), self.q)
 
     def multiplier_count(self) -> int:
         """How many admissible multipliers there are mod the (squarefree)

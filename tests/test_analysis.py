@@ -22,7 +22,8 @@ from symon.analysis import (
     pow_enclosure,
     primes_upto,
 )
-from symon.specialsets import build_full_set, union_cardinality
+from symon.montecarlo import SetHitEvent, estimate_events
+from symon.specialsets import DirectMembership, build_full_set, union_cardinality
 from symon.sympgroup import GroupContext, INFINITY, gsp_q_order, sp_order
 
 
@@ -60,6 +61,17 @@ def test_density_examples():
 
 
 def test_density_matches_materialized():
+    # density_ratio, the closed-formula count, the count of the pool that
+    # DirectMembership decides against and the exact value a set-hit
+    # estimate reports must all be the density of one and the same set
+    for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for q in (2, INFINITY):
+            ctx = GroupContext.of(2, ell, q)
+            ratio = density_ratio(2, ell, q)
+            assert ratio == Fraction(union_cardinality(2, ell, q), gsp_q_order(ctx))
+            assert ratio == Fraction(DirectMembership(ctx).cardinality, gsp_q_order(ctx))
+            est = estimate_events(ctx, [SetHitEvent(ell)], 1, 10, 1)[0]
+            assert est.exact_value == ratio
     for ell in (3, 5):
         ratio = Fraction(union_cardinality(2, ell, 2),
                          gsp_q_order(GroupContext.of(2, ell, 2)))

@@ -184,16 +184,18 @@ def test_budget_env_var():
     assert proc.returncode == 0          # the flag outranks the environment
 
 
-def test_special_set_build_explicit_strategy(tmp_path):
-    out = tmp_path / "exp.txt"
-    proc = run_cli("special-set", "build", "--ell", "3", "--q", "2",
-                   "--level", "union", "--strategy", "explicit-g2",
-                   "--out", str(out))
-    built = json.loads(proc.stdout)
-    assert built["strategy"] == "explicit-g2"
-    assert built["cardinality"] == "8208"   # 12-block pool coincides in size at 3
-    assert json.loads(run_cli("special-set", "verify", "--dump",
-                              str(out)).stdout)["status"] == "ok"
+def test_verify_rejects_a_sidecar_of_another_pool(tmp_path):
+    # a real union dump, relabelled: there is one block pool, so any other
+    # pool name is an input error
+    out = tmp_path / "union.txt"
+    built = json.loads(run_cli("special-set", "build", "--ell", "3", "--q", "2",
+                               "--level", "union", "--out", str(out)).stdout)
+    assert built["strategy"] == "lex-canonical"
+    side = tmp_path / "union.txt.json"
+    side.write_text(side.read_text().replace('"lex-canonical"', '"explicit-g2"'))
+    proc = run_cli("special-set", "verify", "--dump", str(out), check=False)
+    assert_input_error(proc)
+    assert "explicit-g2" in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

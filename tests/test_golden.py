@@ -66,19 +66,19 @@ HELP_SHA256 = {
     "": "311c54ae64d3c1248f7c31c385f2da47dde623335720943a4ff5e17d1bb34a84",
     "verify-counts": "70cc4ca14c0f5371fd029525a8db2f04d34607142be4bc91fe1b6c8487867068",
     "special-set": "e970982f3f526f14d87b2fcba766fe6235f41c396c686d92d2f121698afa4de0",
-    "special-set build": "0cf58ea5ae6d38734af20a2cc17aeb0f04c49d68a15706c1bcf69bc607f45c2b",
+    "special-set build": "4aad323790a55de8c2f55d9b34b0805d3d9be43102abd7f5ccfb7d90fffb6748",
     "special-set verify": "3a98cd17fe83a373401e7d7497656df110b4351106b010b100594b278234f085",
     "series": "c52ed5951432cbbd19fd288a8bbf9d9924900dd8bda50455f4dc63be1eaf3394",
     "series part-a": "0b97391732d102fab5935e0f76a479d5781996088bc7f4af8c448fe7d38b3286",
     "series part-b": "6ecc0bf234b9ea4f3bf91cfb04efd0c82f274f57d0a328937c184e3dae655e20",
     "simulate": "c1cf0d13897a4ab256fadcc876f7493ccfbc60f39e9a48c4c9e84a12bc05eed7",
     "simulate hit-frequency":
-        "dc060ac7da262563818dd8594f0b15e0585cd1d95a9c36a3a83a44081d5380c0",
+        "0bebcbe50210894ccacbc3362b1318d8839d9b04583e770bea863dff63ed5def",
     "simulate independence":
-        "bf6a80069515f08ed547b6224bf0c0bbbb387f2d556e5f1b7f0df959eac6cf42",
+        "b0a61ad4233001f53260719c1625fdc3f00baf9a5a1d246c5774c1778c44c8a9",
     "simulate mu-x": "bde60ee5494774114414f4cb2a00380747faa97d86c26a4012481b8acee65c18",
     "simulate borel-cantelli":
-        "ca98df4e43401a6e06e6784dc062231cc1b4c9088e1982d0c050c52138490617",
+        "8bd98635b19a5ace056a778bdd6ef5d4927024adf73491abe777671d423bfd17",
     "orders": "c1722eb765614b69dbab0828db4d3b5a7fa345b0b0581b495df44cf03a0d0c42",
     "enumerate": "250f2d6c1412211b8d84e70c13d15b1741e924cb03ebdffda00ac589f6d7ccaa",
 }

@@ -138,8 +138,9 @@ def test_crt_examples():
         == ModMatrix.identity(m3, 2)
     with pytest.raises(ValueError):
         crt_lift([ModMatrix.identity(m3, 2), ModMatrix.identity(m3, 2)])
-    with pytest.raises(ValueError):
-        reduce_mod(ModMatrix.identity(M15, 2), 7)
+    for ell in (7, 15):
+        with pytest.raises(ValueError, match=f"^{ell} is not a prime factor of the modulus 15$"):
+            reduce_mod(ModMatrix.identity(M15, 2), ell)
 
 
 def test_crt_round_trip_seeded():

@@ -23,7 +23,7 @@ from symon.montecarlo import (
     sample_tuple,
 )
 from symon.prng import CounterLanes, CounterRng
-from symon.specialsets import BlockStrategy, DirectMembership, build_full_set, build_union_set
+from symon.specialsets import DirectMembership, build_full_set, build_union_set
 from symon.sympgroup import (
     GroupContext,
     INFINITY,
@@ -180,6 +180,12 @@ def test_set_hit_requires_slot_one():
         estimate_event(ctx, SetHitEvent(5), 2, 100, 1)
 
 
+@pytest.mark.parametrize("ell", [7, 15])
+def test_event_prime_must_be_a_prime_factor(ell):
+    with pytest.raises(ValueError, match=f"^{ell} is not a prime factor of the modulus 15$"):
+        estimate_events(GroupContext.of(2, 15, 2), [FixedVectorEvent(ell)], 2, 10, 1)
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     # several chunks per run, so chunk edges and per-chunk replays are hit
@@ -269,11 +275,11 @@ def test_lane_sampler_matches_sample_tuple(g, n, q, e, seed, start):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([3, 5, 7, 13, 15, 35]), st.sampled_from([2, INFINITY]),
-       st.sampled_from(list(BlockStrategy)), st.integers(0, 2**64 - 1))
-def test_lane_membership_matches_contains_rows(n, q, strategy, seed):
+       st.integers(0, 2**64 - 1))
+def test_lane_membership_matches_contains_rows(n, q, seed):
     ctx = GroupContext.of(2, n, q)
     for ell in ctx.modulus.primes:
-        direct = DirectMembership(ctx.restrict(ell), strategy)
+        direct = DirectMembership(ctx.restrict(ell))
         lanes = CounterLanes(seed, np.arange(400, dtype=np.uint64))
         values = np.array(ctx.multiplier_values(ell))
         a = sample_entries_lanes(2, ell, values[lanes.below(len(values))], lanes)

@@ -19,7 +19,6 @@ from symon.modmat import (
 )
 from symon.prng import CounterRng
 from symon.specialsets import (
-    BlockStrategy,
     _blocks_entries,
     CompositeUnionSet,
     DirectMembership,
@@ -47,9 +46,6 @@ from symon.sympgroup import (
     scan_entries,
     transvection,
 )
-
-LEX = BlockStrategy.LEX_CANONICAL
-EXPLICIT = BlockStrategy.EXPLICIT_G2
 
 
 def test_floor_values():
@@ -80,7 +76,7 @@ def test_count_against_direct_scan():
 
 def test_select_blocks_lex():
     ctx = GroupContext.of(2, 5, 2)
-    blocks = select_blocks(ctx, 2, LEX)
+    blocks = select_blocks(ctx, 2)
     assert len(blocks) == 90
     for b in blocks:
         assert not has_eigenvalue_one(b)
@@ -97,7 +93,7 @@ def test_select_blocks_lex():
 
 def test_select_blocks_availability_at_3():
     ctx = GroupContext.of(2, 3)
-    blocks = select_blocks(ctx, 1, LEX)
+    blocks = select_blocks(ctx, 1)
     assert len(blocks) == 12
     assert count_without_eigenvalue_one(3, 1, 1) == 15   # 15 available >= 12 needed
 
@@ -110,7 +106,7 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
     ctx = GroupContext.of(2, ell, q)
     lams = ctx.multiplier_values()
     need = no_eigenvalue_one_floor(ell, 1)
-    for lam, pool in zip(lams, _blocks_entries(ctx, lams, LEX), strict=True):
+    for lam, pool in zip(lams, _blocks_entries(ctx, lams), strict=True):
         scan = np.concatenate([entries for entries, _ in
                                scan_entries(GroupContext.of(1, ell), lam=lam)])
         want = scan[_gf.batch_det_minus_identity(scan, ell) != 0][:need]
@@ -118,21 +114,9 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         assert pool.dtype == want.dtype and np.array_equal(pool, want)
 
 
-def test_select_blocks_explicit():
-    ctx = GroupContext.of(2, 5, 2)
-    blocks = select_blocks(ctx, 2, EXPLICIT)
-    assert len(blocks) == 5 * 4 * 4
-    for b in blocks:
-        assert not has_eigenvalue_one(b)
-        assert multiplier(GroupContext.of(1, 5), b) == 2
-        assert b.rows[0][1] != 0
-
-
 def test_construction_guards():
     with pytest.raises(ValueError):
         build_core_set(GroupContext.of(2, 2), 1)
-    with pytest.raises(ValueError):
-        select_blocks(GroupContext.of(3, 5), 1, EXPLICIT)
     with pytest.raises(ValueError):
         build_core_set(GroupContext.of(3, 5), 1)            # g=3 not materializable
     with pytest.raises(ValueError):
@@ -140,7 +124,7 @@ def test_construction_guards():
     with pytest.raises(ValueError):
         build_core_set(GroupContext.of(2, 37), 1, allow_large=True)   # over the hard cap
     # the block pool itself is fine past the default cap
-    assert len(select_blocks(GroupContext.of(2, 17), 1, LEX)) == 4590
+    assert len(select_blocks(GroupContext.of(2, 17), 1)) == 4590
 
 
 @pytest.mark.parametrize("lam", [1, 2])
@@ -213,16 +197,6 @@ def test_union_build_peak_memory_stays_near_key_bytes():
     before_kib, peak_kib, key_bytes = map(int, proc.stdout.split())
     assert key_bytes == 8 * union_cardinality(2, 5, 2)
     assert (peak_kib - before_kib) * 1024 <= 2 * key_bytes
-
-
-def test_explicit_strategy_cardinalities():
-    # core at ell=5 with the closed-form pool: 25 * 4 * 80
-    s = build_core_set(GroupContext.of(2, 5), 2, EXPLICIT)
-    assert s.cardinality == core_cardinality(2, 5, EXPLICIT) == 8000
-    f = build_full_set(GroupContext.of(2, 3), 2, EXPLICIT)
-    assert f.cardinality == full_cardinality(2, 3, EXPLICIT) == 4104
-    # union-level bookkeeping for the explicit pool at ell=5, q=2
-    assert union_cardinality(2, 5, 2, EXPLICIT) == 4 * (80 * 25 * 4 * 101)
 
 
 def test_conjugate_distinctness_exhaustive_at_3():
@@ -331,8 +305,7 @@ def test_dump_load_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == "# dim=4 mod=3"
     assert len(text.splitlines()) == 1 + 4104
-    loaded = FixedVectorSet.load(io.StringIO(text), ctx, 2,
-                                 SetLevel.FULL, LEX)
+    loaded = FixedVectorSet.load(io.StringIO(text), ctx, 2, SetLevel.FULL)
     assert loaded.cardinality == s.cardinality
     assert bool((loaded.keys == s.keys).all())
     buf2 = io.StringIO()
@@ -347,11 +320,11 @@ def test_dump_load_round_trip_across_reader_chunks():
     entries = np.random.default_rng(5).integers(0, 5, size=(150_001, 16))
     keys = _gf.unique_keys(_gf.pack_entries(entries, 5))
     assert keys.shape[0] == 150_001 > 2 * LINES_PER_CHUNK
-    s = FixedVectorSet(ctx, None, SetLevel.UNION, LEX, keys.shape[0], keys)
+    s = FixedVectorSet(ctx, None, SetLevel.UNION, keys)
     buf = io.StringIO()
     assert s.dump(buf) == 150_001
     text = buf.getvalue()
-    loaded = FixedVectorSet.load(io.StringIO(text), ctx, None, SetLevel.UNION, LEX)
+    loaded = FixedVectorSet.load(io.StringIO(text), ctx, None, SetLevel.UNION)
     assert loaded.cardinality == 150_001
     assert np.array_equal(loaded.keys, keys)
     buf2 = io.StringIO()
@@ -368,7 +341,7 @@ def test_load_rejects_duplicates():
     lines.append(lines[1])
     with pytest.raises(ValueError):
         FixedVectorSet.load(io.StringIO("\n".join(lines) + "\n"), ctx,
-                            2, SetLevel.CORE, LEX)
+                            2, SetLevel.CORE)
 
 
 @pytest.mark.parametrize("g,ell,lam", [(2, 7, 3), (3, 5, 2)])

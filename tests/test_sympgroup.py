@@ -266,6 +266,9 @@ def test_context_validation():
         GroupContext.of(0, 5)
     ctx = GroupContext.of(2, 15, 2)
     assert ctx.restrict(5).modulus.n == 5
+    for ell in (7, 15):
+        with pytest.raises(ValueError, match=f"^{ell} is not a prime factor of the modulus 15$"):
+            ctx.restrict(ell)
     assert ctx.multiplier_values() == (2, 4, 8, 1)
     assert GroupContext.of(1, 5).multiplier_values() == (1, 2, 3, 4)
     assert math.prod(GroupContext.of(1, 5, INFINITY).multiplier_values()) % 5 == 4
