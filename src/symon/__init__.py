@@ -29,7 +29,6 @@ from .sympgroup import (
     is_member,
     multiplicative_order,
     multiplier,
-    orbit_size,
     pairing,
     sample_uniform,
     sp_order,

@@ -13,14 +13,20 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   over at most d terms: below d * p**2.
 * ``batch_rref`` (and ``batch_rank``, ``batch_kernel_basis``): entries
   stay within p + c * p**2 for c columns before the final reduction.
-* ``pack_entries``: a word holds k base-p digits with p**k < 2**63 by
-  construction (``pack_words``).
-* ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact and
-  checked to fit int32; see its docstring.
+* ``pack_entries``: a word holds at most k base-p digits with p**k < 2**63
+  by construction (``pack_words``).  It is summed in pieces of at most
+  ``piece_digits(p)`` digits, each a float64 dot product below 2**53 and so
+  exact in any summation order; the pieces are joined in uint64 without
+  exceeding the word's p**k.  A piece holds at least 8 digits for p <= 31.
+* ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact because
+  they stay below 2**53.  They are reduced in uint16 while that bound is
+  below 2**16 (p <= 13 at D = 16) and in uint32 below 2**31; see its
+  docstring.
 
 The int64 bounds hold far beyond any modulus whose scan fits the
-enumeration budget; ``conjugate_into`` checks its int32 bound and raises
-``ValueError`` past it (p > 512 at D = 16, above the materialization cap).
+enumeration budget; ``conjugate_into`` checks its bound and raises
+``ValueError`` past 2**31 (p > 512 at D = 16, above the materialization
+cap).
 """
 
 from __future__ import annotations
@@ -157,17 +163,37 @@ def pack_words(p: int, count: int) -> int:
     return -(-count // per)
 
 
+def piece_digits(p: int) -> int:
+    """Largest k with p**k < 2**53: k base-p digits sum exactly in float64."""
+    k = 1
+    while p ** (k + 1) < (1 << 53):
+        k += 1
+    return k
+
+
 def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
-    """Pack (N, D) entry arrays into (N, W) uint64 key arrays."""
+    """Pack (N, D) entry arrays into (N, W) uint64 key arrays.
+
+    Each word is built from pieces of at most ``piece_digits(p)`` digits.
+    A piece is one float64 matrix-vector product (BLAS), exact because its
+    value is below p**k < 2**53; the pieces are joined in uint64 as
+    ``word * p**width + piece``.
+    """
     n, dd = flat.shape
     words = pack_words(p, dd)
     per = -(-dd // words)
+    k = piece_digits(p)
+    a = flat.astype(np.float64)
     out = np.zeros((n, words), dtype=np.uint64)
     for w in range(words):
-        part = flat[:, w * per:(w + 1) * per]
-        k = part.shape[1]
-        powers = (p ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        out[:, w] = (part.astype(np.int64) @ powers).astype(np.uint64)
+        end = min((w + 1) * per, dd)
+        for lo in range(w * per, end, k):
+            width = min(k, end - lo)
+            powers = float(p) ** np.arange(width - 1, -1, -1)
+            piece = (a[:, lo:lo + width] @ powers).astype(np.uint64)
+            if lo > w * per:
+                piece += out[:, w] * np.uint64(p ** width)
+            out[:, w] = piece
     return out
 
 
@@ -255,16 +281,21 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
     so each output entry is a sum of D nonnegative terms, each at most
     (p-1)**3.  At g = 2 (D = 16) and the hard cap p = 31 that sum is below
     16 * 30**3 = 432,000, so it is exact in float64 (below 2**53) whatever
-    order BLAS sums in, and it fits int32, where it is reduced mod p.
-    Raises ValueError when D * (p-1)**3 >= 2**31.
+    order BLAS sums in.  The sums are cast to uint16 while D * (p-1)**3 <
+    2**16 (p <= 13 at D = 16) and to uint32 otherwise, and reduced there as
+    e - p * (e // p), which never leaves [0, e].  The reduced entries are
+    packed by ``pack_entries``.  Raises ValueError when D * (p-1)**3 >=
+    2**31.
     """
     n, dd = flat.shape
-    if dd * (p - 1) ** 3 >= 1 << 31:
+    bound = dd * (p - 1) ** 3
+    if bound >= 1 << 31:
         raise ValueError(f"conjugation sums at p={p}, D={dd} may not fit int32")
+    small = np.uint16 if bound < 1 << 16 else np.uint32
     a = flat.astype(np.float64)
     for j in range(ops.shape[1] // dd):
-        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(np.int32)
-        entries %= p
+        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(small)
+        entries -= p * (entries // p)
         out[j * n:(j + 1) * n] = pack_entries(entries, p)
 
 

@@ -569,6 +569,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise UsageError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except (BudgetExceeded, ValueError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

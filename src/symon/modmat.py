@@ -153,10 +153,6 @@ class ModVector:
         n = modulus.n
         return cls(modulus, tuple(int(x) % n for x in entries))
 
-    @classmethod
-    def basis_vector(cls, modulus: Modulus, dim: int, i: int) -> "ModVector":
-        return cls(modulus, tuple(1 if j == i else 0 for j in range(dim)))
-
 
 def _require_same(a: ModMatrix, b: ModMatrix) -> None:
     if a.modulus != b.modulus:

@@ -350,18 +350,6 @@ def stabilizer_matrix(ctx: GroupContext, params: StabilizerParams) -> ModMatrix:
     return ModMatrix.from_rows(ctx.modulus, rows)
 
 
-def orbit_size(ctx: GroupContext, v: ModVector) -> int:
-    """Orbit size of a nonzero vector: the class acts transitively, so
-    every nonzero vector has orbit ell^2g - 1."""
-    if not ctx.modulus.is_prime:
-        raise ValueError("orbit_size requires a prime modulus")
-    if v.dim != ctx.dim:
-        raise ValueError(f"vector must have dimension {ctx.dim}")
-    if all(x % ctx.modulus.n == 0 for x in v.entries):
-        raise ValueError("orbit of the zero vector is not defined here")
-    return ctx.modulus.n ** ctx.dim - 1
-
-
 # -- uniform sampling --
 
 def sample_uniform(ctx: GroupContext, lam: int, seed: int, index: int) -> ModMatrix:

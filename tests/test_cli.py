@@ -247,6 +247,49 @@ def test_verify_sidecar_without_q_is_input_error(tmp_path):
     assert "q" in proc.stderr
 
 
+def assert_main_input_error(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1, err
+    return err
+
+
+EVERY_COMMAND = [
+    ["verify-counts", "--ells", "3"],
+    ["special-set", "build", "--ell", "3", "--level", "core", "--lam", "1",
+     "--out", "/nonexistent/dir/x.txt"],
+    ["special-set", "verify", "--dump", "/nonexistent/dir/x.txt"],
+    ["series", "part-a", "--ell-max", "10"],
+    ["series", "part-b", "--ell-max", "10"],
+    ["simulate", "hit-frequency", "--n", "5", "--q", "2", "--samples", "10", "--seed", "1"],
+    ["simulate", "independence", "--n", "15", "--q", "2", "--samples", "10", "--seed", "1"],
+    ["simulate", "mu-x", "--ell", "3", "--samples", "10", "--seed", "1"],
+    ["simulate", "borel-cantelli", "--ells", "3", "--samples", "10", "--seed", "1"],
+    ["orders", "--n", "15"],
+    ["enumerate", "--ell", "3"],
+]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(argv[:2]))
+def test_threads_below_one_is_input_error(argv, threads, capsys):
+    assert "--threads" in assert_main_input_error(argv + ["--threads", threads], capsys)
+
+
+SIMULATE = ["simulate", "hit-frequency", "--n", "5", "--q", "2", "--samples", "10"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_input_error(seed, capsys):
+    assert "--seed" in assert_main_input_error(SIMULATE + ["--seed", str(seed)], capsys)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seed_at_the_64_bit_ends_is_accepted(seed, capsys):
+    assert cli.main(SIMULATE + ["--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
 @pytest.mark.parametrize("argv", [
     ("orders", "--g", "2", "--n", "15", "--q", "2"),
     ("enumerate", "--g", "1", "--ell", "3"),

@@ -31,6 +31,40 @@ def test_pack_unpack_round_trip(p):
     assert (_gf.unpack_entries(keys, p, 16) == flat).all()
 
 
+def reference_keys(flat, p):
+    """Keys in Python ints: ceil(D / W) base-p digits per word, most significant first."""
+    n, dd = flat.shape
+    words = _gf.pack_words(p, dd)
+    per = -(-dd // words)
+    keys = []
+    for row in flat.tolist():
+        key = []
+        for w in range(words):
+            word = 0
+            for digit in row[w * per:(w + 1) * per]:
+                word = word * p + digit
+            key.append(word)
+        keys.append(key)
+    return np.array(keys, dtype=np.uint64).reshape(n, words)
+
+
+@pytest.mark.parametrize("dd", [4, 16])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 509])
+def test_pack_entries_matches_python_int_reference(p, dd):
+    # at p = 509 a word holds 6 digits but a float64 piece only 5
+    flat = rand_entries(200, dd, p, 5 * p + dd)
+    flat[0] = p - 1                      # the largest word: every digit at p - 1
+    flat[1, ::2] = p - 1
+    flat[2] = 0
+    keys = _gf.pack_entries(flat, p)
+    assert keys.dtype == np.uint64
+    assert (keys == reference_keys(flat, p)).all()
+    if dd == 16 and p <= 31:
+        assert keys.shape[1] == (1 if p <= 13 else 2)
+        assert _gf.piece_digits(p) >= 8
+    assert p ** _gf.piece_digits(p) < 2 ** 53 <= p ** (_gf.piece_digits(p) + 1)
+
+
 @pytest.mark.parametrize("p", [13, 17])
 def test_key_order_matches_lexicographic(p):
     flat = rand_entries(400, 16, p, 3 * p)
@@ -148,7 +182,7 @@ def _core_shaped(ell, free):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_conjugate_into_matches_scalar_conjugation(data):
-    ell = data.draw(st.sampled_from([3, 5, 7, 13, 31]))
+    ell = data.draw(st.sampled_from([3, 5, 7, 13, 17, 31]))
     ctx = GroupContext.of(2, ell)
     residue = st.integers(0, ell - 1)
     cores = data.draw(st.lists(st.lists(residue, min_size=10, max_size=10),

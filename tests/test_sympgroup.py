@@ -18,7 +18,6 @@ from symon.sympgroup import (
     is_member,
     multiplicative_order,
     multiplier,
-    orbit_size,
     pairing,
     sample_uniform,
     scan_entries,
@@ -32,7 +31,7 @@ M5 = Modulus.of(5)
 
 
 def e_vec(modulus, dim, i):
-    return ModVector.basis_vector(modulus, dim, i)
+    return ModVector.from_entries(modulus, [1 if j == i else 0 for j in range(dim)])
 
 
 def test_form_matrix():
@@ -223,20 +222,7 @@ def test_orbit_size_against_bfs(g, ell):
                     seen.add(w.entries)
                     nxt.append(w)
         frontier = nxt
-    assert len(seen) == orbit_size(ctx, start) == ell ** d - 1
-
-
-def test_orbit_stabilizer_inequality():
-    for g, ell in ((1, 3), (1, 5), (2, 3)):
-        ctx = GroupContext.of(g, ell)
-        v = e_vec(ctx.modulus, 2 * g, 0)
-        assert orbit_size(ctx, v) ** (2 * g) >= gsp_q_order(ctx)
-
-
-def test_orbit_rejects_zero():
-    ctx = GroupContext.of(1, 3)
-    with pytest.raises(ValueError):
-        orbit_size(ctx, ModVector.from_entries(M3, [0, 0]))
+    assert len(seen) == ell ** d - 1
 
 
 def test_sample_uniform_membership_and_determinism():
