@@ -207,7 +207,7 @@ def unpack_entries(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
         vals = keys[:, w].astype(np.int64)
         for j in range(k - 1, -1, -1):
             out[:, w * per + j] = vals % p
-            vals = vals // p
+            vals //= p
     return out
 
 
@@ -302,13 +302,9 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
 # -- exhaustive candidate scan --
 
 def index_to_entries(idx: np.ndarray, p: int, dd: int) -> np.ndarray:
-    """Base-p digits of idx, most significant first: the row-major entries."""
-    out = np.empty((idx.shape[0], dd), dtype=np.int64)
-    v = idx.copy()
-    for k in range(dd - 1, -1, -1):
-        out[:, k] = v % p
-        v //= p
-    return out
+    """Base-p digits of idx, most significant first: the row-major entries
+    (one-word keys of ``unpack_entries``, as a scan in budget has p**dd < 2**63)."""
+    return unpack_entries(idx[:, None], p, dd)
 
 
 def pairings(a: np.ndarray, p: int, i: int, j: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _gf
 from .analysis import frac_str, int_str, part_a_series, part_b_series
-from .modmat import Modulus, write_matrix_lines
+from .modmat import write_matrix_lines
 from .montecarlo import (
     FixedVectorEvent,
     JointSetHitEvent,
@@ -40,6 +40,7 @@ from .specialsets import (
     FixedVectorSet,
     POOL_NAME,
     SetLevel,
+    _require_in_class,
     _require_materializable,
     build_core_set,
     build_full_set,
@@ -57,7 +58,6 @@ from .sympgroup import (
     GroupContext,
     INFINITY,
     _Infinity,
-    _require_unit,
     gsp_q_order,
     scan_entries,
     sp_order,
@@ -135,14 +135,8 @@ def _check(checks: list, name: str, expected, actual, ok: bool | None = None,
 def cmd_verify_counts(args) -> int:
     ells = _parse_ints(args.ells)
     qs = [_parse_q(x) for x in args.q.split(",") if x.strip()]
-    if args.g != 2:
-        raise UsageError("verify-counts materializes sets, which needs g=2")
     for ell in ells:
-        if ell < 3:
-            raise UsageError(
-                f"ell={ell} rejected: the (ell-2) factor in the eigenvalue-one-free "
-                "floor vanishes at 2, so every derived set would be empty")
-        Modulus.of(ell)
+        _require_materializable(GroupContext.of(2, ell), False)
     checks: list[dict] = []
 
     for ell in ells:
@@ -159,14 +153,14 @@ def cmd_verify_counts(args) -> int:
         _check(checks, "order-enumeration", sp_order(1, ell), int(counts[1]),
                g=1, ell=ell, lam=1)
         for q in qs:
-            values = GroupContext.of(1, ell, q).multiplier_values(ell)
+            values = GroupContext.of(1, ell, q).multiplier_values()
             total = int(sum(counts[v] for v in values))
             _check(checks, "class-order-enumeration",
                    gsp_q_order(GroupContext.of(1, ell, q)), total,
                    g=1, ell=ell, q=_q_str(q))
 
     lam_grid = {ell: sorted({v for q in qs
-                             for v in GroupContext.of(2, ell, q).multiplier_values(ell)})
+                             for v in GroupContext.of(2, ell, q).multiplier_values()})
                 for ell in ells}
 
     for ell in ells:
@@ -207,7 +201,7 @@ def cmd_verify_counts(args) -> int:
     counts = {"ok": sum(c["status"] == "ok" for c in checks),
               "fail": sum(c["status"] == "fail" for c in checks),
               "skipped": sum(c["status"] == "skipped" for c in checks)}
-    report = {"command": "verify-counts", "g": args.g, "ells": ells,
+    report = {"command": "verify-counts", "g": 2, "ells": ells,
               "q": [_q_str(q) for q in qs], "checks": checks, "counts": counts}
     _emit_json(args, report)
     return 1 if counts["fail"] else 0
@@ -230,7 +224,7 @@ _LEVELS = {
 def cmd_special_set_build(args) -> int:
     q = _parse_q(args.q)
     level = SetLevel(args.level)
-    ctx = GroupContext.of(args.g, args.ell, q)
+    ctx = GroupContext.of(2, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
         raise UsageError(f"--lam is required for level {level.value}")
     # validate before opening the outputs, and open both before the build, so
@@ -238,10 +232,7 @@ def cmd_special_set_build(args) -> int:
     # is built, so no failure empties an earlier dump
     _require_materializable(ctx, args.allow_large_ell)
     if level is not SetLevel.UNION:
-        _require_unit(args.lam, args.ell)
-        if args.lam % args.ell not in ctx.multiplier_values(args.ell):
-            raise UsageError(f"--lam {args.lam} is not in the multiplier class of "
-                             f"q={_q_str(q)} mod {args.ell}")
+        _require_in_class(ctx, args.lam)
     with _open(args.out, "a") as fh, _open(args.out + ".json", "a") as side:
         s = _LEVELS[level][0](ctx, args.lam, args.allow_large_ell)
         for f in (fh, side):
@@ -257,7 +248,9 @@ def cmd_special_set_build(args) -> int:
     return 0
 
 
-def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> None:
+def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> bool:
+    """Append the dump's problems; False when its lam is outside its class,
+    so that there is no layer to rebuild."""
     ell = s.ctx.modulus.n
     if str(s.cardinality) != sidecar["cardinality"]:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
@@ -266,12 +259,14 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
     if s.cardinality != formula:
         problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
                         f"the closed formula gives {formula}")
-    values = s.ctx.multiplier_values(ell)
-    if s.lam is not None and s.lam % ell not in values:
-        problems.append(f"lam {s.lam} is not in the multiplier class of "
-                        f"q={_q_str(s.ctx.q)} mod {ell}")
-    allowed = np.zeros(ell, dtype=bool)
-    allowed[list(values) if s.lam is None else s.lam % ell] = True
+    in_class = True
+    if s.lam is not None:
+        try:
+            _require_in_class(s.ctx, s.lam)
+        except ValueError as exc:
+            problems.append(str(exc))
+            in_class = False
+    allowed = s.ctx.multiplier_mask() if s.lam is None else np.arange(ell) == s.lam % ell
     dim = s.ctx.dim
     for entries in s.iter_entries():
         a = entries.reshape(-1, dim, dim)
@@ -293,6 +288,7 @@ def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> Non
             if not bool((col0 == e1).all()):
                 problems.append("a core member does not fix e_1")
                 break
+    return in_class
 
 
 def _read_sidecar(path: str) -> dict:
@@ -335,8 +331,7 @@ def cmd_special_set_verify(args) -> int:
             problems.append(str(exc))
             s = None
     if s is not None:
-        _verify_loaded(s, sidecar, problems)
-        if args.rebuild:
+        if _verify_loaded(s, sidecar, problems) and args.rebuild:
             fresh = _LEVELS[level][0](ctx, lam, True)
             if fresh.keys.shape != s.keys.shape or not bool((fresh.keys == s.keys).all()):
                 problems.append("rebuild does not reproduce the dump")
@@ -351,12 +346,8 @@ def cmd_special_set_verify(args) -> int:
 def cmd_series(args) -> int:
     if args.which == "part-a":
         q = _parse_q(args.q)
-        if args.g < 2:
-            raise UsageError("series part-a requires g >= 2 (the set construction)")
         report = part_a_series(args.g, q, args.ell_max)
     else:
-        if args.e < 2:
-            raise UsageError("series part-b requires e >= 2")
         report = part_b_series(args.g, args.e, args.ell_max)
     if args.format == "csv":
         _emit(args, "\n".join(report.csv_lines()) + "\n")
@@ -371,13 +362,11 @@ def cmd_series(args) -> int:
 
 def cmd_simulate_hit_frequency(args) -> int:
     q = _parse_q(args.q)
-    if args.e != 1:
-        raise UsageError("hit-frequency is a slot-one event; use --e 1")
-    ctx = GroupContext.of(args.g, args.n, q)
+    ctx = GroupContext.of(2, args.n, q)
     primes = ctx.modulus.primes
     event = SetHitEvent(primes[0]) if len(primes) == 1 else JointSetHitEvent(primes)
     est = estimate_events(ctx, [event], 1, args.samples, args.seed, args.threads)[0]
-    report = {"command": "simulate-hit-frequency", "g": args.g, "n": args.n,
+    report = {"command": "simulate-hit-frequency", "g": 2, "n": args.n,
               "q": _q_str(q), "e": 1, "samples": args.samples, "seed": args.seed,
               **est.as_report_dict()}
     _emit_json(args, report)
@@ -386,11 +375,8 @@ def cmd_simulate_hit_frequency(args) -> int:
 
 def cmd_simulate_independence(args) -> int:
     q = _parse_q(args.q)
-    ctx = GroupContext.of(args.g, args.n, q)
+    ctx = GroupContext.of(2, args.n, q)
     ells = tuple(_parse_ints(args.ells)) if args.ells else ctx.modulus.primes
-    for ell in ells:
-        if ell not in ctx.modulus.primes:
-            raise UsageError(f"{ell} is not a prime factor of n={args.n}")
     if len(ells) < 2:
         raise UsageError("independence needs at least two primes")
     events = [SetHitEvent(ell) for ell in ells] + [JointSetHitEvent(tuple(ells))]
@@ -405,7 +391,7 @@ def cmd_simulate_independence(args) -> int:
         se_sq += (rest * m.std_error) ** 2
     combined_se = math.sqrt(se_sq)
     report = {
-        "command": "simulate-independence", "g": args.g, "n": args.n,
+        "command": "simulate-independence", "g": 2, "n": args.n,
         "q": _q_str(q), "ells": list(ells), "samples": args.samples,
         "seed": args.seed,
         "marginals": [m.as_report_dict() for m in marginals],
@@ -517,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     # installed on this module's functions is the one that runs
     commands = [
         (("verify-counts",), cmd_verify_counts, [
-            "--g", ("--ells", dict(default="3,5,7", help="comma-separated grid primes")),
+            ("--ells", dict(default="3,5,7", help="comma-separated grid primes")),
             ("--q", dict(default="2,inf", help="comma-separated q values ('inf' allowed)")),
             "--budget",
             ("--set-budget", dict(type=int, default=2_000_000,
                                   help="skip materializing layers larger than this"))]),
         (("special-set", "build"), cmd_special_set_build, [
-            "--g", "--ell", "--q",
+            "--ell", "--q",
             ("--level", dict(choices=[l.value for l in SetLevel], default="union")),
             "--lam", ("--allow-large-ell", dict(action="store_true")),
             ("--out", dict(required=True, help=None))]),
@@ -535,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
         (("series", "part-b"), cmd_series, [
             "--g", ("--e", dict(default=2)), "--ell-max", "--format"]),
         (("simulate", "hit-frequency"), cmd_simulate_hit_frequency, [
-            "--g", "--n", "--q", ("--e", dict(default=1)), "--samples", "--seed"]),
+            "--n", "--q", "--samples", "--seed"]),
         (("simulate", "independence"), cmd_simulate_independence, [
-            "--g", "--n", "--q", ("--ells", dict(default=None)), "--samples", "--seed"]),
+            "--n", "--q", ("--ells", dict(default=None)), "--samples", "--seed"]),
         (("simulate", "mu-x"), cmd_simulate_mu_x, [
             "--g", "--ell", "--q", ("--e", dict(default=2)), "--samples", "--seed"]),
         (("simulate", "borel-cantelli"), cmd_simulate_borel_cantelli, [

@@ -123,6 +123,16 @@ def _require_constructible(ctx: GroupContext) -> int:
     return ell
 
 
+def _require_in_class(ctx: GroupContext, lam: int) -> int:
+    """lam mod ell; ValueError unless lam is a unit in the multiplier class of
+    ``ctx`` (for finite q, a power of q mod ell), where its layers lie."""
+    ell = ctx.modulus.n
+    unit = _require_unit(lam, ell)
+    if not isinstance(ctx.q, _Infinity) and unit not in ctx.multiplier_values():
+        raise ValueError(f"lam {lam} is not in the multiplier class of q={ctx.q} mod {ell}")
+    return unit
+
+
 def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
     """Block pools of the multipliers ``lams``, each an (m, 2g-2, 2g-2) int64 array.
 
@@ -131,7 +141,7 @@ def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
     eigenvalue-one-free rows split by multiplier, serves every lam.
     """
     ell = _require_constructible(ctx)
-    lams = [_require_unit(lam, ell) for lam in lams]
+    lams = [_require_in_class(ctx, lam) for lam in lams]
     need = _block_count(ell, ctx.g)
     picked: dict[int, list[np.ndarray]] = {lam: [] for lam in lams}
     have = dict.fromkeys(lams, 0)
@@ -200,8 +210,9 @@ def _require_materializable(ctx: GroupContext, allow_large: bool) -> int:
                          "use the cardinality formulas and witness samplers for larger g")
     cap = HARD_ELL_CAP if allow_large else DEFAULT_ELL_CAP
     if ell > cap:
-        raise ValueError(f"ell={ell} exceeds the materialization cap {cap}"
-                         + ("" if allow_large else " (pass allow_large=True up to 31)"))
+        hint = "" if allow_large else (" (pass allow_large=True, or --allow-large-ell "
+                                       "to special-set build, up to 31)")
+        raise ValueError(f"ell={ell} exceeds the materialization cap {cap}{hint}")
     return ell
 
 
@@ -393,7 +404,7 @@ def build_full_set(ctx: GroupContext, lam: int,
 def build_union_set(ctx: GroupContext, allow_large: bool = False) -> FixedVectorSet:
     """Materialize the union over all admissible multipliers of the context."""
     ell = _require_materializable(ctx, allow_large)
-    keys = _gf.unique_keys(_construction_keys(ctx, ctx.multiplier_values(ell)))
+    keys = _gf.unique_keys(_construction_keys(ctx, ctx.multiplier_values()))
     return FixedVectorSet(ctx, None, SetLevel.UNION, keys)
 
 
@@ -418,9 +429,8 @@ class DirectMembership:
             raise ValueError("direct membership is implemented for g = 2 only")
         self.ctx = ctx
         self.ell = ell
-        lams = ctx.multiplier_values(ell)
-        self._admissible = np.zeros(ell, dtype=bool)
-        self._admissible[list(lams)] = True
+        lams = ctx.multiplier_values()
+        self._admissible = ctx.multiplier_mask()
         # every pool block of every admissible multiplier, keyed by
         # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
         keys, inverses = [], []
@@ -553,7 +563,7 @@ def sample_core_witness(ctx: GroupContext, lam: int, seed: int, index: int) -> M
     properties of the family rather than membership in one pinned set.
     """
     ell = _require_constructible(ctx)
-    lam = _require_unit(lam, ell)
+    lam = _require_in_class(ctx, lam)
     rng = CounterRng(seed, index)
     d = ctx.dim
     while True:

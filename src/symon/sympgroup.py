@@ -110,9 +110,6 @@ class GroupContext:
     def dim(self) -> int:
         return 2 * self.g
 
-    def form(self) -> ModMatrix:
-        return form_matrix(self.g, self.modulus)
-
     def restrict(self, ell: int) -> "GroupContext":
         return GroupContext(self.g, self.modulus.restrict(ell), self.q)
 
@@ -140,6 +137,10 @@ class GroupContext:
             x = x * self.q % m
             out.append(x)
         return tuple(out)
+
+    def multiplier_mask(self) -> np.ndarray:
+        """Boolean mask over the residues mod n, True at the admissible multipliers."""
+        return np.isin(np.arange(self.modulus.n), self.multiplier_values())
 
 
 def form_matrix(g: int, modulus: Modulus) -> ModMatrix:
@@ -238,8 +239,7 @@ def scan_entries(ctx: GroupContext, lam: int | None = None,
     estimate = ell ** (ctx.dim * ctx.dim)
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
-    allowed = np.zeros(ell, dtype=bool)
-    allowed[list(ctx.multiplier_values(ell))] = True
+    allowed = ctx.multiplier_mask()
     if lam is not None:
         allowed &= np.arange(ell) == _require_unit(lam, ell)
     return _gf.scan_similitudes(ctx.g, ell, allowed)

@@ -115,6 +115,15 @@ def test_series_part_a_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("ell_max", ["1", "-5"])
+@pytest.mark.parametrize("which", ["part-a", "part-b"])
+def test_series_below_the_first_prime_is_empty(which, ell_max, capsys):
+    # no prime lies at or below --ell-max, so the report has no rows
+    assert cli.main(["series", which, "--ell-max", ell_max]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["rows"] == [] and rep["ell_max"] == int(ell_max)
+
+
 def test_series_reports(tmp_path):
     proc = run_cli("series", "part-a", "--g", "2", "--q", "2", "--ell-max", "100")
     rep = json.loads(proc.stdout)
@@ -270,6 +279,38 @@ EVERY_COMMAND = [
 ]
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["verify-counts", "--ells", "2,3"], "(ell-2)"),
+    (["verify-counts", "--ells", "6"], "prime modulus"),
+    (["verify-counts", "--ells", "3,17"], "--allow-large-ell"),
+    (["special-set", "build", "--ell", "17", "--level", "core", "--lam", "1",
+      "--out", "/nonexistent/dir/x.txt"], "--allow-large-ell"),
+    (["series", "part-a", "--g", "1", "--q", "2"], "g >= 2"),
+    (["series", "part-b", "--e", "1"], "e >= 2"),
+    (["simulate", "independence", "--n", "15", "--ells", "3,7", "--samples", "10",
+      "--seed", "1"], "7 is not a prime factor of the modulus 15"),
+], ids=["ell-2", "ell-6", "ell-17", "build-ell-17", "part-a-g-1", "part-b-e-1",
+        "independence-ell-7"])
+def test_library_rules_are_input_errors(argv, named, monkeypatch, capsys):
+    # verify-counts checks every ell before its first check
+    monkeypatch.setattr(cli, "_check", lambda *args, **kw: pytest.fail("a check ran"))
+    assert named in assert_main_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-counts", "--g", "2"],
+    ["special-set", "build", "--g", "2", "--ell", "3", "--out", "/nonexistent/dir/x.txt"],
+    ["simulate", "hit-frequency", "--g", "2", "--n", "5", "--seed", "1"],
+    ["simulate", "hit-frequency", "--e", "1", "--n", "5", "--seed", "1"],
+    ["simulate", "independence", "--g", "2", "--n", "15", "--seed", "1"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(argv[:2]))
 def test_threads_below_one_is_input_error(argv, threads, capsys):
@@ -409,16 +450,18 @@ def test_orders_at_a_large_prime_lists_no_units():
 
 
 def test_verify_rejects_lam_outside_the_class_of_q(tmp_path):
-    # 2 is no power of 4 mod 3; the dump itself is a valid lam-2 core layer
+    # 2 is no power of 4 mod 3; the dump itself is a valid lam-2 core layer,
+    # and no lam-2 layer of the q=4 class exists to rebuild
     dump = tmp_path / "core.txt"
     run_cli("special-set", "build", "--ell", "3", "--level", "core", "--lam", "2",
             "--out", str(dump))
     side = tmp_path / "core.txt.json"
     side.write_text(json.dumps(dict(json.loads(side.read_text()), q=4)))
-    proc = run_cli("special-set", "verify", "--dump", str(dump), check=False)
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["problems"] == [
-        "lam 2 is not in the multiplier class of q=4 mod 3"]
+    for flags in ((), ("--rebuild",)):
+        proc = run_cli("special-set", "verify", "--dump", str(dump), *flags, check=False)
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["problems"] == [
+            "lam 2 is not in the multiplier class of q=4 mod 3"]
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

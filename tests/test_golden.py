@@ -64,18 +64,18 @@ STDOUT_SHA256 = {
 # which COLUMNS fixes
 HELP_SHA256 = {
     "": "311c54ae64d3c1248f7c31c385f2da47dde623335720943a4ff5e17d1bb34a84",
-    "verify-counts": "70cc4ca14c0f5371fd029525a8db2f04d34607142be4bc91fe1b6c8487867068",
+    "verify-counts": "5738f4a3da774ace8e66fd30bbb0a189b0b5e49df92b0d51893e2995388a9753",
     "special-set": "e970982f3f526f14d87b2fcba766fe6235f41c396c686d92d2f121698afa4de0",
-    "special-set build": "4aad323790a55de8c2f55d9b34b0805d3d9be43102abd7f5ccfb7d90fffb6748",
+    "special-set build": "c099030c2c185c12981081c12ee295dfc44766ca77c9a9c775fbc54f17a24aab",
     "special-set verify": "3a98cd17fe83a373401e7d7497656df110b4351106b010b100594b278234f085",
     "series": "c52ed5951432cbbd19fd288a8bbf9d9924900dd8bda50455f4dc63be1eaf3394",
     "series part-a": "0b97391732d102fab5935e0f76a479d5781996088bc7f4af8c448fe7d38b3286",
     "series part-b": "6ecc0bf234b9ea4f3bf91cfb04efd0c82f274f57d0a328937c184e3dae655e20",
     "simulate": "c1cf0d13897a4ab256fadcc876f7493ccfbc60f39e9a48c4c9e84a12bc05eed7",
     "simulate hit-frequency":
-        "0bebcbe50210894ccacbc3362b1318d8839d9b04583e770bea863dff63ed5def",
+        "013a1e4e054a0f3a416b0ecd1b69e94f367db54ccbe161daa7be4d4442cd259c",
     "simulate independence":
-        "b0a61ad4233001f53260719c1625fdc3f00baf9a5a1d246c5774c1778c44c8a9",
+        "38b6581f4512d19922320bd1e130833878e241fc896fe2ac96cf1f9711f8ae50",
     "simulate mu-x": "bde60ee5494774114414f4cb2a00380747faa97d86c26a4012481b8acee65c18",
     "simulate borel-cantelli":
         "8bd98635b19a5ace056a778bdd6ef5d4927024adf73491abe777671d423bfd17",

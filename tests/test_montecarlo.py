@@ -243,7 +243,7 @@ def test_borel_cantelli_matches_manual_replay(small_chunks, q, e):
         rng = CounterRng(47, index)
         count = 0
         for ell in ells:
-            values = ctxs[ell].multiplier_values(ell)
+            values = ctxs[ell].multiplier_values()
             mats = [sample_entries(2, ell, values[rng.below(len(values))], rng) for _ in range(e)]
             if e == 1:
                 hit = testers[ell].contains_rows(mats[0])
@@ -281,7 +281,7 @@ def test_lane_membership_matches_contains_rows(n, q, seed):
     for ell in ctx.modulus.primes:
         direct = DirectMembership(ctx.restrict(ell))
         lanes = CounterLanes(seed, np.arange(400, dtype=np.uint64))
-        values = np.array(ctx.multiplier_values(ell))
+        values = np.array(ctx.restrict(ell).multiplier_values())
         a = sample_entries_lanes(2, ell, values[lanes.below(len(values))], lanes)
         # non-similitudes and similitudes with a multiplier outside the class
         a[::9] = (a[::9] + np.eye(4, dtype=np.int64)) % ell

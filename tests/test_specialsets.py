@@ -127,6 +127,17 @@ def test_construction_guards():
     assert len(select_blocks(GroupContext.of(2, 17), 1)) == 4590
 
 
+@pytest.mark.parametrize("make", [
+    build_core_set, build_full_set, select_blocks,
+    lambda ctx, lam: sample_core_witness(ctx, lam, 11, 0),
+    lambda ctx, lam: sample_full_witness(ctx, lam, 11, 0),
+], ids=["core", "full", "blocks", "core-witness", "full-witness"])
+def test_lam_outside_the_multiplier_class_is_rejected(make):
+    # the class of q = 4 mod 5 is {4, 1}; a lam-2 layer lies outside it
+    with pytest.raises(ValueError, match="^lam 2 is not in the multiplier class of q=4 mod 5$"):
+        make(GroupContext.of(2, 5, 4), 2)
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 def test_core_set_at_3(lam):
     ctx = GroupContext.of(2, 3)

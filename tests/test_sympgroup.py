@@ -256,6 +256,7 @@ def test_context_validation():
         with pytest.raises(ValueError, match=f"^{ell} is not a prime factor of the modulus 15$"):
             ctx.restrict(ell)
     assert ctx.multiplier_values() == (2, 4, 8, 1)
+    assert [u for u in range(15) if ctx.multiplier_mask()[u]] == [1, 2, 4, 8]
     assert GroupContext.of(1, 5).multiplier_values() == (1, 2, 3, 4)
     assert math.prod(GroupContext.of(1, 5, INFINITY).multiplier_values()) % 5 == 4
 
