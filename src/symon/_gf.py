@@ -1,9 +1,11 @@
 """Vectorized GF(p) kernels on numpy batches of small matrices.
 
 Internal module: arrays here are raw ``int64`` stacks of shape (N, d, d)
-with entries already reduced mod p.  The scalar, exact public API lives in
-``modmat``; these kernels exist so that exhaustive enumerations,
-million-element set constructions and Monte Carlo batches run at C speed.
+with entries already reduced mod p; the entry arrays that ``pack_entries``
+and ``conjugate_into`` read may have any integer dtype, ``uint8`` included.
+The scalar, exact public API lives in ``modmat``; these kernels exist so
+that exhaustive enumerations, million-element set constructions and Monte
+Carlo batches run at C speed.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
@@ -174,6 +176,7 @@ def piece_digits(p: int) -> int:
 def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
     """Pack (N, D) entry arrays into (N, W) uint64 key arrays.
 
+    ``flat`` may have any integer dtype; its entries must lie in [0, p).
     Each word is built from pieces of at most ``piece_digits(p)`` digits.
     A piece is one float64 matrix-vector product (BLAS), exact because its
     value is below p**k < 2**53; the pieces are joined in uint64 as
@@ -263,19 +266,23 @@ def searchsorted_keys(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarra
 def conjugation_operators(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Stack kron(T^-1, T^T)^T over the (T, T^-1) pairs into a (D, D*m) float64 array.
 
-    Columns [j*D, (j+1)*D) hold the operator of the j-th pair, D = d*d.
+    Columns [j*D, (j+1)*D) hold the operator of the j-th pair, D = d*d:
+    entry (a*d + b, j*D + c*d + e) is T^-1[c, a] * T[b, e] of that pair, one
+    einsum over the whole stack.
     """
-    return np.concatenate([np.kron(tinv, t.T).T for t, tinv in pairs],
-                          axis=1).astype(np.float64)
+    t, tinv = (np.array(stack, dtype=np.float64) for stack in zip(*pairs))
+    m, d, _ = t.shape
+    return np.einsum("jca,jbe->abjce", tinv, t).reshape(d * d, m * d * d)
 
 
 def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -> None:
     """Write the packed keys of T^-1 C T for every row C of flat and every T of ops.
 
-    ``flat`` is an (N, D) batch of entries in [0, p), ``ops`` the stack that
-    ``conjugation_operators`` built from m pairs with entries in [0, p), and
-    ``out`` an (N*m, W) uint64 array: rows [j*N, (j+1)*N) receive the keys
-    (``pack_entries``) of the conjugates by the j-th pair.
+    ``flat`` is an (N, D) batch of entries in [0, p) of any integer dtype,
+    ``ops`` the stack that ``conjugation_operators`` built from m pairs with
+    entries in [0, p), and ``out`` an (N*m, W) uint64 array: rows
+    [j*N, (j+1)*N) receive the keys (``pack_entries``) of the conjugates by
+    the j-th pair.
 
     Exactness: an operator entry is a product of two entries of T^-1 and T,
     so each output entry is a sum of D nonnegative terms, each at most

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _gf
 from .analysis import frac_str, int_str, part_a_series, part_b_series
-from .modmat import write_matrix_lines
+from .modmat import Modulus, write_matrix_lines
 from .montecarlo import (
     FixedVectorEvent,
     JointSetHitEvent,
@@ -137,6 +137,10 @@ def cmd_verify_counts(args) -> int:
     qs = [_parse_q(x) for x in args.q.split(",") if x.strip()]
     for ell in ells:
         _require_materializable(GroupContext.of(2, ell), False)
+    # the composite modulus rejects a repeated prime before the first check
+    n = math.prod(ells)
+    modulus = Modulus.of(n)
+    composite = [GroupContext(2, modulus, q) for q in qs]
     checks: list[dict] = []
 
     for ell in ells:
@@ -187,9 +191,7 @@ def cmd_verify_counts(args) -> int:
                                "status": "skipped",
                                "note": f"materialization over --set-budget {args.set_budget}"})
 
-    n = math.prod(ells)
-    for q in qs:
-        ctx_n = GroupContext.of(2, n, q)
+    for q, ctx_n in zip(qs, composite):
         lhs = Fraction(composite_union_cardinality(2, n, q), gsp_q_order(ctx_n))
         rhs = Fraction(1)
         for ell in ells:

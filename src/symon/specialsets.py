@@ -235,37 +235,37 @@ def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, el
 
 
 def _core_entries(ctx: GroupContext, lam: int, blocks: np.ndarray) -> np.ndarray:
-    """The core layer of multiplier lam built on the 2x2 block pool ``blocks``."""
+    """The core layer of multiplier lam built on the 2x2 block pool ``blocks``.
+
+    Returns an (N, 4, 4) ``uint8`` array, rows ordered by block, then by the
+    pair (d1, d2), then by the corner entry d.  ``uint8`` holds every entry
+    because materialization stops at ``HARD_ELL_CAP`` = 31 < 256.  The forced
+    top-row entries b1, b2 and the excluded corner are computed for every
+    block and pair at once; each (block, pair) row is then repeated over the
+    ell corner values and the excluded one is dropped.
+    """
     ell = ctx.modulus.n
     lam %= ell
-    inverses = _pool_inverses(blocks, ell)
+    m = blocks.shape[0]
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
-    chunks = []
-    for (b11, b12, b21, b22), minv in zip(blocks.reshape(-1, 4).tolist(), inverses.tolist()):
-        # forced top-row entries and the excluded corner value, per (d1, d2)
-        b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
-        b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
-        excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
-        dgrid = np.arange(ell, dtype=np.int64)
-        keep = dgrid[None, :] != excl[:, None]          # (ell^2, ell)
-        pair_idx, d_vals = np.nonzero(keep)
-        m = pair_idx.shape[0]
-        out = np.zeros((m, 4, 4), dtype=np.int64)
-        out[:, 0, 0] = 1
-        out[:, 0, 1] = d_vals
-        out[:, 1, 1] = lam
-        out[:, 2, 1] = d1[pair_idx]
-        out[:, 3, 1] = d2[pair_idx]
-        out[:, 0, 2] = b1[pair_idx]
-        out[:, 0, 3] = b2[pair_idx]
-        out[:, 2, 2] = b11
-        out[:, 2, 3] = b12
-        out[:, 3, 2] = b21
-        out[:, 3, 3] = b22
-        chunks.append(out)
-    return np.concatenate(chunks, axis=0)
+    b11, b12, b21, b22 = (blocks[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    # (m, ell^2): forced top-row entries and the excluded corner value
+    b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
+    b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
+    minv = _pool_inverses(blocks, ell).transpose(1, 2, 0)[..., None]
+    excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
+    # one row per (block, pair), entry (i, j) in column 4i + j; column 1 is d
+    row = np.zeros((m, ell * ell, 16), dtype=np.uint8)
+    for col, value in ((0, 1), (2, b1), (3, b2), (5, lam), (9, d1), (13, d2),
+                       (10, b11), (11, b12), (14, b21), (15, b22)):
+        row[:, :, col] = value
+    dgrid = np.arange(ell, dtype=np.int64)
+    rows = np.repeat(row, ell, axis=1).reshape(m, ell * ell, ell, 16)
+    rows[..., 1] = dgrid
+    keep = (dgrid != excl[:, :, None]).ravel()
+    return np.compress(keep, rows.reshape(-1, 16), axis=0).reshape(-1, 4, 4)
 
 
 def _conjugator_pair(ctx: GroupContext, alpha, beta: int) -> tuple[np.ndarray, np.ndarray]:

@@ -283,13 +283,14 @@ EVERY_COMMAND = [
     (["verify-counts", "--ells", "2,3"], "(ell-2)"),
     (["verify-counts", "--ells", "6"], "prime modulus"),
     (["verify-counts", "--ells", "3,17"], "--allow-large-ell"),
+    (["verify-counts", "--ells", "7,7", "--q", "2"], "modulus 49 is not squarefree"),
     (["special-set", "build", "--ell", "17", "--level", "core", "--lam", "1",
       "--out", "/nonexistent/dir/x.txt"], "--allow-large-ell"),
     (["series", "part-a", "--g", "1", "--q", "2"], "g >= 2"),
     (["series", "part-b", "--e", "1"], "e >= 2"),
     (["simulate", "independence", "--n", "15", "--ells", "3,7", "--samples", "10",
       "--seed", "1"], "7 is not a prime factor of the modulus 15"),
-], ids=["ell-2", "ell-6", "ell-17", "build-ell-17", "part-a-g-1", "part-b-e-1",
+], ids=["ell-2", "ell-6", "ell-17", "ell-7-repeated", "build-ell-17", "part-a-g-1", "part-b-e-1",
         "independence-ell-7"])
 def test_library_rules_are_input_errors(argv, named, monkeypatch, capsys):
     # verify-counts checks every ell before its first check

@@ -204,6 +204,22 @@ def test_conjugate_into_matches_scalar_conjugation(data):
             assert tuple(got[j * n + i]) == (tinv @ c @ t).flat()
 
 
+@pytest.mark.parametrize("ell", [3, 5, 13, 31])
+def test_conjugation_operators_match_kron_stack(ell):
+    # the one-einsum stack against one np.kron per pair, on random shears
+    ctx = GroupContext.of(2, ell)
+    rng = CounterRng(ell, 1)
+    pairs = []
+    for _ in range(40):
+        alpha, beta = (rng.below(ell), rng.below(ell)), rng.below(ell)
+        pairs.append((np.array(transvection(ctx, alpha, beta).rows),
+                      np.array(transvection(ctx, alpha, -beta).rows)))
+    want = np.concatenate([np.kron(tinv, t.T).T for t, tinv in pairs], axis=1)
+    got = _gf.conjugation_operators(pairs)
+    assert got.dtype == np.float64 and got.shape == (16, 16 * len(pairs))
+    assert np.array_equal(got, want)
+
+
 def test_conjugate_into_guards_its_int32_bound():
     flat = np.zeros((1, 16), dtype=np.int64)
     ops = np.zeros((16, 16))

@@ -12,7 +12,10 @@ flag that appears, disappears or changes its help text shows up here.
 The key digests of two in-memory builds, recorded from the code before the
 one-pass set build, pin the materialized keys themselves: the ell=5, q=2
 union the benchmark builds, and an ell=7 full layer, a size the benchmark
-does not run.  The Monte Carlo pins, recorded from the per-sample scalar
+does not run.  Two core-layer key digests, at ell=11, lambda=2 and
+ell=13, lambda=1, recorded from the per-block core build before the
+one-pass build replaced it, pin the core layer at the largest sizes under
+the default cap.  The Monte Carlo pins, recorded from the per-sample scalar
 loop before the batch engine replaced it, hold the exact hit counts of the
 criterion 9-11 estimates at their 100k samples and the digests of two
 borel-cantelli reports, so the engine is held byte-identical at the sizes
@@ -36,7 +39,7 @@ from symon.montecarlo import (
     borel_cantelli_experiment,
     estimate_events,
 )
-from symon.specialsets import build_full_set, build_union_set
+from symon.specialsets import build_core_set, build_full_set, build_union_set
 from symon.sympgroup import INFINITY, GroupContext
 from test_acceptance import CLI_CASES
 
@@ -106,6 +109,11 @@ UNION_DUMP_SHA256 = "00b15351a59a46817d663e2895da0cdff3ca3dbc9527d53c670e8cb4426
 UNION_SIDECAR_SHA256 = "94e7734ac66c62f5d4441225a5781b198597eb473cf4f335eb1eb1ba6ee0e34c"
 UNION_5_Q2_KEYS_SHA256 = "3f78d249bd7459a4f453975820d71f39925b612d483c82a422eb45f21fba3e0b"
 FULL_7_LAM1_KEYS_SHA256 = "7bfd227b7399f07d6fa234afe8370272147d13d8e357954af58d673c71c93103"
+# (ell, lam) -> sha256 of build_core_set(GroupContext.of(2, ell), lam).keys
+CORE_KEYS_SHA256 = {
+    (11, 2): "9d6bca36801842f1a69ac1fa84f44353efe6e9be07dcf4eb8aaf3a2aaa568e9f",
+    (13, 1): "5e727a3faaee958be059b4a47bea924eb796389f8f1c2e7cc7b9b2de57181ded",
+}
 # (g, n, q, e, events, seed) -> hits per event, at the criteria's 100k samples
 CRITERIA_HITS = [
     (2, 5, 2, 1, [SetHitEvent(5)], 1009, [9692]),
@@ -188,6 +196,12 @@ def test_union_keys_match_golden():
 def test_full_layer_keys_match_golden():
     keys = build_full_set(GroupContext.of(2, 7), 1).keys
     assert _sha(keys.tobytes()) == FULL_7_LAM1_KEYS_SHA256
+
+
+@pytest.mark.parametrize("ell,lam", sorted(CORE_KEYS_SHA256), ids=lambda v: str(v))
+def test_core_layer_keys_match_golden(ell, lam):
+    keys = build_core_set(GroupContext.of(2, ell), lam).keys
+    assert _sha(keys.tobytes()) == CORE_KEYS_SHA256[(ell, lam)]
 
 
 @pytest.mark.parametrize("g,n,q,e,events,seed,hits", CRITERIA_HITS,

@@ -20,6 +20,9 @@ from symon.modmat import (
 from symon.prng import CounterRng
 from symon.specialsets import (
     _blocks_entries,
+    _core_entries,
+    _excluded_corner,
+    _pool_inverses,
     CompositeUnionSet,
     DirectMembership,
     FixedVectorSet,
@@ -112,6 +115,54 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         want = scan[_gf.batch_det_minus_identity(scan, ell) != 0][:need]
         assert want.shape == (need, 2, 2)
         assert pool.dtype == want.dtype and np.array_equal(pool, want)
+
+
+def per_block_core_chunks(ctx, lam, blocks):
+    """The core layer one pool block at a time: the per-block loop that built
+    it before the one-pass build, kept as its oracle.  Yields each block's
+    (rows, 4, 4) int64 chunk, in pool order."""
+    ell = ctx.modulus.n
+    lam %= ell
+    inverses = _pool_inverses(blocks, ell)
+    inv_lam = pow(lam, -1, ell)
+    d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
+    d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
+    for (b11, b12, b21, b22), minv in zip(blocks.reshape(-1, 4).tolist(), inverses.tolist()):
+        b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
+        b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
+        excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
+        dgrid = np.arange(ell, dtype=np.int64)
+        keep = dgrid[None, :] != excl[:, None]          # (ell^2, ell)
+        pair_idx, d_vals = np.nonzero(keep)
+        out = np.zeros((pair_idx.shape[0], 4, 4), dtype=np.int64)
+        out[:, 0, 0] = 1
+        out[:, 0, 1] = d_vals
+        out[:, 1, 1] = lam
+        out[:, 2, 1] = d1[pair_idx]
+        out[:, 3, 1] = d2[pair_idx]
+        out[:, 0, 2] = b1[pair_idx]
+        out[:, 0, 3] = b2[pair_idx]
+        out[:, 2, 2] = b11
+        out[:, 2, 3] = b12
+        out[:, 3, 2] = b21
+        out[:, 3, 3] = b22
+        yield out
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_core_entries_match_the_per_block_loop(ell):
+    # every lam, row for row in order; compared chunk by chunk, so the
+    # int64 oracle is never held whole
+    ctx = GroupContext.of(2, ell)
+    lams = range(1, ell)
+    for lam, blocks in zip(lams, _blocks_entries(ctx, lams), strict=True):
+        got = _core_entries(ctx, lam, blocks)
+        assert got.dtype == np.uint8 and got.shape[1:] == (4, 4)
+        at = 0
+        for chunk in per_block_core_chunks(ctx, lam, blocks):
+            assert np.array_equal(got[at:at + chunk.shape[0]].astype(np.int64), chunk)
+            at += chunk.shape[0]
+        assert at == got.shape[0] == core_cardinality(2, ell)
 
 
 def test_construction_guards():
