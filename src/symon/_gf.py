@@ -20,6 +20,9 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   ``piece_digits(p)`` digits, each a float64 dot product below 2**53 and so
   exact in any summation order; the pieces are joined in uint64 without
   exceeding the word's p**k.  A piece holds at least 8 digits for p <= 31.
+  Rows are packed ``PACK_ROWS`` at a time, so the float64 copy of the
+  entries stays at PACK_ROWS * D * 8 bytes (8 MiB at D = 16) however many
+  rows are packed.
 * ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact because
   they stay below 2**53.  They are reduced in uint16 while that bound is
   below 2**16 (p <= 13 at D = 16) and in uint32 below 2**31; see its
@@ -157,6 +160,9 @@ def batch_kernel_basis(a: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.nd
 # 64-bit word holds up to floor(63 / log2(p)) entries; wider matrices are
 # split across several words and compared left to right.
 
+PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries
+
+
 def pack_words(p: int, count: int) -> int:
     """Number of 64-bit words needed to pack `count` base-p digits."""
     per = 1
@@ -180,23 +186,26 @@ def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
     Each word is built from pieces of at most ``piece_digits(p)`` digits.
     A piece is one float64 matrix-vector product (BLAS), exact because its
     value is below p**k < 2**53; the pieces are joined in uint64 as
-    ``word * p**width + piece``.
+    ``word * p**width + piece``.  Each slice of ``PACK_ROWS`` rows is cast
+    to float64 and packed into ``out`` on its own.
     """
     n, dd = flat.shape
     words = pack_words(p, dd)
     per = -(-dd // words)
     k = piece_digits(p)
-    a = flat.astype(np.float64)
     out = np.zeros((n, words), dtype=np.uint64)
-    for w in range(words):
-        end = min((w + 1) * per, dd)
-        for lo in range(w * per, end, k):
-            width = min(k, end - lo)
-            powers = float(p) ** np.arange(width - 1, -1, -1)
-            piece = (a[:, lo:lo + width] @ powers).astype(np.uint64)
-            if lo > w * per:
-                piece += out[:, w] * np.uint64(p ** width)
-            out[:, w] = piece
+    for start in range(0, n, PACK_ROWS):
+        a = flat[start:start + PACK_ROWS].astype(np.float64)
+        dst = out[start:start + PACK_ROWS]
+        for w in range(words):
+            end = min((w + 1) * per, dd)
+            for lo in range(w * per, end, k):
+                width = min(k, end - lo)
+                powers = float(p) ** np.arange(width - 1, -1, -1)
+                piece = (a[:, lo:lo + width] @ powers).astype(np.uint64)
+                if lo > w * per:
+                    piece += dst[:, w] * np.uint64(p ** width)
+                dst[:, w] = piece
     return out
 
 

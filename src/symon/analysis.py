@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .sympgroup import _Infinity, prime_power_base, sp_order
+from .sympgroup import _Infinity, prime_power_base, q_json, sp_order
 
 ROOT_SCALE = 10 ** 18
 
@@ -196,7 +196,7 @@ class SeriesReport:
     def as_report_dict(self) -> dict:
         out: dict = {"kind": self.kind, "g": self.g}
         if self.q is not None:
-            out["q"] = "inf" if isinstance(self.q, _Infinity) else self.q
+            out["q"] = q_json(self.q)
         if self.e is not None:
             out["e"] = self.e
         out["ell_max"] = self.ell_max

@@ -17,7 +17,6 @@ SYMON_BUDGET environment variable, else 10^8 candidates.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -26,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _gf
 from .analysis import frac_str, int_str, part_a_series, part_b_series
 from .modmat import Modulus, write_matrix_lines
 from .montecarlo import (
@@ -38,13 +36,9 @@ from .montecarlo import (
 )
 from .specialsets import (
     FixedVectorSet,
-    POOL_NAME,
     SetLevel,
-    _require_in_class,
-    _require_materializable,
     build_core_set,
     build_full_set,
-    build_union_set,
     composite_union_cardinality,
     core_cardinality,
     count_without_eigenvalue_one,
@@ -57,8 +51,9 @@ from .sympgroup import (
     DEFAULT_BUDGET,
     GroupContext,
     INFINITY,
-    _Infinity,
     gsp_q_order,
+    parse_q,
+    q_json,
     scan_entries,
     sp_order,
 )
@@ -66,15 +61,6 @@ from .sympgroup import (
 
 class UsageError(ValueError):
     pass
-
-
-def _parse_q(text: str):
-    if text.strip().lower() in ("inf", "infinity"):
-        return INFINITY
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"q must be an integer or 'inf', got {text!r}")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -94,10 +80,6 @@ def _budget(args) -> int:
         except ValueError:
             raise UsageError(f"SYMON_BUDGET must be an integer, got {env!r}")
     return DEFAULT_BUDGET
-
-
-def _q_str(q) -> str:
-    return "inf" if isinstance(q, _Infinity) else str(q)
 
 
 def _open(path: str, mode: str = "r"):
@@ -134,9 +116,13 @@ def _check(checks: list, name: str, expected, actual, ok: bool | None = None,
 
 def cmd_verify_counts(args) -> int:
     ells = _parse_ints(args.ells)
-    qs = [_parse_q(x) for x in args.q.split(",") if x.strip()]
+    qs = [parse_q(x) for x in args.q.split(",") if x.strip()]
+    if not ells:
+        raise UsageError(f"--ells lists no prime, got {args.ells!r}")
+    if not qs:
+        raise UsageError(f"--q lists no value, got {args.q!r}")
     for ell in ells:
-        _require_materializable(GroupContext.of(2, ell), False)
+        SetLevel.UNION.require(GroupContext.of(2, ell), None, False)
     # the composite modulus rejects a repeated prime before the first check
     n = math.prod(ells)
     modulus = Modulus.of(n)
@@ -161,7 +147,7 @@ def cmd_verify_counts(args) -> int:
             total = int(sum(counts[v] for v in values))
             _check(checks, "class-order-enumeration",
                    gsp_q_order(GroupContext.of(1, ell, q)), total,
-                   g=1, ell=ell, q=_q_str(q))
+                   g=1, ell=ell, q=str(q_json(q)))
 
     lam_grid = {ell: sorted({v for q in qs
                              for v in GroupContext.of(2, ell, q).multiplier_values()})
@@ -198,33 +184,21 @@ def cmd_verify_counts(args) -> int:
             rhs *= Fraction(union_cardinality(2, ell, q),
                             gsp_q_order(GroupContext.of(2, ell, q)))
         _check(checks, "composite-density-product", frac_str(lhs), frac_str(rhs),
-               g=2, n=n, q=_q_str(q))
+               g=2, n=n, q=str(q_json(q)))
 
     counts = {"ok": sum(c["status"] == "ok" for c in checks),
               "fail": sum(c["status"] == "fail" for c in checks),
               "skipped": sum(c["status"] == "skipped" for c in checks)}
     report = {"command": "verify-counts", "g": 2, "ells": ells,
-              "q": [_q_str(q) for q in qs], "checks": checks, "counts": counts}
+              "q": [str(q_json(q)) for q in qs], "checks": checks, "counts": counts}
     _emit_json(args, report)
     return 1 if counts["fail"] else 0
 
 
 # -- special-set --
 
-# level -> (its builder, its closed-formula cardinality); the lambdas look the
-# functions up when called, so a patched or traced one is the one used
-_LEVELS = {
-    SetLevel.CORE: (lambda ctx, lam, big: build_core_set(ctx, lam, big),
-                    lambda ctx: core_cardinality(ctx.g, ctx.modulus.n)),
-    SetLevel.FULL: (lambda ctx, lam, big: build_full_set(ctx, lam, big),
-                    lambda ctx: full_cardinality(ctx.g, ctx.modulus.n)),
-    SetLevel.UNION: (lambda ctx, lam, big: build_union_set(ctx, big),
-                     lambda ctx: union_cardinality(ctx.g, ctx.modulus.n, ctx.q)),
-}
-
-
 def cmd_special_set_build(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     level = SetLevel(args.level)
     ctx = GroupContext.of(2, args.ell, q)
     if level is not SetLevel.UNION and args.lam is None:
@@ -232,111 +206,33 @@ def cmd_special_set_build(args) -> int:
     # validate before opening the outputs, and open both before the build, so
     # that neither failure costs a build; neither is truncated until the set
     # is built, so no failure empties an earlier dump
-    _require_materializable(ctx, args.allow_large_ell)
-    if level is not SetLevel.UNION:
-        _require_in_class(ctx, args.lam)
+    level.require(ctx, args.lam, args.allow_large_ell)
     with _open(args.out, "a") as fh, _open(args.out + ".json", "a") as side:
-        s = _LEVELS[level][0](ctx, args.lam, args.allow_large_ell)
+        s = level.build(ctx, args.lam, args.allow_large_ell)
         for f in (fh, side):
             f.seek(0)
             f.truncate()
         lines = s.dump(fh)
         s.write_sidecar(side)
-    report = dict(s.sidecar())
-    report["command"] = "special-set-build"
-    report["out"] = args.out
-    report["lines"] = lines
+    report = {**s.sidecar(), "command": "special-set-build", "out": args.out, "lines": lines}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
-def _verify_loaded(s: FixedVectorSet, sidecar: dict, problems: list[str]) -> bool:
-    """Append the dump's problems; False when its lam is outside its class,
-    so that there is no layer to rebuild."""
-    ell = s.ctx.modulus.n
-    if str(s.cardinality) != sidecar["cardinality"]:
-        problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
-                        f"sidecar says {sidecar['cardinality']}")
-    formula = _LEVELS[s.level][1](s.ctx)
-    if s.cardinality != formula:
-        problems.append(f"cardinality mismatch: dump has {s.cardinality}, "
-                        f"the closed formula gives {formula}")
-    in_class = True
-    if s.lam is not None:
-        try:
-            _require_in_class(s.ctx, s.lam)
-        except ValueError as exc:
-            problems.append(str(exc))
-            in_class = False
-    allowed = s.ctx.multiplier_mask() if s.lam is None else np.arange(ell) == s.lam % ell
-    dim = s.ctx.dim
-    for entries in s.iter_entries():
-        a = entries.reshape(-1, dim, dim)
-        lam, ok = _gf.similitude_check(a, ell)
-        if not bool(ok.all()) or not bool(allowed[lam].all()):
-            problems.append("a member is not a similitude with an admissible multiplier")
-            break
-        if bool(np.any(_gf.batch_det_minus_identity(a, ell) != 0)):
-            problems.append("a member fixes no nonzero vector")
-            break
-        if s.level is SetLevel.CORE:
-            shifted = (a - np.eye(dim, dtype=np.int64)) % ell
-            if bool(np.any(_gf.batch_rank(shifted, ell) != dim - 1)):
-                problems.append("a core member's fixed space is not one line")
-                break
-            col0 = a[:, :, 0]
-            e1 = np.zeros(dim, dtype=np.int64)
-            e1[0] = 1
-            if not bool((col0 == e1).all()):
-                problems.append("a core member does not fix e_1")
-                break
-    return in_class
-
-
-def _read_sidecar(path: str) -> dict:
-    """A dump's sidecar, checked for the fields that verification reads."""
-    with _open(path) as fh:
-        try:
-            sidecar = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"sidecar {path} is not JSON: {exc}") from None
-    if not isinstance(sidecar, dict):
-        raise UsageError(f"sidecar {path} is not a JSON object")
-    fields = ["g", "n", "q", "level", "strategy", "cardinality"]
-    if sidecar.get("level") != SetLevel.UNION.value:
-        fields.append("lam")
-    missing = [k for k in fields if k not in sidecar]
-    if missing:
-        raise UsageError(f"sidecar {path} lacks {', '.join(missing)}")
-    if any(type(sidecar.get(k, 0)) is not int for k in ("g", "n", "lam")):
-        raise UsageError(f"sidecar {path}: g, n and lam must be integers")
-    if sidecar["strategy"] != POOL_NAME:
-        raise UsageError(f"sidecar {path}: strategy must be {POOL_NAME!r}, "
-                         f"got {sidecar['strategy']!r}")
-    return sidecar
-
-
 def cmd_special_set_verify(args) -> int:
-    sidecar = _read_sidecar(args.dump + ".json")
-    q = _parse_q(str(sidecar["q"]))
-    level = SetLevel(sidecar["level"])
-    ctx = GroupContext.of(sidecar["g"], sidecar["n"], q)
-    # the checks list every unit mod n and may rebuild the set, so the
-    # sidecar must describe one that can be materialized
-    _require_materializable(ctx, allow_large=True)
-    lam = None if level is SetLevel.UNION else sidecar["lam"]
-    problems: list[str] = []
+    side = args.dump + ".json"
+    with _open(side) as fh:
+        ctx, lam, level, claimed = FixedVectorSet.read_sidecar(fh, side)
     with _open(args.dump) as fh:
         try:
             s = FixedVectorSet.load(fh, ctx, lam, level)
         except ValueError as exc:
-            problems.append(str(exc))
-            s = None
+            s, problems = None, [str(exc)]
     if s is not None:
-        if _verify_loaded(s, sidecar, problems) and args.rebuild:
-            fresh = _LEVELS[level][0](ctx, lam, True)
-            if fresh.keys.shape != s.keys.shape or not bool((fresh.keys == s.keys).all()):
-                problems.append("rebuild does not reproduce the dump")
+        problems, in_class = s.problems(claimed)
+        if in_class and args.rebuild and not np.array_equal(level.build(ctx, lam, True).keys,
+                                                            s.keys):
+            problems.append("rebuild does not reproduce the dump")
     report = {"command": "special-set-verify", "dump": args.dump,
               "status": "ok" if not problems else "fail", "problems": problems}
     _emit_json(args, report)
@@ -347,7 +243,7 @@ def cmd_special_set_verify(args) -> int:
 
 def cmd_series(args) -> int:
     if args.which == "part-a":
-        q = _parse_q(args.q)
+        q = parse_q(args.q)
         report = part_a_series(args.g, q, args.ell_max)
     else:
         report = part_b_series(args.g, args.e, args.ell_max)
@@ -363,20 +259,20 @@ def cmd_series(args) -> int:
 # -- simulate --
 
 def cmd_simulate_hit_frequency(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ctx = GroupContext.of(2, args.n, q)
     primes = ctx.modulus.primes
     event = SetHitEvent(primes[0]) if len(primes) == 1 else JointSetHitEvent(primes)
     est = estimate_events(ctx, [event], 1, args.samples, args.seed, args.threads)[0]
     report = {"command": "simulate-hit-frequency", "g": 2, "n": args.n,
-              "q": _q_str(q), "e": 1, "samples": args.samples, "seed": args.seed,
+              "q": str(q_json(q)), "e": 1, "samples": args.samples, "seed": args.seed,
               **est.as_report_dict()}
     _emit_json(args, report)
     return 0
 
 
 def cmd_simulate_independence(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ctx = GroupContext.of(2, args.n, q)
     ells = tuple(_parse_ints(args.ells)) if args.ells else ctx.modulus.primes
     if len(ells) < 2:
@@ -394,7 +290,7 @@ def cmd_simulate_independence(args) -> int:
     combined_se = math.sqrt(se_sq)
     report = {
         "command": "simulate-independence", "g": 2, "n": args.n,
-        "q": _q_str(q), "ells": list(ells), "samples": args.samples,
+        "q": str(q_json(q)), "ells": list(ells), "samples": args.samples,
         "seed": args.seed,
         "marginals": [m.as_report_dict() for m in marginals],
         "joint": joint.as_report_dict(),
@@ -409,19 +305,19 @@ def cmd_simulate_independence(args) -> int:
 
 
 def cmd_simulate_mu_x(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ctx = GroupContext.of(args.g, args.ell, q)
     est = estimate_events(ctx, [FixedVectorEvent(args.ell)], args.e,
                           args.samples, args.seed, args.threads)[0]
     report = {"command": "simulate-mu-x", "g": args.g, "ell": args.ell,
-              "q": _q_str(q), "e": args.e, "samples": args.samples,
+              "q": str(q_json(q)), "e": args.e, "samples": args.samples,
               "seed": args.seed, **est.as_report_dict()}
     _emit_json(args, report)
     return 0
 
 
 def cmd_simulate_borel_cantelli(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ells = _parse_ints(args.ells)
     rep = borel_cantelli_experiment(args.g, q, ells, args.e, args.samples,
                                     args.seed, args.threads)
@@ -434,18 +330,18 @@ def cmd_simulate_borel_cantelli(args) -> int:
 # -- orders / enumerate --
 
 def cmd_orders(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ctx = GroupContext.of(args.g, args.n, q)
     primes = list(ctx.modulus.primes)
     count = ctx.multiplier_count()
     report = {
-        "command": "orders", "g": args.g, "n": args.n, "q": _q_str(q),
+        "command": "orders", "g": args.g, "n": args.n, "q": str(q_json(q)),
         "primes": primes,
         "sp_orders": {str(ell): int_str(sp_order(args.g, ell)) for ell in primes},
         "class_order": int_str(gsp_q_order(ctx)),
         "multiplier_count": count,
     }
-    if not isinstance(q, _Infinity):
+    if q is not INFINITY:
         # for finite q the count is the order of q mod n
         report["q_order_mod_n"] = count
         # degenerate configuration: q acts trivially on multipliers
@@ -455,15 +351,18 @@ def cmd_orders(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    q = _parse_q(args.q)
+    q = parse_q(args.q)
     ctx = GroupContext.of(args.g, args.ell, q)
+    # the scan checks the budget when called, before --out is opened, so a
+    # refused scan leaves an earlier --out as it was
     chunks = (entries.reshape(entries.shape[0], -1)
               for entries, _ in scan_entries(ctx, lam=args.lam, budget=_budget(args)))
-    buf = io.StringIO()
-    count = write_matrix_lines(buf, chunks, ctx.dim, args.ell)
-    _emit(args, buf.getvalue())
-    if args.out:
-        sys.stdout.write(json.dumps({"command": "enumerate", "count": count}) + "\n")
+    if not args.out:
+        write_matrix_lines(sys.stdout, chunks, ctx.dim, args.ell)
+        return 0
+    with _open(args.out, "w") as fh:
+        count = write_matrix_lines(fh, chunks, ctx.dim, args.ell)
+    sys.stdout.write(json.dumps({"command": "enumerate", "count": count}) + "\n")
     return 0
 
 

@@ -365,13 +365,17 @@ def parse_header(line: str) -> tuple[int, int]:
 
 
 def write_matrix_lines(fh: TextIO, chunks: Iterable[np.ndarray], dim: int, n: int) -> int:
-    """Write the header and every row of each (N, dim*dim) entry chunk; returns the row count."""
+    """Write the header and every row of each (N, dim*dim) entry chunk; returns the row count.
+
+    Rows are rendered ``LINES_PER_CHUNK`` at a time, however large a chunk is.
+    """
     fh.write(header_line(dim, n) + "\n")
     table = np.array([str(x) for x in range(n)], dtype=object)
     count = 0
     for chunk in chunks:
-        if chunk.shape[0]:
-            fh.write("\n".join(map(",".join, table[chunk].tolist())) + "\n")
+        for start in range(0, chunk.shape[0], LINES_PER_CHUNK):
+            rows = table[chunk[start:start + LINES_PER_CHUNK]].tolist()
+            fh.write("\n".join(map(",".join, rows)) + "\n")
         count += chunk.shape[0]
     return count
 

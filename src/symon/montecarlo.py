@@ -56,6 +56,7 @@ from .sympgroup import (
     GroupContext,
     _Infinity,
     gsp_q_order,
+    q_json,
     sample_entries,
     sample_entries_lanes,
 )
@@ -444,7 +445,7 @@ class BorelCantelliReport:
         return {
             "regime": self.regime,
             "g": self.g,
-            "q": "inf" if isinstance(self.q, _Infinity) else self.q,
+            "q": q_json(self.q),
             "e": self.e,
             "ells": list(self.ells),
             "n_samples": self.n_samples,

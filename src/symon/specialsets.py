@@ -20,6 +20,9 @@ eligible blocks in the genus g-1 group's lexicographic enumeration order,
 reproducible across runs and machines.  Dump sidecars name it
 ``POOL_NAME``.
 
+This module also owns a layer's files: ``FixedVectorSet`` writes and reads
+its dump and the dump's JSON sidecar, and checks a loaded dump.
+
 Materialization is a g = 2 feature; for larger genus the module still
 provides exact cardinalities and witness sampling by construction, but no
 global membership decisions.
@@ -54,6 +57,8 @@ from .sympgroup import (
     _require_unit,
     is_member,
     multiplier,
+    parse_q,
+    q_json,
     sample_entries,
     scan_entries,
     sp_order,
@@ -73,9 +78,29 @@ class InsufficientMatrices(RuntimeError):
 
 
 class SetLevel(enum.Enum):
+    """A layer of the construction.  A union layer ignores lam; builders and
+    formulas are looked up when called, so a patched or traced one is used."""
     CORE = "core"
     FULL = "full"
     UNION = "union"
+
+    def require(self, ctx: GroupContext, lam: int | None, allow_large: bool) -> None:
+        """ValueError unless this layer can be materialized and its lam is in class."""
+        _require_materializable(ctx, allow_large)
+        if self is not SetLevel.UNION:
+            _require_in_class(ctx, lam)
+
+    def build(self, ctx: GroupContext, lam: int | None, allow_large: bool) -> "FixedVectorSet":
+        if self is SetLevel.UNION:
+            return build_union_set(ctx, allow_large)
+        return (build_core_set if self is SetLevel.CORE else build_full_set)(ctx, lam, allow_large)
+
+    def cardinality(self, ctx: GroupContext) -> int:
+        """The closed-formula cardinality of this layer."""
+        n = ctx.modulus.n
+        if self is SetLevel.UNION:
+            return union_cardinality(ctx.g, n, ctx.q)
+        return (core_cardinality if self is SetLevel.CORE else full_cardinality)(ctx.g, n)
 
 
 def no_eigenvalue_one_floor(ell: int, g: int) -> int:
@@ -321,11 +346,10 @@ class FixedVectorSet:
         return write_matrix_lines(fh, self.iter_entries(), self.ctx.dim, self.ctx.modulus.n)
 
     def sidecar(self) -> dict:
-        q = self.ctx.q
         info = {
             "g": self.ctx.g,
             "n": self.ctx.modulus.n,
-            "q": "inf" if isinstance(q, _Infinity) else q,
+            "q": q_json(self.ctx.q),
             "level": self.level.value,
             "strategy": POOL_NAME,
             "cardinality": str(self.cardinality),
@@ -338,6 +362,75 @@ class FixedVectorSet:
     def write_sidecar(self, fh: TextIO) -> None:
         json.dump(self.sidecar(), fh, indent=2)
         fh.write("\n")
+
+    @staticmethod
+    def read_sidecar(fh: TextIO, name: str) -> tuple[GroupContext, int | None, SetLevel, object]:
+        """(ctx, lam, level, cardinality as written) from the sidecar ``fh``;
+        ValueError, naming ``name``, on a missing field, a g, n or lam that is
+        not an int, another pool, or a set too large to materialize."""
+        try:
+            info = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"sidecar {name} is not JSON: {exc}") from None
+        if not isinstance(info, dict):
+            raise ValueError(f"sidecar {name} is not a JSON object")
+        fields = ["g", "n", "q", "level", "strategy", "cardinality"]
+        if info.get("level") != SetLevel.UNION.value:
+            fields.append("lam")
+        missing = [k for k in fields if k not in info]
+        if missing:
+            raise ValueError(f"sidecar {name} lacks {', '.join(missing)}")
+        if any(type(info.get(k, 0)) is not int for k in ("g", "n", "lam")):
+            raise ValueError(f"sidecar {name}: g, n and lam must be integers")
+        if info["strategy"] != POOL_NAME:
+            raise ValueError(f"sidecar {name}: strategy must be {POOL_NAME!r}, "
+                             f"got {info['strategy']!r}")
+        level = SetLevel(info["level"])
+        ctx = GroupContext.of(info["g"], info["n"], parse_q(str(info["q"])))
+        _require_materializable(ctx, allow_large=True)
+        lam = None if level is SetLevel.UNION else info["lam"]
+        return ctx, lam, level, info["cardinality"]
+
+    def problems(self, claimed) -> tuple[list[str], bool]:
+        """(What is wrong with this set as its layer, whether its lam is in class):
+        its count against ``claimed`` and the formula, then every member."""
+        found: list[str] = []
+        ell = self.ctx.modulus.n
+        if str(self.cardinality) != claimed:
+            found.append(f"cardinality mismatch: dump has {self.cardinality}, "
+                         f"sidecar says {claimed}")
+        formula = self.level.cardinality(self.ctx)
+        if self.cardinality != formula:
+            found.append(f"cardinality mismatch: dump has {self.cardinality}, "
+                         f"the closed formula gives {formula}")
+        in_class = True
+        if self.lam is not None:
+            try:
+                _require_in_class(self.ctx, self.lam)
+            except ValueError as exc:
+                found.append(str(exc))
+                in_class = False
+        allowed = (self.ctx.multiplier_mask() if self.lam is None
+                   else np.arange(ell) == self.lam % ell)
+        dim = self.ctx.dim
+        eye = np.eye(dim, dtype=np.int64)
+        for entries in self.iter_entries():
+            a = entries.reshape(-1, dim, dim)
+            lam, ok = _gf.similitude_check(a, ell)
+            if not bool(ok.all()) or not bool(allowed[lam].all()):
+                found.append("a member is not a similitude with an admissible multiplier")
+                break
+            if bool(np.any(_gf.batch_det_minus_identity(a, ell) != 0)):
+                found.append("a member fixes no nonzero vector")
+                break
+            if self.level is SetLevel.CORE:
+                if bool(np.any(_gf.batch_rank((a - eye) % ell, ell) != dim - 1)):
+                    found.append("a core member's fixed space is not one line")
+                    break
+                if not bool((a[:, :, 0] == eye[0]).all()):
+                    found.append("a core member does not fix e_1")
+                    break
+        return found, in_class
 
     @classmethod
     def load(cls, fh: TextIO, ctx: GroupContext, lam: int | None,

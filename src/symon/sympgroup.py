@@ -59,6 +59,21 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def parse_q(text: str) -> int | _Infinity:
+    """q from its text form: a decimal integer, or 'inf' / 'infinity' in any case."""
+    if text.strip().lower() in ("inf", "infinity"):
+        return INFINITY
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"q must be an integer or 'inf', got {text!r}") from None
+
+
+def q_json(q: int | _Infinity) -> int | str:
+    """q as reports and sidecars record it: 'inf' for INFINITY, else the integer."""
+    return "inf" if isinstance(q, _Infinity) else q
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and next(prime_factors(n))[0] == n
 

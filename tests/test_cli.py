@@ -1,13 +1,18 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from symon import cli
+from symon import cli, specialsets
 from symon.analysis import int_str, primes_upto
 from symon.specialsets import DirectMembership
 from symon.sympgroup import GroupContext, gsp_q_order
@@ -48,6 +53,18 @@ def test_verify_counts_rejects_ell_2():
     proc = run_cli("verify-counts", "--ells", "2,3", "--q", "2", check=False)
     assert proc.returncode == 2
     assert "ell-2" in proc.stderr or "(ell-2)" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--ells", "3", "--q", ","], "--q"),
+    (["--ells", "3", "--q", " "], "--q"),
+    (["--ells", "", "--q", "2"], "--ells"),
+    (["--ells", ",", "--q", "2"], "--ells"),
+])
+def test_verify_counts_rejects_an_empty_list(argv, named, monkeypatch, capsys):
+    # an empty --q once exited 0 having checked no set
+    monkeypatch.setattr(cli, "_check", lambda *args, **kw: pytest.fail("a check ran"))
+    assert named in assert_main_input_error(["verify-counts", *argv], capsys)
 
 
 def test_verify_counts_tamper_negative_control(monkeypatch, capsys):
@@ -182,6 +199,24 @@ def test_enumerate_stream_and_budget():
     proc = run_cli("enumerate", "--g", "2", "--ell", "7", "--budget", "1000",
                    check=False)
     assert proc.returncode == 2
+
+
+def test_enumerate_out_matches_stdout(tmp_path, capsys):
+    argv = ["enumerate", "--g", "1", "--ell", "5", "--lam", "2"]
+    assert cli.main(argv) == 0
+    streamed = capsys.readouterr().out
+    out = tmp_path / "members.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"command": "enumerate", "count": 120}
+    assert out.read_text() == streamed and len(streamed.splitlines()) == 1 + 120
+
+
+def test_enumerate_over_budget_leaves_out_alone(tmp_path, capsys):
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"earlier bytes\n")
+    argv = ["enumerate", "--g", "2", "--ell", "7", "--budget", "1000", "--out", str(out)]
+    assert "budget is 1000" in assert_main_input_error(argv, capsys)
+    assert out.read_bytes() == b"earlier bytes\n"
 
 
 def test_budget_env_var():
@@ -380,7 +415,7 @@ def build_calls(monkeypatch):
     """Counts special-set builds; the stand-in builds nothing."""
     calls = []
     for name in ("build_core_set", "build_full_set", "build_union_set"):
-        monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(specialsets, name, lambda *args: calls.append(args))
     return calls
 
 
@@ -407,7 +442,7 @@ def test_failed_build_leaves_outputs_alone(tmp_path, monkeypatch, capsys):
 
     def out_of_memory(*args):
         raise MemoryError
-    monkeypatch.setattr(cli, "build_union_set", out_of_memory)
+    monkeypatch.setattr(specialsets, "build_union_set", out_of_memory)
     assert cli.main(["special-set", "build", "--ell", "5", "--q", "2", "--out", str(out)]) == 3
     assert capsys.readouterr().err == "internal error: MemoryError: \n"
     assert out.read_bytes() == b"earlier bytes\n"
@@ -570,3 +605,81 @@ def test_orders_print_past_the_default_digit_cap():
     out = json.loads(run_cli("orders", "--g", "8", "--n", str(n)).stdout)
     assert len(out["class_order"]) == 11_218
     assert out["class_order"] == int_str(gsp_q_order(GroupContext.of(8, n)))
+
+
+def test_cli_uses_only_public_library_names():
+    # the CLI parses, opens files and prints; what a layer is, and how its
+    # files are read and checked, stays behind the library's public names
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            private += [a.name for a in node.names if a.name.startswith("symon._")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                   (node.module or "").startswith("symon")):
+            module = node.module or ""
+            if module.startswith("_") or module.startswith("symon._"):
+                private.append(module)
+            private += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
+SIDECAR_KEYS = ["g", "n", "q", "level", "strategy", "cardinality", "lam"]
+WRONG_TYPES = st.sampled_from([None, True, 2.5, "", "x", [], {}, -1])
+
+
+def _garble(lines, data):
+    at = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line]))
+    pos = data.draw(st.integers(0, len(lines[at]) - 1))
+    new = data.draw(st.sampled_from("0123456789,-x. #=").filter(lambda c: c != lines[at][pos]))
+    lines[at] = lines[at][:pos] + new + lines[at][pos + 1:]
+
+
+def _duplicate(lines, data):
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines.insert(data.draw(st.integers(1, len(lines))), lines[at])
+
+
+def _cut_line(lines, data):
+    at = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line]))
+    lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at]) - 1))]
+
+
+def _cut_file(lines, data):
+    del lines[data.draw(st.integers(0, len(lines) - 1)):]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_survives_a_corrupted_core_dump(core_dump, tmp_path_factory, data):
+    # every corruption is an input error (2, one error line) or a
+    # verification failure (1); none is an internal error (3) or passes
+    lines, sidecar_text = core_dump
+    lines, sidecar = list(lines), json.loads(sidecar_text)
+    edits = data.draw(st.lists(st.sampled_from(["drop", "retype", "garble", "duplicate",
+                                                "cut-line", "cut-file"]),
+                               min_size=1, max_size=3))
+    for edit in edits:
+        if edit in ("drop", "retype"):
+            key = data.draw(st.sampled_from([k for k in SIDECAR_KEYS if k in sidecar]))
+            if edit == "drop":
+                del sidecar[key]
+            else:
+                sidecar[key] = data.draw(WRONG_TYPES)
+        elif any(lines):    # an edit that emptied the dump leaves nothing to edit
+            {"garble": _garble, "duplicate": _duplicate, "cut-line": _cut_line,
+             "cut-file": _cut_file}[edit](lines, data)
+    # two edits can cancel, say a line duplicated last and the last line cut
+    assume((lines, sidecar) != (list(core_dump[0]), json.loads(sidecar_text)))
+    dump = tmp_path_factory.mktemp("fuzz") / "core.txt"
+    dump.write_text("".join(line + "\n" for line in lines))
+    (dump.parent / "core.txt.json").write_text(json.dumps(sidecar))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["special-set", "verify", "--dump", str(dump), "--rebuild"])
+    assert rc in (1, 2), (edits, rc, err.getvalue())
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    else:
+        assert json.loads(out.getvalue())["problems"]

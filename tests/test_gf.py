@@ -97,6 +97,8 @@ def test_searchsorted_keys_membership(p):
     got = _gf.searchsorted_keys(keys, _gf.pack_entries(other, p))
     for row, hit in zip(other, got):
         assert bool(hit) == (tuple(row) in expect)
+    empty = np.empty((0, keys.shape[1]), dtype=np.uint64)
+    assert _gf.searchsorted_keys(empty, keys).tolist() == [False] * keys.shape[0]
 
 
 @pytest.mark.parametrize("p,d", [(3, 2), (7, 4), (13, 4)])

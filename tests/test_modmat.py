@@ -206,6 +206,10 @@ def test_read_matrix_lines_skips_empty_lines():
     buf = io.StringIO("# dim=2 mod=5\n\n1,2,3,4\n\n\n0,0,0,4\n\n")
     chunks = list(read_matrix_lines(buf, 2, 5))
     assert np.concatenate(chunks).tolist() == [[1, 2, 3, 4], [0, 0, 0, 4]]
+    # a body of empty lines only is an empty dump, read without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(read_matrix_lines(io.StringIO("# dim=2 mod=5\n\n\n"), 2, 5)) == []
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from symon import _gf
+from symon import _gf, specialsets
 from symon.modmat import (
     LINES_PER_CHUNK,
     ModMatrix,
@@ -44,6 +45,7 @@ from symon.sympgroup import (
     GroupContext,
     INFINITY,
     enumerate_group,
+    is_member,
     multiplier,
     sample_uniform,
     scan_entries,
@@ -261,6 +263,23 @@ def test_union_build_peak_memory_stays_near_key_bytes():
     assert (peak_kib - before_kib) * 1024 <= 2 * key_bytes
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_core_build_peak_memory_is_bounded():
+    # the 4.06M-row core at ell=13 is 65 MB of uint8 entries and 32 MB of
+    # keys; casting all entries to float64 at once for packing (520 MB)
+    # had peaked at about 720 MB
+    code = ("from symon.specialsets import build_core_set\n"
+            "from symon.sympgroup import GroupContext\n"
+            "s = build_core_set(GroupContext.of(2, 13), 1)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(s.cardinality, *[ln.split()[1] for ln in fh if ln.startswith('VmHWM:')])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kib = map(int, proc.stdout.split())
+    assert count == core_cardinality(2, 13)
+    assert peak_kib < 350 * 1024
+
+
 def test_conjugate_distinctness_exhaustive_at_3():
     # for every core element: shear conjugates are pairwise distinct and
     # meet the core only at the element itself
@@ -345,6 +364,33 @@ def test_composite_membership_via_crt():
         assert comp.contains(lifted)
     assert not comp.contains(ModMatrix.identity(Modulus.of(15), 4))
     assert comp.cardinality == composite_union_cardinality(g, 15, q)
+    # a similitude of multiplier 7, outside the powers (2, 4, 8, 1) of 2 mod 15
+    seven = ModMatrix.from_rows(Modulus.of(15), [[1, 0, 0, 0], [0, 7, 0, 0],
+                                                 [0, 0, 1, 0], [0, 0, 0, 7]])
+    assert is_member(GroupContext.of(g, 15), seven)
+    assert not comp.contains(seven)
+
+
+def test_direct_membership_rejects_a_multiplier_outside_the_class():
+    # diag(1, 2, 1, 2) has multiplier 2, outside the powers (4, 1) of 4 mod 5
+    ctx = GroupContext.of(2, 5, 4)
+    rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    assert multiplier(GroupContext.of(2, 5), ModMatrix.from_rows(ctx.modulus, rows)) == 2
+    assert not DirectMembership(ctx).contains_rows(rows)
+
+
+def test_direct_membership_checks_the_shear_lands_on_the_core(monkeypatch):
+    # The shear built from the fixed vector v maps v to e_1, so its
+    # conjugate of a member always fixes e_1 and the e_1-column check never
+    # fails on its own; a shear that is the identity must make it fail.
+    ctx = GroupContext.of(2, 3)
+    member = next(m for m in build_full_set(ctx, 1) if m.rows[1][0] != 0)
+    rows = [list(r) for r in member.rows]
+    oracle = DirectMembership(ctx)
+    assert oracle.contains_rows(rows)
+    eye = np.eye(4, dtype=np.int64)
+    monkeypatch.setattr(specialsets, "_conjugator_pair", lambda *args: (eye, eye))
+    assert not oracle.contains_rows(rows)
 
 
 def test_composite_counts():
@@ -448,3 +494,61 @@ def test_sidecar_fields():
     assert build_union_set(GroupContext.of(2, 3)).lam is None
     core = build_core_set(ctx, 5)
     assert core.lam == 2 and core.sidecar()["lam"] == 2
+
+
+def read_sidecar(info):
+    """FixedVectorSet.read_sidecar on a sidecar with the JSON ``info``."""
+    text = info if isinstance(info, str) else json.dumps(info)
+    return FixedVectorSet.read_sidecar(io.StringIO(text), "s.json")
+
+
+CORE_SIDECAR = {"g": 2, "n": 3, "q": "inf", "level": "core", "strategy": "lex-canonical",
+                "cardinality": "216", "seed-independent": True, "lam": 1}
+UNION_SIDECAR = {**{k: v for k, v in CORE_SIDECAR.items() if k != "lam"}, "level": "union"}
+
+
+def test_read_sidecar_returns_what_the_writer_wrote():
+    for s in (build_core_set(GroupContext.of(2, 3, 2), 2), build_union_set(GroupContext.of(2, 3))):
+        buf = io.StringIO()
+        s.write_sidecar(buf)
+        buf.seek(0)
+        assert FixedVectorSet.read_sidecar(buf, "s.json") == (s.ctx, s.lam, s.level,
+                                                             str(s.cardinality))
+    assert read_sidecar(dict(CORE_SIDECAR, q=4, cardinality=216))[::3] == (
+        GroupContext.of(2, 3, 4), 216)
+
+
+MALFORMED_SIDECARS = {
+    "not-json": ("{", "sidecar s.json is not JSON: Expecting property name enclosed in "
+                      "double quotes: line 1 column 2 (char 1)"),
+    "not-an-object": ([CORE_SIDECAR], "sidecar s.json is not a JSON object"),
+    **{f"{level}-without-{key}": ({k: v for k, v in base.items() if k != key},
+                                  f"sidecar s.json lacks {key}")
+       for level, base in (("core", CORE_SIDECAR), ("full", dict(CORE_SIDECAR, level="full")),
+                           ("union", UNION_SIDECAR))
+       for key in base if key not in ("level", "seed-independent")},
+    "core-without-level": ({k: v for k, v in CORE_SIDECAR.items() if k != "level"},
+                           "sidecar s.json lacks level"),
+    "union-without-level": ({k: v for k, v in UNION_SIDECAR.items() if k != "level"},
+                            "sidecar s.json lacks level, lam"),
+    **{f"{key}-{value!r}": (dict(CORE_SIDECAR, **{key: value}),
+                            "sidecar s.json: g, n and lam must be integers")
+       for key in ("g", "n", "lam") for value in ("2", 2.0, True, None)},
+    "another-pool": (dict(CORE_SIDECAR, strategy="explicit-g2"),
+                     "sidecar s.json: strategy must be 'lex-canonical', got 'explicit-g2'"),
+    "g-3": (dict(CORE_SIDECAR, g=3, n=7),
+            "materialization is implemented for g = 2 only; use the cardinality formulas "
+            "and witness samplers for larger g"),
+    "n-100000007": (dict(UNION_SIDECAR, n=100000007),
+                    "ell=100000007 exceeds the materialization cap 31"),
+    "q-not-a-number": (dict(CORE_SIDECAR, q="two"), "q must be an integer or 'inf', got 'two'"),
+    "level-unknown": (dict(CORE_SIDECAR, level="half"), "'half' is not a valid SetLevel"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SIDECARS)
+def test_read_sidecar_rejects_a_malformed_sidecar(case):
+    info, message = MALFORMED_SIDECARS[case]
+    with pytest.raises(ValueError) as exc:
+        read_sidecar(info)
+    assert str(exc.value) == message

@@ -71,6 +71,9 @@ def test_is_member_examples():
     assert ctx4.multiplier_values() == (4, 1)
     assert not is_member(ctx4, b)
     assert is_member(ctx4, ModMatrix.identity(M5, 4))
+    # diag(1, 1, 1, 2) scales the two planes by different factors
+    c = ModMatrix.from_rows(M5, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    assert not is_member(GroupContext.of(2, 5), c)
 
 
 def test_sp_order_small_brute_force():
