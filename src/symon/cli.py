@@ -10,8 +10,9 @@ Every command is deterministic given its full flag set, including --threads:
 reruns produce byte-identical reports.  Group orders and cardinalities are
 emitted as decimal strings to stay lossless past 53-bit floats.
 
-The enumeration budget is the --budget flag when given, else the
-SYMON_BUDGET environment variable, else 10^8 candidates.
+The enumeration budget of ``enumerate`` is the --budget flag when given,
+else the SYMON_BUDGET environment variable, else 10^8 candidates; the
+genus-1 scans of verify-counts always run under that default.
 """
 
 from __future__ import annotations
@@ -71,15 +72,13 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("SYMON_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"SYMON_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise UsageError(f"SYMON_BUDGET must be an integer, got {env!r}")
 
 
 def _open(path: str, mode: str = "r"):
@@ -138,7 +137,7 @@ def cmd_verify_counts(args) -> int:
     # g=1 enumeration oracle: the 2x2 scan is cheap at any grid prime
     for ell in ells:
         counts = np.zeros(ell, dtype=np.int64)
-        for _, lams in scan_entries(GroupContext.of(1, ell), budget=_budget(args)):
+        for _, lams in scan_entries(GroupContext.of(1, ell)):
             counts += np.bincount(lams, minlength=ell)
         _check(checks, "order-enumeration", sp_order(1, ell), int(counts[1]),
                g=1, ell=ell, lam=1)
@@ -156,7 +155,7 @@ def cmd_verify_counts(args) -> int:
     for ell in ells:
         for lam in lam_grid[ell]:
             floor = no_eigenvalue_one_floor(ell, 1)
-            actual = count_without_eigenvalue_one(ell, 1, lam, budget=_budget(args))
+            actual = count_without_eigenvalue_one(ell, 1, lam)
             _check(checks, "block-availability", f">={floor}", actual, actual >= floor,
                    g=1, ell=ell, lam=lam)
 
@@ -375,7 +374,6 @@ _FLAGS = {
     "--q": dict(default="inf"),
     "--e": dict(type=int),
     "--lam": dict(type=int, default=None),
-    "--budget": dict(type=int, default=None),
     "--samples": dict(type=int, default=100_000),
     "--seed": dict(type=int, required=True),
     "--ell-max": dict(type=int, default=1000),
@@ -406,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         (("verify-counts",), cmd_verify_counts, [
             ("--ells", dict(default="3,5,7", help="comma-separated grid primes")),
             ("--q", dict(default="2,inf", help="comma-separated q values ('inf' allowed)")),
-            "--budget",
             ("--set-budget", dict(type=int, default=2_000_000,
                                   help="skip materializing layers larger than this"))]),
         (("special-set", "build"), cmd_special_set_build, [
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--samples", dict(default=10_000)), "--seed"]),
         (("orders",), cmd_orders, ["--g", "--n", "--q"]),
         (("enumerate",), cmd_enumerate, [
-            ("--g", dict(default=1)), "--ell", "--q", "--lam", "--budget"]),
+            ("--g", dict(default=1)), "--ell", "--q", "--lam", ("--budget", dict(type=int))]),
     ]
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}

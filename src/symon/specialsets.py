@@ -233,6 +233,10 @@ def _require_materializable(ctx: GroupContext, allow_large: bool) -> int:
     if ctx.g != 2:
         raise ValueError("materialization is implemented for g = 2 only; "
                          "use the cardinality formulas and witness samplers for larger g")
+    return _require_below_cap(ell, allow_large)
+
+
+def _require_below_cap(ell: int, allow_large: bool) -> int:
     cap = HARD_ELL_CAP if allow_large else DEFAULT_ELL_CAP
     if ell > cap:
         hint = "" if allow_large else (" (pass allow_large=True, or --allow-large-ell "
@@ -244,7 +248,7 @@ def _require_materializable(ctx: GroupContext, allow_large: bool) -> int:
 def _pool_inverses(blocks: np.ndarray, ell: int) -> np.ndarray:
     """(I - B)^-1 mod ell for each block of an (m, 2, 2) pool, in pool order."""
     b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
-    dinv = _gf.inverse_table(ell)[((1 - b11) * (1 - b22) - b12 * b21) % ell]
+    dinv = _gf.inverse_table(ell)[_gf.batch_det_minus_identity(blocks, ell)]  # = det(I - B)
     adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
     return adj * dinv[:, None, None] % ell
 
@@ -386,6 +390,7 @@ class FixedVectorSet:
             raise ValueError(f"sidecar {name}: strategy must be {POOL_NAME!r}, "
                              f"got {info['strategy']!r}")
         level = SetLevel(info["level"])
+        _require_below_cap(info["n"], allow_large=True)   # before GroupContext.of factors n
         ctx = GroupContext.of(info["g"], info["n"], parse_q(str(info["q"])))
         _require_materializable(ctx, allow_large=True)
         lam = None if level is SetLevel.UNION else info["lam"]

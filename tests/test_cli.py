@@ -335,6 +335,7 @@ def test_library_rules_are_input_errors(argv, named, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify-counts", "--g", "2"],
+    ["verify-counts", "--budget", "100000"],
     ["special-set", "build", "--g", "2", "--ell", "3", "--out", "/nonexistent/dir/x.txt"],
     ["simulate", "hit-frequency", "--g", "2", "--n", "5", "--seed", "1"],
     ["simulate", "hit-frequency", "--e", "1", "--n", "5", "--seed", "1"],

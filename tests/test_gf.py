@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symon import _gf
-from symon.modmat import ModMatrix, Modulus, det, kernel_basis, rank_mod, rref_mod
-from symon.prng import CounterRng
-from symon.sympgroup import GroupContext, NotSimilitude, multiplier, transvection
+from symon.modmat import (
+    ModMatrix, Modulus, det, kernel_basis, minus_identity, rank_mod, rref_mod,
+)
+from symon.prng import CounterLanes, CounterRng
+from symon.sympgroup import (
+    GroupContext, NotSimilitude, form_matrix, multiplier, sample_entries_lanes, transvection,
+)
 
 
 def rand_entries(n, dd, p, seed):
@@ -168,6 +172,39 @@ def test_similitude_check_against_scalar(p, g):
             assert bool(ok_) and int(l_) == want
         except NotSimilitude:
             assert not bool(ok_)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 31])
+def test_batch_kernels_match_scalar_oracles_on_similitudes(ell, g):
+    # real similitudes, and the same with one entry bumped (near-misses)
+    dim, n = 2 * g, 150
+    lanes = CounterLanes(ell + g, np.arange(n, dtype=np.uint64))
+    lam = lanes.below(ell - 1) + 1
+    sims = sample_entries_lanes(g, ell, lam, lanes)
+    near = sims.reshape(n, -1).copy()
+    at = lanes.below(dim * dim)
+    near[np.arange(n), at] += lanes.below(ell - 1) + 1
+    batch = np.concatenate([sims, near.reshape(sims.shape) % ell])
+    lams, ok = _gf.similitude_check(batch, ell)
+    dets = _gf.batch_det(batch, ell)
+    fixed = _gf.batch_det_minus_identity(batch, ell)
+    ctx, modulus = GroupContext.of(g, ell), Modulus.of(ell)
+    form = form_matrix(g, modulus)
+    for k, rows in enumerate(batch.tolist()):
+        m = ModMatrix.from_rows(modulus, rows)
+        # the multiplier slot is the pairing of columns 0 and 1 on every lane
+        transpose = ModMatrix.from_rows(modulus, list(zip(*rows)))
+        assert int(lams[k]) == (transpose @ form @ m).rows[0][1]
+        try:
+            want = multiplier(ctx, m)
+        except NotSimilitude:
+            want = None
+        assert bool(ok[k]) == (want is not None) and want in (None, int(lams[k]))
+        assert int(dets[k]) == det(m)
+        assert int(fixed[k]) == det(ModMatrix.from_rows(modulus, minus_identity(rows, ell)))
+    assert ok[:n].all() and (lams[:n] == lam).all() and not ok[n:].all()
+    assert (fixed[:n] == 0).any() and (fixed[:n] != 0).any()
 
 
 def _core_shaped(ell, free):

@@ -67,7 +67,7 @@ STDOUT_SHA256 = {
 # which COLUMNS fixes
 HELP_SHA256 = {
     "": "311c54ae64d3c1248f7c31c385f2da47dde623335720943a4ff5e17d1bb34a84",
-    "verify-counts": "5738f4a3da774ace8e66fd30bbb0a189b0b5e49df92b0d51893e2995388a9753",
+    "verify-counts": "0c05208f1f4251610906d2c5a95fba7d7dc57b06775b679cca08507789a7a5b3",
     "special-set": "e970982f3f526f14d87b2fcba766fe6235f41c396c686d92d2f121698afa4de0",
     "special-set build": "c099030c2c185c12981081c12ee295dfc44766ca77c9a9c775fbc54f17a24aab",
     "special-set verify": "3a98cd17fe83a373401e7d7497656df110b4351106b010b100594b278234f085",

@@ -541,6 +541,9 @@ MALFORMED_SIDECARS = {
             "and witness samplers for larger g"),
     "n-100000007": (dict(UNION_SIDECAR, n=100000007),
                     "ell=100000007 exceeds the materialization cap 31"),
+    # a large prime n is refused before anything factors it
+    "n-2**61-1": (dict(UNION_SIDECAR, n=2 ** 61 - 1),
+                  "ell=2305843009213693951 exceeds the materialization cap 31"),
     "q-not-a-number": (dict(CORE_SIDECAR, q="two"), "q must be an integer or 'inf', got 'two'"),
     "level-unknown": (dict(CORE_SIDECAR, level="half"), "'half' is not a valid SetLevel"),
 }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -133,6 +134,19 @@ def test_enumerate_order_is_lexicographic():
     assert len(set(flats)) == len(flats)
     for m in mats:
         assert is_member(GroupContext.of(1, 3), m)
+
+
+# sha256 of the g = 2, ell = 3 scan, as little-endian int64 bytes: every
+# member's row-major entries in scan order, and their multipliers
+GSP4_F3_ENTRIES_SHA256 = "f410bba4acdd265b5fb6647a2efb6aea15b42b7816f583ec2ac0528987bc4acb"
+GSP4_F3_MULTIPLIERS_SHA256 = "e6806a1b47b1249869c5241c9a1d2ea04419390931aab9e6fd1b275f15bce1f1"
+
+
+def test_gsp4_f3_scan_matches_its_digest_in_order(gsp4_f3):
+    entries, lams = gsp4_f3
+    assert entries.shape == (103680, 4, 4) and lams.shape == (103680,)
+    assert hashlib.sha256(entries.astype("<i8").tobytes()).hexdigest() == GSP4_F3_ENTRIES_SHA256
+    assert hashlib.sha256(lams.astype("<i8").tobytes()).hexdigest() == GSP4_F3_MULTIPLIERS_SHA256
 
 
 def test_transvection_examples():
