@@ -23,15 +23,15 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   Rows are packed ``PACK_ROWS`` at a time, so the float64 copy of the
   entries stays at PACK_ROWS * D * 8 bytes (8 MiB at D = 16) however many
   rows are packed.
-* ``conjugate_into``: float64 sums of at most D * (p-1)**3, exact because
-  they stay below 2**53.  They are reduced in uint16 while that bound is
-  below 2**16 (p <= 13 at D = 16) and in uint32 below 2**31; see its
-  docstring.
+* ``conjugate_into``: the operator is reduced mod p first, so an output
+  entry is a float32 sum of D terms in [0, (p-1)**2], at most D * (p-1)**2
+  (14,400 at D = 16, p = 31).  That is exact in float32 (below 2**24) and
+  fits uint16 (below 2**16), where it is reduced; see its docstring.
 
 The int64 bounds hold far beyond any modulus whose scan fits the
 enumeration budget; ``conjugate_into`` checks its bound and raises
-``ValueError`` past 2**31 (p > 512 at D = 16, above the materialization
-cap).
+``ValueError`` once D * (p-1)**2 reaches 2**16 (p >= 67 at D = 16, above
+the materialization cap of 31).
 """
 
 from __future__ import annotations
@@ -289,24 +289,22 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
     [j*N, (j+1)*N) receive the keys (``pack_entries``) of the conjugates by
     the j-th pair.
 
-    Exactness: an operator entry is a product of two entries of T^-1 and T,
-    so each output entry is a sum of D nonnegative terms, each at most
-    (p-1)**3.  At g = 2 (D = 16) and the hard cap p = 31 that sum is below
-    16 * 30**3 = 432,000, so it is exact in float64 (below 2**53) whatever
-    order BLAS sums in.  The sums are cast to uint16 while D * (p-1)**3 <
-    2**16 (p <= 13 at D = 16) and to uint32 otherwise, and reduced there as
-    e - p * (e // p), which never leaves [0, e].  The reduced entries are
-    packed by ``pack_entries``.  Raises ValueError when D * (p-1)**3 >=
-    2**31.
+    Exactness: ``ops`` is reduced mod p once, so each output entry is a sum
+    of D nonnegative integer terms, each at most (p-1)**2.  At g = 2 (D = 16)
+    and the hard cap p = 31 that sum is at most 16 * 30**2 = 14,400, so it
+    is exact in float32 (below 2**24) whatever order BLAS sums in, and it
+    fits uint16 (below 2**16).  Each shear's product is cast to uint16 and
+    reduced there as e - p * (e // p), which never leaves [0, e]; the
+    reduced entries are packed by ``pack_entries``.  Raises ValueError when
+    D * (p-1)**2 >= 2**16.
     """
     n, dd = flat.shape
-    bound = dd * (p - 1) ** 3
-    if bound >= 1 << 31:
-        raise ValueError(f"conjugation sums at p={p}, D={dd} may not fit int32")
-    small = np.uint16 if bound < 1 << 16 else np.uint32
-    a = flat.astype(np.float64)
+    if dd * (p - 1) ** 2 >= 1 << 16:
+        raise ValueError(f"conjugation sums at p={p}, D={dd} may not fit uint16")
+    ops = (ops % p).astype(np.float32)
+    a = flat.astype(np.float32)
     for j in range(ops.shape[1] // dd):
-        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(small)
+        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(np.uint16)
         entries -= p * (entries // p)
         out[j * n:(j + 1) * n] = pack_entries(entries, p)
 

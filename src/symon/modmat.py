@@ -15,8 +15,9 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -28,23 +29,93 @@ class NotInvertible(ValueError):
     """The matrix determinant shares a factor with the modulus."""
 
 
+_TRIAL_LIMIT = 1 << 10
+# Miller-Rabin with the first 12 prime bases is deterministic below 2**64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """n (odd, > 37) is a strong probable prime to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A factor 1 < f < n of the composite n with no prime factor below
+    _TRIAL_LIMIT: Pollard's rho with Brent's cycle search, gcds taken over
+    blocks of 128 steps; deterministic, trying c = 1, 2, ... in turn."""
+    for c in count(1):
+        y, r, q, f = 2, 1, 1, 1
+        while f == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                f = math.gcd(q, n)
+                if f != 1:
+                    break
+            r *= 2
+        if f == n:      # the block overshot: replay it one step at a time
+            f = 1
+            while f == 1:
+                ys = (ys * ys + c) % n
+                f = math.gcd(abs(x - ys), n)
+        if f != n:
+            return f
+
+
+def _split_odd(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of n > 1 with no prime factor
+    below _TRIAL_LIMIT."""
+    if n < _TRIAL_LIMIT ** 2:
+        return [n]
+    if _passes_miller_rabin(n):
+        if n < 1 << 64:
+            return [n]
+        # no base set is proven for n this large: confirm by trial division
+        f = next((p for p in range(_TRIAL_LIMIT + 1, math.isqrt(n) + 1, 2) if n % p == 0), n)
+        return [n] if f == n else _split_odd(f) + _split_odd(n // f)
+    f = _rho_factor(n)
+    return _split_odd(f) + _split_odd(n // f)
+
+
 def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     """(p, k) for each prime power p^k exactly dividing n >= 2, ascending.
 
-    Trial division, produced lazily so that callers stop at the first
-    factor that settles their question.
+    Primes below 2**10 are divided out by trial division and produced
+    lazily, so that callers stop at the first factor that settles their
+    question.  The cofactor is split by Pollard-Brent rho into parts that
+    Miller-Rabin proves prime, which takes well under a second for any n
+    below 2**64.  A part of 2**64 or more that passes Miller-Rabin is
+    confirmed by trial division, so the result is exact for every n.
     """
-    p = 2
-    while p * p <= n:
+    for p in chain((2,), range(3, _TRIAL_LIMIT, 2)):
+        if p * p > n:
+            break
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
             yield p, k
-        p += 1 if p == 2 else 2
     if n > 1:
-        yield n, 1
+        yield from sorted(Counter(_split_odd(n)).items())
 
 
 def factor_squarefree(n: int) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ other modules rely on for reproducible subset selection.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -94,11 +95,18 @@ def multiplicative_order(q: int, n: int) -> int:
         raise ValueError(f"gcd({q}, {n}) != 1")
     if n == 1:
         return 1
-    k, x = 1, q % n
-    while x != 1:
-        x = x * q % n
-        k += 1
-    return k
+    # the order divides phi(n) = prod p**(k-1) * (p-1): start there and
+    # divide out each prime r of phi(n) while q**(order/r) is still 1
+    phi = Counter()
+    for p, k in prime_factors(n):
+        phi[p] += k - 1
+        if p > 2:
+            phi.update(dict(prime_factors(p - 1)))
+    order = math.prod(r ** e for r, e in phi.items())
+    for r in phi:
+        while order % r == 0 and pow(q, order // r, n) == 1:
+            order //= r
+    return order
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -465,6 +466,23 @@ def test_failed_build_validation_leaves_out_alone(tmp_path, capsys, build_calls,
     assert out.read_bytes() == b"earlier bytes\n"
     assert not (tmp_path / "kept.txt.json").exists()
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orders", "--n", "2305843009213693951"],                # 2**61 - 1
+    ["orders", "--n", "4611686039902224373"],                # (2**31 - 1)(2**31 + 11)
+    ["orders", "--n", "4611686014132420609"],                # (2**31 - 1)**2
+    ["orders", "--n", "2305843009213693951", "--q", "3"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_orders_at_large_moduli_answers_quickly(argv, capsys):
+    start = time.perf_counter()
+    rc = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    if argv[2] == "4611686014132420609":
+        assert rc == 2 and "not squarefree" in err
+    else:
+        assert rc == 0 and json.loads(out)["n"] == int(argv[2])
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")

@@ -221,7 +221,7 @@ def _core_shaped(ell, free):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_conjugate_into_matches_scalar_conjugation(data):
-    ell = data.draw(st.sampled_from([3, 5, 7, 13, 17, 31]))
+    ell = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
     ctx = GroupContext.of(2, ell)
     residue = st.integers(0, ell - 1)
     cores = data.draw(st.lists(st.lists(residue, min_size=10, max_size=10),
@@ -259,11 +259,14 @@ def test_conjugation_operators_match_kron_stack(ell):
     assert np.array_equal(got, want)
 
 
-def test_conjugate_into_guards_its_int32_bound():
-    flat = np.zeros((1, 16), dtype=np.int64)
-    ops = np.zeros((16, 16))
-    out = np.empty((1, _gf.pack_words(509, 16)), dtype=np.uint64)
-    _gf.conjugate_into(flat, ops, 509, out)   # 16 * 508**3 < 2**31
-    assert (out == 0).all()
-    with pytest.raises(ValueError, match="int32"):
-        _gf.conjugate_into(flat, ops, 521, out)
+def test_conjugate_into_guards_its_uint16_bound():
+    # p = 61 is the largest prime with 16 * (p-1)**2 < 2**16; all-(p-1)
+    # inputs reach that bound and must still give exact keys
+    p = 61
+    flat = np.full((3, 16), p - 1, dtype=np.int64)
+    ops = np.full((16, 16), p - 1, dtype=np.float64)
+    out = np.empty((3, _gf.pack_words(p, 16)), dtype=np.uint64)
+    _gf.conjugate_into(flat, ops, p, out)
+    assert np.array_equal(out, _gf.pack_entries((flat @ ops.astype(np.int64)) % p, p))
+    with pytest.raises(ValueError, match="uint16"):
+        _gf.conjugate_into(flat, ops, 67, out)

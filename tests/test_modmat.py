@@ -1,4 +1,5 @@
 import io
+import random
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from symon.modmat import (
     mat_mul,
     mat_vec,
     LINES_PER_CHUNK,
+    prime_factors,
     rank_mod,
     read_matrix_lines,
     reduce_mod,
@@ -42,6 +44,33 @@ def test_modulus_factorization():
         Modulus.of(12)        # not squarefree
     with pytest.raises(ValueError):
         Modulus.of(1)
+
+
+def trial_division(n):
+    """(p, k) pairs of n >= 2 by trial division to sqrt(n): the oracle."""
+    out, p = [], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1 if p == 2 else 2
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(2, 10 ** 5):
+        assert list(prime_factors(n)) == trial_division(n), n
+    # 40-bit composites with a prime factor in [2**10, 2**16), so that the
+    # cofactor left after the small trial division goes through rho
+    rng = random.Random(16)
+    small = [p for p in range(1 << 10, 1 << 16) if trial_division(p) == [(p, 1)]]
+    for _ in range(200):
+        a = rng.choice(small)
+        n = a * rng.randrange((1 << 39) // a, (1 << 40) // a)
+        assert list(prime_factors(n)) == trial_division(n), n
 
 
 def test_identity_multiplication():

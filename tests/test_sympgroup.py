@@ -99,6 +99,14 @@ def test_multiplicative_order():
     assert multiplicative_order(4, 5) == 2
     with pytest.raises(ValueError):
         multiplicative_order(3, 15)
+    # the order from the factorization of phi(n) against stepping q^k
+    for n in range(2, 300):
+        for q in range(1, n):
+            if math.gcd(q, n) == 1:
+                k, x = 1, q
+                while x != 1:
+                    k, x = k + 1, x * q % n
+                assert multiplicative_order(q, n) == k, (q, n)
 
 
 def test_gsp_q_order_examples():
