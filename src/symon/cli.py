@@ -10,9 +10,9 @@ Every command is deterministic given its full flag set, including --threads:
 reruns produce byte-identical reports.  Group orders and cardinalities are
 emitted as decimal strings to stay lossless past 53-bit floats.
 
-The enumeration budget of ``enumerate`` is the --budget flag when given,
-else the SYMON_BUDGET environment variable, else 10^8 candidates; the
-genus-1 scans of verify-counts always run under that default.
+The enumeration budget of ``enumerate`` is its --budget flag, 10^8
+candidates by default; the genus-1 scans of verify-counts always run under
+that default.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -69,16 +68,6 @@ def _parse_ints(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SYMON_BUDGET")
-    try:
-        return int(env) if env else DEFAULT_BUDGET
-    except ValueError:
-        raise UsageError(f"SYMON_BUDGET must be an integer, got {env!r}")
 
 
 def _open(path: str, mode: str = "r"):
@@ -355,7 +344,7 @@ def cmd_enumerate(args) -> int:
     # the scan checks the budget when called, before --out is opened, so a
     # refused scan leaves an earlier --out as it was
     chunks = (entries.reshape(entries.shape[0], -1)
-              for entries, _ in scan_entries(ctx, lam=args.lam, budget=_budget(args)))
+              for entries, _ in scan_entries(ctx, lam=args.lam, budget=args.budget))
     if not args.out:
         write_matrix_lines(sys.stdout, chunks, ctx.dim, args.ell)
         return 0
@@ -429,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--samples", dict(default=10_000)), "--seed"]),
         (("orders",), cmd_orders, ["--g", "--n", "--q"]),
         (("enumerate",), cmd_enumerate, [
-            ("--g", dict(default=1)), "--ell", "--q", "--lam", ("--budget", dict(type=int))]),
+            ("--g", dict(default=1)), "--ell", "--q", "--lam",
+            ("--budget", dict(type=int, default=DEFAULT_BUDGET))]),
     ]
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}

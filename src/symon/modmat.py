@@ -31,6 +31,7 @@ class NotInvertible(ValueError):
 
 _TRIAL_LIMIT = 1 << 10
 # Miller-Rabin with the first 12 prime bases is deterministic below 2**64
+_FACTOR_LIMIT = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -81,16 +82,10 @@ def _rho_factor(n: int) -> int:
 
 
 def _split_odd(n: int) -> list[int]:
-    """The prime factors, with multiplicity, of n > 1 with no prime factor
-    below _TRIAL_LIMIT."""
-    if n < _TRIAL_LIMIT ** 2:
+    """The prime factors, with multiplicity, of 1 < n < _FACTOR_LIMIT with no
+    prime factor below _TRIAL_LIMIT."""
+    if n < _TRIAL_LIMIT ** 2 or _passes_miller_rabin(n):
         return [n]
-    if _passes_miller_rabin(n):
-        if n < 1 << 64:
-            return [n]
-        # no base set is proven for n this large: confirm by trial division
-        f = next((p for p in range(_TRIAL_LIMIT + 1, math.isqrt(n) + 1, 2) if n % p == 0), n)
-        return [n] if f == n else _split_odd(f) + _split_odd(n // f)
     f = _rho_factor(n)
     return _split_odd(f) + _split_odd(n // f)
 
@@ -100,10 +95,9 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
 
     Primes below 2**10 are divided out by trial division and produced
     lazily, so that callers stop at the first factor that settles their
-    question.  The cofactor is split by Pollard-Brent rho into parts that
-    Miller-Rabin proves prime, which takes well under a second for any n
-    below 2**64.  A part of 2**64 or more that passes Miller-Rabin is
-    confirmed by trial division, so the result is exact for every n.
+    question.  The cofactor left after them must be below 2**64, else
+    ValueError: below that bound Pollard-Brent rho splits it into parts that
+    Miller-Rabin proves prime, well under a second for any such cofactor.
     """
     for p in chain((2,), range(3, _TRIAL_LIMIT, 2)):
         if p * p > n:
@@ -114,6 +108,9 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
                 n //= p
                 k += 1
             yield p, k
+    if n >= _FACTOR_LIMIT:
+        raise ValueError("cannot factor: the part left after the primes below 2**10 "
+                         "is 2**64 or more, the factoring limit")
     if n > 1:
         yield from sorted(Counter(_split_odd(n)).items())
 

@@ -50,7 +50,6 @@ from .modmat import (
 )
 from .prng import CounterRng
 from .sympgroup import (
-    DEFAULT_BUDGET,
     GroupContext,
     NotSimilitude,
     _Infinity,
@@ -115,16 +114,15 @@ def no_eigenvalue_one_floor(ell: int, g: int) -> int:
     return num // (ell - 1)
 
 
-def count_without_eigenvalue_one(ell: int, g: int, lam: int,
-                                 budget: int = DEFAULT_BUDGET) -> int:
+def count_without_eigenvalue_one(ell: int, g: int, lam: int) -> int:
     """Exact count of multiplier-lam similitudes with det(A - I) != 0.
 
     Exhaustive: scans the whole candidate space, so g <= 2 in practice.
-    Raises BudgetExceeded like the underlying enumeration.
+    Raises BudgetExceeded past the default enumeration budget.
     """
     ctx = GroupContext.of(g, ell)
     total = 0
-    for entries, _ in scan_entries(ctx, lam=lam, budget=budget):
+    for entries, _ in scan_entries(ctx, lam=lam):
         total += int(np.count_nonzero(_gf.batch_det_minus_identity(entries, ell)))
     return total
 
@@ -335,8 +333,9 @@ class FixedVectorSet:
         flat = np.array([mat.flat()], dtype=np.int64)
         return bool(self.contains_flat(flat)[0])
 
-    def iter_entries(self, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-        dd = self.ctx.dim * self.ctx.dim
+    def iter_entries(self) -> Iterator[np.ndarray]:
+        """The members' entries in key order, (rows, dim*dim) int64, 2**16 rows at a time."""
+        dd, chunk = self.ctx.dim * self.ctx.dim, 1 << 16
         for start in range(0, self.keys.shape[0], chunk):
             yield _gf.unpack_entries(self.keys[start:start + chunk], self.ctx.modulus.n, dd)
 
@@ -390,7 +389,7 @@ class FixedVectorSet:
             raise ValueError(f"sidecar {name}: strategy must be {POOL_NAME!r}, "
                              f"got {info['strategy']!r}")
         level = SetLevel(info["level"])
-        _require_below_cap(info["n"], allow_large=True)   # before GroupContext.of factors n
+        _require_below_cap(info["n"], allow_large=True)   # a large n gets the cap's message
         ctx = GroupContext.of(info["g"], info["n"], parse_q(str(info["q"])))
         _require_materializable(ctx, allow_large=True)
         lam = None if level is SetLevel.UNION else info["lam"]
@@ -398,7 +397,8 @@ class FixedVectorSet:
 
     def problems(self, claimed) -> tuple[list[str], bool]:
         """(What is wrong with this set as its layer, whether its lam is in class):
-        its count against ``claimed`` and the formula, then every member."""
+        its count against ``claimed`` and the formula, then every member.  The
+        one member check: ``special-set verify`` and the acceptance suite use it."""
         found: list[str] = []
         ell = self.ctx.modulus.n
         if str(self.cardinality) != claimed:

@@ -73,6 +73,15 @@ def test_prime_factors_match_trial_division():
         assert list(prime_factors(n)) == trial_division(n), n
 
 
+def test_prime_factors_stop_at_the_factoring_limit():
+    # the part left after the primes below 2**10 must be below 2**64
+    assert list(prime_factors(2 ** 64 - 59)) == [(2 ** 64 - 59, 1)]   # largest prime < 2**64
+    assert list(prime_factors(3 * 1021 ** 7)) == [(3, 1), (1021, 7)]  # past 2**64, no cofactor
+    for n in (2 ** 64 + 13, (2 ** 61 - 1) * (2 ** 31 - 1), 2 * 1031 * (2 ** 64 - 59)):
+        with pytest.raises(ValueError, match=r"2\*\*64 or more"):
+            list(prime_factors(n))
+
+
 def test_identity_multiplication():
     rng = CounterRng(3, 0)
     a = rand_matrix(M5, 3, rng)

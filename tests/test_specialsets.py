@@ -45,6 +45,7 @@ from symon.sympgroup import (
     GroupContext,
     INFINITY,
     enumerate_group,
+    form_matrix,
     is_member,
     multiplier,
     sample_uniform,
@@ -450,6 +451,36 @@ def test_load_rejects_duplicates():
     with pytest.raises(ValueError):
         FixedVectorSet.load(io.StringIO("\n".join(lines) + "\n"), ctx,
                             2, SetLevel.CORE)
+
+
+def test_problems_names_the_one_rule_a_layer_breaks():
+    # problems() is the only member check behind special-set verify and
+    # criteria 5-6; each corruption here breaks exactly one of its rules
+    ctx = GroupContext.of(2, 3)
+    core, full = build_core_set(ctx, 1), build_full_set(ctx, 1)
+    assert core.problems("216") == full.problems("4104") == ([], True)
+    assert core.problems("215") == (
+        ["cardinality mismatch: dump has 216, sidecar says 215"], True)
+    short = FixedVectorSet(ctx, 1, SetLevel.CORE, core.keys[1:])
+    assert short.problems("215") == (
+        ["cardinality mismatch: dump has 215, the closed formula gives 216"], True)
+    member = ModMatrix.from_flat(ctx.modulus, next(core.iter_entries())[0])
+    sheared = transvection(ctx, (0, 0), 1) @ member @ transvection(ctx, (0, 0), -1)
+    j = form_matrix(2, ctx.modulus)                  # det(J - I) = 4, nonzero mod 3
+    cases = [
+        (full, [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2],   # multiplier 2
+         "a member is not a similitude with an admissible multiplier"),
+        (full, j.flat(), "a member fixes no nonzero vector"),
+        (core, ModMatrix.identity(ctx.modulus, 4).flat(),
+         "a core member's fixed space is not one line"),
+        (core, sheared.flat(), "a core member does not fix e_1"),
+    ]
+    for layer, flat, message in cases:
+        keys = layer.keys.copy()
+        keys[0] = _gf.pack_entries(np.array([flat], dtype=np.int64), 3)   # swap one member
+        broken = FixedVectorSet(ctx, 1, layer.level, _gf.unique_keys(keys))
+        assert broken.cardinality == layer.cardinality        # ``flat`` was no member
+        assert broken.problems(str(layer.cardinality)) == ([message], True), message
 
 
 @pytest.mark.parametrize("g,ell,lam", [(2, 7, 3), (3, 5, 2)])
