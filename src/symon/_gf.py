@@ -13,8 +13,12 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
 * ``similitude_check``: a pairing sums g minors, so at most g * (p-1)**2.
 * ``batch_det``: at d = 4 each minor is reduced before the products of
   two minors are summed, so every intermediate stays below 6 * p**2.
-* ``batch_rref`` (and ``batch_rank``, ``batch_kernel_basis``): entries
-  stay within p + c * p**2 for c columns before the final reduction.
+* ``batch_rref`` (and ``batch_rank``): entries stay within p + c * p**2
+  for c columns before the final reduction.
+* ``rank2_kernel_basis``: a minor times an inverse is below p**3 (2**48 at
+  p < 2**16); ``kernel_line``: on entries in (-p, p) a minor is below
+  2 * p**2 and a cofactor, three entries times minors, below 6 * p**3
+  (< 2**51 for p < 2**16), and it is reduced before it is scaled.
 * ``pack_entries``: a word holds at most k base-p digits with p**k < 2**63
   by construction (``pack_words``).  It is summed in pieces of at most
   ``piece_digits(p)`` digits, each a float64 dot product below 2**53 and so
@@ -122,29 +126,56 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     return (batch_rref(a, p)[1] >= 0).sum(axis=1)
 
 
-def batch_kernel_basis(a: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right kernels of a (N, r, c) batch in the canonical form of ``modmat.kernel_basis``.
+def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
+    """The right kernels of a rank-2 (N, 2, c) batch, as ``modmat.kernel_basis``
+    gives them, in an (N, c - 2, c) array.
 
-    Returns (basis, rank): ``basis[i]`` is the (k, c) kernel basis of lane i
-    when that lane has nullity k (one vector per free column, ascending,
-    with a 1 there and minus the RREF entries at the pivots), and holds
-    meaningless rows otherwise; ``rank`` lets the caller tell the two apart.
+    Free column f gets e_f - r1[f] e_p1 - r2[f] e_p2, with the RREF rows read
+    off the 2x2 minors m: p1 is the first nonzero column, p2 the first j with
+    m(p1, j) != 0, and r1[f] = m(f, p2) / m(p1, p2), r2[f] = m(p1, f) / m(p1, p2).
     """
-    reduced, pivots = batch_rref(a, p)
-    n, nrows, ncols = a.shape
-    lanes = np.arange(n)
-    # column ncols is a sink for the -1 slots of lanes past their rank
-    is_pivot = np.zeros((n, ncols + 1), dtype=bool)
-    is_pivot[lanes[:, None], pivots] = True
-    free = np.argsort(is_pivot[:, :ncols], axis=1, kind="stable")[:, :k]
-    basis = np.zeros((n, k, ncols), dtype=np.int64)
-    for t in range(k):
-        basis[lanes, t, free[:, t]] = 1
-    for row in range(nrows):
-        at = np.flatnonzero(pivots[:, row] >= 0)
-        for t in range(k):
-            basis[at, t, pivots[at, row]] = -reduced[at, row, free[at, t]] % p
-    return basis, (pivots >= 0).sum(axis=1)
+    n, _, c = w.shape
+    at = np.arange(n)
+    m = np.zeros((n, c, c), dtype=np.int64)
+    for i, j in itertools.combinations(range(c), 2):
+        m[:, i, j] = row_pair_minors(w, i, j)[:, 0]
+        m[:, j, i] = -m[:, i, j]
+    p1 = ((w[:, 0] != 0) | (w[:, 1] != 0)).argmax(axis=1)
+    top = m[at, p1] % p
+    p2 = (top != 0).argmax(axis=1)
+    scale = inverse_table(p)[top[at, p2]][:, None]
+    t = np.arange(c - 2)
+    free = t + (t >= p1[:, None]) + (t >= p2[:, None] - 1)    # skips p1 < p2
+    basis = np.eye(c, dtype=np.int64)[free]
+    basis[at[:, None], t, p1[:, None]] = -np.take_along_axis(m[at, :, p2], free, 1) * scale % p
+    basis[at[:, None], t, p2[:, None]] = -np.take_along_axis(top, free, 1) * scale % p
+    return basis
+
+
+def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, line) for a (N, 4, 4) batch with entries in (-p, p): ``ok`` marks the
+    lanes of rank 3 whose kernel vector has v[0] != 0, and ``line`` is v / v[0].
+
+    adj = v w^T with w != 0 at rank 3 and adj = 0 below, so ``ok`` is det = 0
+    with row 0 of adj nonzero, and v is column j of adj for its first j with
+    adj[0, j] != 0.
+    """
+    n = b.shape[0]
+    at = np.arange(n)
+    minors = {(i, j): row_pair_minors(b, i, j) for i, j in itertools.combinations(range(4), 2)}
+    # adj[:, j, i] is cofactor (i, j): the minor without row i and column j,
+    # expanded along row i ^ 1, takes its 2x2 minors from the other row pair
+    adj = np.empty_like(b)
+    for i, j in itertools.product(range(4), repeat=2):
+        rest = [k for k in range(4) if k != j]
+        t = [b[:, i ^ 1, k] * minors[tuple(c for c in rest if c != k)][:, 1 - i // 2]
+             for k in rest]
+        adj[:, j, i] = t[0] - t[1] + t[2] if (i + j) % 2 == 0 else t[1] - t[0] - t[2]
+    row = adj[:, 0] % p
+    det = (b[:, :, 0] * row).sum(axis=1) % p      # expansion along column 0
+    j = (row != 0).argmax(axis=1)
+    pivot = row[at, j]
+    return (det == 0) & (pivot != 0), adj[at, :, j] % p * inverse_table(p)[pivot][:, None] % p
 
 
 # -- packing matrices into sortable integer keys --

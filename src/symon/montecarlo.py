@@ -24,9 +24,10 @@ Estimates carry binomial standard errors, the exact value when one is
 computable, and the projective union bound for common-fixed-vector events.
 
 The estimators evaluate samples in chunks of CHUNK consecutive indexes on
-numpy lanes (``CounterLanes``, ``sample_entries_lanes``,
-``DirectMembership.contains_lanes`` and ``_gf.batch_rank``), which
-reproduce the scalar streams lane by lane.  The scalar functions
+numpy lanes (``CounterLanes``, ``sample_entries_lanes`` on
+``_gf.rank2_kernel_basis``, ``DirectMembership.contains_lanes`` on
+``_gf.kernel_line``, and ``_gf.batch_rank``), which reproduce the scalar
+streams lane by lane.  The scalar functions
 (``sample_entries``, ``contains_rows``, ``rank_mod``) are the oracle: every
 chunk replays some of its lanes through them (see ``_tally``).  Both
 estimators reach ``_tally`` through ``_tally_events``, which builds the

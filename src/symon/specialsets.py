@@ -516,9 +516,11 @@ class DirectMembership:
     (equivalently, contains a vector (1, b, c, d) with the right shape), and
     conjugating back by the unique shear lands in the core layer: e_1-fixing
     shape, block in the pool, corner entry off the excluded value.
-    Works for any prime ell at g = 2 with O(1) memory in the set size, which
-    is what makes simulation at moduli whose materialized sets would not fit
-    in RAM possible.
+    Works at g = 2 with O(1) memory in the set size, which is what makes
+    simulation at moduli whose materialized sets would not fit in RAM
+    possible.  Building the block pool scans the genus-1 group's ell**4
+    candidates within the default enumeration budget of 10**8, so it needs
+    3 <= ell <= 97; a larger prime raises BudgetExceeded.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -600,8 +602,8 @@ class DirectMembership:
         """``contains_rows`` on every matrix of an (N, 4, 4) batch with entries in [0, ell).
 
         The same decomposition on all lanes at once: the similitude check,
-        the canonical kernel vector of A - I (required to span the whole
-        fixed space), the shear it determines (the identity where its second
+        the kernel vector of A - I scaled to v[0] = 1 (required to span the
+        whole fixed space), the shear it determines (the identity where its second
         entry is 0, which then needs the vector to be e_1), the conjugate's
         e_1 column, its block looked up in the sorted table, and the corner.
         """
@@ -610,11 +612,8 @@ class DirectMembership:
         lam, ok = _gf.similitude_check(a, ell)
         ok &= self._admissible[lam]
         eye = np.eye(4, dtype=np.int64)
-        kernel, rank = _gf.batch_kernel_basis(a - eye, ell, 1)
-        v = kernel[:, 0]
-        ok &= (rank == 3) & (v[:, 0] != 0)
-        v = v * inv[v[:, 0]][:, None] % ell
-        ok &= (v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0))
+        fixed, v = _gf.kernel_line(a - eye, ell)
+        ok &= fixed & ((v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0)))
         alpha = v[:, 2:] * inv[v[:, 1]][:, None] % ell
         beta = -v[:, 1] % ell
         core = np.matmul(np.matmul(transvection_lanes(ell, alpha, beta), a) % ell,

@@ -437,10 +437,11 @@ def _combine(coeffs: Sequence[int], basis: Sequence[Sequence[int]], ell: int) ->
     return [sum(coeffs[i] * basis[i][j] for i in range(len(basis))) % ell for j in range(dim)]
 
 
-# Primes the batch sampler takes: its int64 products stay below 2g * ell**2
-# and its inverse tables hold ell entries.  Its draw range ell**(2g) - 1
-# must also fit CounterLanes.below; at g = 2 the scalar range reaches 2**64
-# at ell = 65536, past which CounterRng.below has no accepting draw.
+# Primes the batch sampler takes: its int64 products stay below
+# max(2g * ell**2, ell**3) and its inverse tables hold ell entries.  Its draw
+# range ell**(2g) - 1 must also fit CounterLanes.below; at g = 2 the scalar
+# range reaches 2**64 at ell = 65536, past which CounterRng.below has no
+# accepting draw.
 LANES_ELL_CAP = 1 << 16
 
 
@@ -488,7 +489,7 @@ def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes)
         if d == 2:
             break
         w2 = _pair_lanes(f2, basis, form, ell)
-        kernel, _ = _gf.batch_kernel_basis(np.stack([w1, w2], axis=1), ell, d - 2)
+        kernel = _gf.rank2_kernel_basis(np.stack([w1, w2], axis=1), ell)
         basis = np.matmul(kernel, basis) % ell
     return np.stack(cols, axis=2)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,23 +140,81 @@ def test_batch_rank_degenerate_cases():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 8), st.integers(1, 6),
        st.integers(0, 10**6))
-def test_batch_rref_and_kernels_match_scalar(p, r, c, seed):
+def test_batch_rref_matches_scalar(p, r, c, seed):
     flat = rand_entries(60, r * c, p, seed)
     flat[::3, :c] = 0                     # lanes of lower rank
     flat[1::4, -c:] = flat[1::4, :c]
     batch = flat.reshape(-1, r, c)
     reduced, pivots = _gf.batch_rref(batch, p)
-    for k in range(c + 1):
-        kernels, ranks = _gf.batch_kernel_basis(batch, p, k)
-        for i, mat in enumerate(batch):
-            rows = mat.tolist()
-            if k == 0:
-                want, piv = rref_mod(rows, p)
-                assert reduced[i].tolist() == want
-                assert pivots[i].tolist() == piv + [-1] * (r - len(piv))
-            assert int(ranks[i]) == rank_mod(rows, p)
-            if c - ranks[i] == k:
-                assert kernels[i].tolist() == kernel_basis(rows, p)
+    ranks = _gf.batch_rank(batch, p)
+    for i, mat in enumerate(batch):
+        rows = mat.tolist()
+        want, piv = rref_mod(rows, p)
+        assert reduced[i].tolist() == want
+        assert pivots[i].tolist() == piv + [-1] * (r - len(piv))
+        assert int(ranks[i]) == len(piv)
+
+
+KERNEL_PRIMES = [2, 3, 5, 7, 13, 31, 65521]
+
+
+@pytest.mark.parametrize("c", [4, 6])
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rank2_kernel_basis_matches_kernel_basis(p, c):
+    # for every pivot pair (p1, p2), RREF rows with those pivots times random
+    # invertible 2x2 matrices, then uniformly random lanes
+    rng = np.random.default_rng(7 * p + c)
+    lanes = []
+    for p1, p2 in itertools.combinations(range(c), 2):
+        for _ in range(6):
+            rref = rng.integers(0, p, size=(2, c))
+            rref[0, :p1 + 1] = [0] * p1 + [1]
+            rref[:, p2] = [0, 1]
+            rref[1, :p2] = 0
+            while True:
+                m = rng.integers(0, p, size=(2, 2))
+                if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % p:
+                    break
+            lanes.append(m @ rref % p)
+    w = np.concatenate([np.array(lanes), rng.integers(0, p, size=(200, 2, c))])
+    got = _gf.rank2_kernel_basis(w, p)
+    assert got.shape == (w.shape[0], c - 2, c)
+    pivot_pairs = set()
+    for i, mat in enumerate(w.tolist()):
+        _, piv = rref_mod(mat, p)
+        if len(piv) == 2:
+            pivot_pairs.add(tuple(piv))
+            assert got[i].tolist() == kernel_basis(mat, p)
+    assert pivot_pairs == set(itertools.combinations(range(c), 2))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_line_matches_kernel_basis(p):
+    # lanes of rank 4, rank 3 with v[0] != 0, rank 3 with v[0] = 0, rank <= 2
+    rng = np.random.default_rng(p)
+    n = 120
+    b = rng.integers(0, p, size=(4, n, 4, 4))
+    v = rng.integers(0, p, size=(2, n, 4))
+    v[0, :, 0] = 1
+    v[1, :, 0], v[1, :, 1] = 0, 1
+    # put v[k] in the kernel of b[k + 1]: column k, where v[k] is 1, absorbs the rest
+    for k in range(2):
+        rest = [j for j in range(4) if j != k]
+        b[k + 1, :, :, k] = -np.einsum("nij,nj->ni", b[k + 1][:, :, rest], v[k][:, rest]) % p
+    b[3, :, 2:] = b[3, :, :1] * rng.integers(0, p, size=(n, 2, 1)) % p
+    b = b.reshape(4 * n, 4, 4)
+    ok, line = _gf.kernel_line(b, p)
+    kinds = []
+    for i, mat in enumerate(b.tolist()):
+        ker = kernel_basis(mat, p)
+        want = len(ker) == 1 and ker[0][0] != 0
+        kinds.append((len(ker), want))
+        assert bool(ok[i]) == want
+        if want:
+            assert line[i].tolist() == [x * pow(ker[0][0], -1, p) % p for x in ker[0]]
+    kinds = [kinds[k * n:(k + 1) * n] for k in range(4)]
+    assert (0, False) in kinds[0] and (1, True) in kinds[1] and (1, False) in kinds[2]
+    assert all(nullity >= 2 for nullity, _ in kinds[3])
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (5, 2), (7, 2)])

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symon.modmat import ModMatrix, ModVector, Modulus, mat_mul, mat_vec
-from symon.prng import CounterRng
+from symon.prng import CounterLanes, CounterRng
 from symon.sympgroup import (
     BudgetExceeded,
     GroupContext,
@@ -20,6 +21,8 @@ from symon.sympgroup import (
     multiplicative_order,
     multiplier,
     pairing,
+    sample_entries,
+    sample_entries_lanes,
     sample_uniform,
     scan_entries,
     sp_order,
@@ -259,6 +262,23 @@ def test_sample_uniform_membership_and_determinism():
         m = sample_uniform(ctx, 2, 7, index)
         assert multiplier(ctx, m) == 2
         assert is_member(ctx, m)
+
+
+@pytest.mark.parametrize("g,ell,past", [(2, 55103, 55109), (3, 1447, 1451)])
+def test_lane_sampler_at_the_largest_admitted_prime(g, ell, past):
+    # the largest primes with ell**(2g) <= 2**63, where the lane kernels'
+    # int64 products are largest, lane by lane against the scalar sampler
+    seed, n = 2 ** 64 - 59, 36
+    lanes = CounterLanes(seed, np.arange(n, dtype=np.uint64))
+    lam = lanes.below(ell - 1) + 1
+    got = sample_entries_lanes(g, ell, lam, lanes)
+    assert not lanes.rejected.any()
+    for i in range(n):
+        rng = CounterRng(seed, i)
+        assert rng.below(ell - 1) + 1 == lam[i]
+        assert got[i].tolist() == sample_entries(g, ell, int(lam[i]), rng)
+    with pytest.raises(ValueError, match="batch sampling"):
+        sample_entries_lanes(g, past, 1, CounterLanes(seed, np.arange(2, dtype=np.uint64)))
 
 
 def test_sample_uniform_covers_small_group():
