@@ -5,7 +5,8 @@ with entries already reduced mod p; the entry arrays that ``pack_entries``
 and ``conjugate_into`` read may have any integer dtype, ``uint8`` included.
 The scalar, exact public API lives in ``modmat``; these kernels exist so
 that exhaustive enumerations, million-element set constructions and Monte
-Carlo batches run at C speed.
+Carlo batches run at C speed.  ``inverse_table`` is built once per p
+and cached, so it returns a read-only array.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
@@ -13,8 +14,10 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
 * ``similitude_check``: a pairing sums g minors, so at most g * (p-1)**2.
 * ``batch_det``: at d = 4 each minor is reduced before the products of
   two minors are summed, so every intermediate stays below 6 * p**2.
-* ``batch_rref`` (and ``batch_rank``): entries stay within p + c * p**2
-  for c columns before the final reduction.
+* ``batch_rank`` reduces its (N, r, c) input itself; both products of a
+  step lie in [0, (p-1)**2] and are reduced after their difference, so
+  every intermediate is below p**2 in magnitude, exact in int64 for
+  p < 2**31.
 * ``rank2_kernel_basis``: a minor times an inverse is below p**3 (2**48 at
   p < 2**16); ``kernel_line``: on entries in (-p, p) a minor is below
   2 * p**2 and a cofactor, three entries times minors, below 6 * p**3
@@ -40,16 +43,19 @@ the materialization cap of 31).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
 import numpy as np
 
 
+@functools.cache
 def inverse_table(p: int) -> np.ndarray:
-    """inv[x] = x^-1 mod p for x in [1, p); inv[0] = 0."""
+    """inv[x] = x^-1 mod p for x in [1, p); inv[0] = 0.  Cached, read-only."""
     inv = np.zeros(p, dtype=np.int64)
     inv[1:] = [pow(x, -1, p) for x in range(1, p)]
+    inv.flags.writeable = False
     return inv
 
 
@@ -78,52 +84,28 @@ def batch_det_minus_identity(a: np.ndarray, p: int) -> np.ndarray:
     return batch_det((a - np.eye(a.shape[-1], dtype=np.int64)) % p, p)
 
 
-def batch_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms over GF(p) of a (N, r, c) batch.
+def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over GF(p) of a (N, r, c) batch, by fraction-free forward elimination.
 
-    Returns (reduced, pivots): ``reduced`` is the (N, r, c) batch of RREFs,
-    equal lane by lane to ``modmat.rref_mod`` (the RREF is unique), and
-    ``pivots[i, k]`` is the pivot column of row k of lane i, or -1 past the
-    lane's rank.  Each column pass takes, on every lane at once, the first
-    unused row that is nonzero there as the pivot row, scales it to a
-    leading 1 and clears the column in every other row; the pivot rows are
-    put in order once at the end.  Only the pivot row and the column
-    multipliers are reduced inside the loop, so an entry drifts by less
-    than p**2 per column and the batch is reduced once after the loop.
+    At column j every lane takes its first row that is nonzero there as the
+    pivot row ``top``, and every row becomes row * t - row[j] * top with
+    t = top[j] (t = 1 on a lane with no such row, whose column j is zero).
+    The step zeroes column j, which is never read again, so only the
+    columns after it are updated, in place.  It zeroes the pivot row too,
+    so no row is a pivot twice, and the rank is the number of columns that
+    found a pivot.
     """
     a = np.array(a, dtype=np.int64) % p
-    n, nrows, ncols = a.shape
-    inv = inverse_table(p)
-    flat = a.reshape(n * nrows, ncols)
-    first_row = np.arange(n) * nrows
-    used = np.zeros((n, nrows), dtype=bool)
-    pivot_of_row = np.full(n * nrows, -1, dtype=np.int64)
-    for c in range(ncols):
-        col = a[:, :, c] % p
-        usable = (col != 0) & ~used
-        at = first_row + usable.argmax(axis=1)
-        live = usable.reshape(-1)[at]
-        if not live.any():
-            continue
-        top = flat[at] % p
-        top = top * inv[top[:, c]][:, None] % p
-        col *= live[:, None]
-        col.reshape(-1)[at] = 0
-        a -= col[:, :, None] * top[:, None, :]
-        at, top = at[live], top[live]
-        flat[at] = top
-        used.reshape(-1)[at] = True
-        pivot_of_row[at] = c
-    a %= p
-    pivots = pivot_of_row.reshape(n, nrows)
-    order = np.argsort(np.where(pivots >= 0, pivots, ncols), axis=1, kind="stable")
-    return (np.take_along_axis(a, order[:, :, None], axis=1),
-            np.take_along_axis(pivots, order, axis=1))
-
-
-def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over GF(p) of a (N, r, c) batch."""
-    return (batch_rref(a, p)[1] >= 0).sum(axis=1)
+    lanes = np.arange(a.shape[0])
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    for j in range(a.shape[2]):
+        top = a[lanes, (a[:, :, j] != 0).argmax(axis=1), j:]
+        rank += top[:, 0] != 0
+        rest = a[:, :, j + 1:]
+        rest *= np.maximum(top[:, :1], 1)[:, :, None]
+        rest -= a[:, :, j, None] * top[:, None, 1:]
+        rest %= p
+    return rank
 
 
 def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:

@@ -50,6 +50,7 @@ from .modmat import (
 )
 from .prng import CounterRng
 from .sympgroup import (
+    BudgetExceeded,
     GroupContext,
     NotSimilitude,
     _Infinity,
@@ -429,7 +430,7 @@ class FixedVectorSet:
                 found.append("a member fixes no nonzero vector")
                 break
             if self.level is SetLevel.CORE:
-                if bool(np.any(_gf.batch_rank((a - eye) % ell, ell) != dim - 1)):
+                if bool(np.any(_gf.batch_rank(a - eye, ell) != dim - 1)):
                     found.append("a core member's fixed space is not one line")
                     break
                 if not bool((a[:, :, 0] == eye[0]).all()):
@@ -520,7 +521,8 @@ class DirectMembership:
     simulation at moduli whose materialized sets would not fit in RAM
     possible.  Building the block pool scans the genus-1 group's ell**4
     candidates within the default enumeration budget of 10**8, so it needs
-    3 <= ell <= 97; a larger prime raises BudgetExceeded.
+    3 <= ell <= 97; a larger prime raises BudgetExceeded with a message that
+    names ell and this ell**4-candidate pool scan.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -531,10 +533,16 @@ class DirectMembership:
         self.ell = ell
         lams = ctx.multiplier_values()
         self._admissible = ctx.multiplier_mask()
+        try:
+            pools = _blocks_entries(ctx, lams)
+        except BudgetExceeded as exc:
+            exc.args = (f"direct membership at ell={ell} scans the ell**4 = {exc.estimate} "
+                        f"candidates of its block pool, budget is {exc.budget}",)
+            raise
         # every pool block of every admissible multiplier, keyed by
         # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
         keys, inverses = [], []
-        for lam, blocks in zip(lams, _blocks_entries(ctx, lams)):
+        for lam, blocks in zip(lams, pools):
             keys.append(self._block_key(lam, blocks[:, 0, 0], blocks[:, 0, 1],
                                         blocks[:, 1, 0], blocks[:, 1, 1]))
             inverses.append(_pool_inverses(blocks, ell))

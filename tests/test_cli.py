@@ -555,12 +555,14 @@ def test_simulate_rejects_primes_past_the_sampler_range(g, ell, capsys):
 
 def test_set_hits_past_the_direct_membership_range_exit_2(capsys):
     # DirectMembership's block pool scans 101**4 > 10**8 candidates at ell = 101
-    argv = ["simulate", "hit-frequency", "--n", "101", "--q", "2", "--samples", "10",
-            "--seed", "1"]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: enumeration needs 104060401 candidates, budget is 100000000\n"
+    for argv in (["simulate", "hit-frequency", "--n", "101", "--q", "2", "--samples", "10",
+                  "--seed", "1"],
+                 ["simulate", "borel-cantelli", "--ells", "3,101", "--e", "1", "--seed", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: direct membership at ell=101 scans the ell**4 = "
+                                "104060401 candidates of its block pool, budget is 100000000\n")
 
 
 @pytest.fixture(scope="module")
