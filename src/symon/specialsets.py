@@ -183,7 +183,7 @@ def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
         if have[lam] < need:
             raise InsufficientMatrices(
                 f"only {have[lam]} eigenvalue-one-free blocks available, need {need}")
-    return [np.concatenate(picked[lam], axis=0) for lam in lams]
+    return [np.concatenate(picked.pop(lam)) for lam in lams]
 
 
 def select_blocks(ctx: GroupContext, lam: int) -> list[ModMatrix]:
@@ -245,9 +245,13 @@ def _require_below_cap(ell: int, allow_large: bool) -> int:
 
 
 def _pool_inverses(blocks: np.ndarray, ell: int) -> np.ndarray:
-    """(I - B)^-1 mod ell for each block of an (m, 2, 2) pool, in pool order."""
+    """(I - B)^-1 mod ell for each of an (m, 2, 2) array of blocks, in order.
+
+    Any blocks may be passed; where det(I - B) = 0 the result is
+    meaningless and the caller must drop it.
+    """
     b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
-    dinv = _gf.inverse_table(ell)[_gf.batch_det_minus_identity(blocks, ell)]  # = det(I - B)
+    dinv = _gf.inverse_table(ell)[((1 - b11) * (1 - b22) - b12 * b21) % ell]
     adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
     return adj * dinv[:, None, None] % ell
 
@@ -517,12 +521,13 @@ class DirectMembership:
     (equivalently, contains a vector (1, b, c, d) with the right shape), and
     conjugating back by the unique shear lands in the core layer: e_1-fixing
     shape, block in the pool, corner entry off the excluded value.
-    Works at g = 2 with O(1) memory in the set size, which is what makes
-    simulation at moduli whose materialized sets would not fit in RAM
-    possible.  Building the block pool scans the genus-1 group's ell**4
-    candidates within the default enumeration budget of 10**8, so it needs
-    3 <= ell <= 97; a larger prime raises BudgetExceeded with a message that
-    names ell and this ell**4-candidate pool scan.
+    Works at g = 2 and keeps only the block pool, at 8 bytes of packed key
+    per pool block, which is what makes simulation at moduli whose
+    materialized sets would not fit in RAM possible.  Building the block
+    pool scans the genus-1 group's ell**4 candidates within the default
+    enumeration budget of 10**8, so it needs 3 <= ell <= 97; a larger prime
+    raises BudgetExceeded with a message that names ell and this
+    ell**4-candidate pool scan.
     """
 
     def __init__(self, ctx: GroupContext):
@@ -539,27 +544,17 @@ class DirectMembership:
             exc.args = (f"direct membership at ell={ell} scans the ell**4 = {exc.estimate} "
                         f"candidates of its block pool, budget is {exc.budget}",)
             raise
-        # every pool block of every admissible multiplier, keyed by
-        # (lam, b11, b12, b21, b22) packed base ell and sorted, with (I - B)^-1
-        keys, inverses = [], []
-        for lam, blocks in zip(lams, pools):
-            keys.append(self._block_key(lam, blocks[:, 0, 0], blocks[:, 0, 1],
-                                        blocks[:, 1, 0], blocks[:, 1, 1]))
-            inverses.append(_pool_inverses(blocks, ell))
-        keys = np.concatenate(keys)
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._inverses = np.concatenate(inverses)[order]
+        # det B = lam on an e_1-fixing similitude: pools are disjoint, the block is the key
+        keys = []
+        while pools:    # each pool is freed once packed
+            keys.append(_gf.pack_entries(pools.pop().reshape(-1, 4), ell))
+        self._pool = _gf.unique_keys(np.concatenate(keys))
 
-    def _block_key(self, lam, b11, b12, b21, b22):
+    def _block_inverse(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(found, (I - B)^-1) for an (N, 2, 2) array of blocks B."""
         ell = self.ell
-        return (((lam * ell + b11) * ell + b12) * ell + b21) * ell + b22
-
-    def _block_inverse(self, lam, b11, b12, b21, b22):
-        """(found, (I - B)^-1) for a block B under multiplier lam; ints or arrays."""
-        key = self._block_key(lam, b11, b12, b21, b22)
-        pos = np.minimum(np.searchsorted(self._keys, key), self._keys.shape[0] - 1)
-        return self._keys[pos] == key, self._inverses[pos]
+        found = _gf.searchsorted_keys(self._pool, _gf.pack_entries(blocks.reshape(-1, 4), ell))
+        return found, _pool_inverses(blocks, ell)
 
     @property
     def cardinality(self) -> int:
@@ -600,10 +595,10 @@ class DirectMembership:
             core = (t @ np.array(rows, dtype=np.int64) @ tinv % ell).tolist()
         if any(core[i][0] != (1 if i == 0 else 0) for i in range(4)):
             return False
-        found, minv = self._block_inverse(lam, core[2][2], core[2][3], core[3][2], core[3][3])
-        if not found:
+        found, minv = self._block_inverse(np.array([[core[2][2:], core[3][2:]]]))
+        if not found[0]:
             return False
-        return core[0][1] != _excluded_corner(minv.tolist(), (core[2][1], core[3][1]),
+        return core[0][1] != _excluded_corner(minv[0].tolist(), (core[2][1], core[3][1]),
                                               core[0][2:], ell)
 
     def contains_lanes(self, a: np.ndarray) -> np.ndarray:
@@ -613,7 +608,7 @@ class DirectMembership:
         the kernel vector of A - I scaled to v[0] = 1 (required to span the
         whole fixed space), the shear it determines (the identity where its second
         entry is 0, which then needs the vector to be e_1), the conjugate's
-        e_1 column, its block looked up in the sorted table, and the corner.
+        e_1 column, its block looked up in the sorted pool keys, and the corner.
         """
         ell = self.ell
         inv = _gf.inverse_table(ell)
@@ -627,8 +622,7 @@ class DirectMembership:
         core = np.matmul(np.matmul(transvection_lanes(ell, alpha, beta), a) % ell,
                          transvection_lanes(ell, alpha, -beta)) % ell
         ok &= (core[:, :, 0] == eye[0]).all(axis=1)
-        found, minv = self._block_inverse(lam, core[:, 2, 2], core[:, 2, 3],
-                                          core[:, 3, 2], core[:, 3, 3])
+        found, minv = self._block_inverse(core[:, 2:, 2:])
         excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),
                                     (core[:, 0, 2], core[:, 0, 3]), ell)
         return ok & found & (core[:, 0, 1] != excluded)

@@ -37,15 +37,18 @@ def referenced_names(node):
 
 
 def test_every_gf_kernel_has_a_caller_in_the_package():
-    # a kernel kept only for its test is a second implementation to maintain
+    # a kernel or private helper kept only for its test is a second
+    # implementation to maintain: every _gf function and every top-level
+    # _-prefixed function of the package must be named by other code in it
     src = Path(_gf.__file__).parent
-    tree = ast.parse((src / "_gf.py").read_text())
-    kernels = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
-    outside = set().union(*(referenced_names(ast.parse(path.read_text()))
-                            for path in src.glob("*.py") if path.name != "_gf.py"))
-    for f in kernels:
-        inside = set().union(*(referenced_names(other) for other in kernels if other is not f))
-        assert f.name in outside | inside, f"_gf.{f.name} has no caller in src/symon"
+    modules = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    for name, tree in modules.items():
+        outside = set().union(*(referenced_names(t) for n, t in modules.items() if n != name))
+        for f in tree.body:
+            if isinstance(f, ast.FunctionDef) and (name == "_gf.py" or f.name.startswith("_")):
+                inside = set().union(*(referenced_names(node) for node in tree.body
+                                       if node is not f))
+                assert f.name in outside | inside, f"{name}: {f.name} has no caller in src/symon"
 
 
 @pytest.mark.parametrize("p", [3, 13, 17, 31])

@@ -13,9 +13,11 @@ from symon.modmat import (
     LINES_PER_CHUNK,
     ModMatrix,
     Modulus,
+    NotInvertible,
     crt_lift,
     fixed_space,
     has_eigenvalue_one,
+    mat_inv,
     mat_mul,
 )
 from symon.prng import CounterRng
@@ -118,6 +120,26 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         want = scan[_gf.batch_det_minus_identity(scan, ell) != 0][:need]
         assert want.shape == (need, 2, 2)
         assert pool.dtype == want.dtype and np.array_equal(pool, want)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13])
+def test_pool_inverses_match_the_scalar_inverse(ell):
+    # every 2x2 block B with det(I - B) != 0, against mat_inv(I - B); those
+    # are the matrices I - B in GL_2(F_ell), so their count is checked too
+    mod = Modulus.of(ell)
+    blocks = np.array(list(itertools.product(range(ell), repeat=4)), dtype=np.int64)
+    blocks = blocks.reshape(-1, 2, 2)
+    eye = np.eye(2, dtype=np.int64)
+    checked = 0
+    for block, got in zip(blocks, _pool_inverses(blocks, ell).tolist(), strict=True):
+        i_minus_b = ModMatrix.from_rows(mod, ((eye - block) % ell).tolist())
+        try:
+            want = mat_inv(i_minus_b)
+        except NotInvertible:
+            continue
+        assert got == [list(row) for row in want.rows]
+        checked += 1
+    assert checked == (ell ** 2 - 1) * (ell ** 2 - ell)
 
 
 def per_block_core_chunks(ctx, lam, blocks):
@@ -265,6 +287,22 @@ def test_union_build_peak_memory_stays_near_key_bytes():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_direct_membership_peak_memory_at_61():
+    # 8 bytes of packed key per pool block; keying by (lam, block) in a
+    # second codec and storing every block's (I - B)^-1 beside the keys had
+    # peaked at 2.1 GB at ell = 61, q = 2.  The child reads its own VmHWM,
+    # as ru_maxrss would carry pytest's peak across exec
+    code = ("from symon.specialsets import DirectMembership\n"
+            "from symon.sympgroup import GroupContext\n"
+            "DirectMembership(GroupContext.of(2, 61, 2))\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1200 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_core_build_peak_memory_is_bounded():
     # the 4.06M-row core at ell=13 is 65 MB of uint8 entries and 32 MB of
     # keys; casting all entries to float64 at once for packing (520 MB)
@@ -312,6 +350,8 @@ def test_direct_membership_matches_materialized_everywhere(gsp4_f3):
     for i in range(entries.shape[0]):
         rows = [[int(x) for x in entries[i, r]] for r in range(4)]
         assert direct.contains_rows(rows) == bool(in_set[i])
+    # the lane path on every member too, blocks with det(I - B) = 0 included
+    assert np.array_equal(direct.contains_lanes(entries), in_set)
     # and on a sample of non-group matrices both say no
     rng = CounterRng(77, 0)
     for _ in range(200):
