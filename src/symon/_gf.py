@@ -5,8 +5,7 @@ with entries already reduced mod p; the entry arrays that ``pack_entries``
 and ``conjugate_into`` read may have any integer dtype, ``uint8`` included.
 The scalar, exact public API lives in ``modmat``; these kernels exist so
 that exhaustive enumerations, million-element set constructions and Monte
-Carlo batches run at C speed.  ``inverse_table`` is built once per p
-and cached, so it returns a read-only array.
+Carlo batches run at C speed.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
@@ -52,9 +51,14 @@ import numpy as np
 
 @functools.cache
 def inverse_table(p: int) -> np.ndarray:
-    """inv[x] = x^-1 mod p for x in [1, p); inv[0] = 0.  Cached, read-only."""
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1:] = [pow(x, -1, p) for x in range(1, p)]
+    """inv[x] = x^-1 mod p for x in [1, p); inv[0] = 0.  Cached, read-only.
+    x**(p-2) for prime p, squared and multiplied in int64 (exact for p < 2**31)."""
+    x, inv = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)
+    for bit in f"{p - 2:b}":
+        inv = inv * inv % p
+        if bit == "1":
+            inv = inv * x % p
+    inv[0] = 0
     inv.flags.writeable = False
     return inv
 

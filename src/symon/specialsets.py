@@ -50,7 +50,6 @@ from .modmat import (
 )
 from .prng import CounterRng
 from .sympgroup import (
-    BudgetExceeded,
     GroupContext,
     NotSimilitude,
     _Infinity,
@@ -244,16 +243,30 @@ def _require_below_cap(ell: int, allow_large: bool) -> int:
     return ell
 
 
-def _pool_inverses(blocks: np.ndarray, ell: int) -> np.ndarray:
-    """(I - B)^-1 mod ell for each of an (m, 2, 2) array of blocks, in order.
-
-    Any blocks may be passed; where det(I - B) = 0 the result is
-    meaningless and the caller must drop it.
-    """
+def _pool_inverses(blocks: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(det(I - B), (I - B)^-1) mod ell for an (m, 2, 2) array of blocks B, in
+    order; where det(I - B) = 0 the inverse is meaningless, to be dropped."""
     b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
-    dinv = _gf.inverse_table(ell)[((1 - b11) * (1 - b22) - b12 * b21) % ell]
+    det = ((1 - b11) * (1 - b22) - b12 * b21) % ell
     adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
-    return adj * dinv[:, None, None] % ell
+    return det, adj * _gf.inverse_table(ell)[det][:, None, None] % ell
+
+
+def _pool_cutoff(ell: int) -> tuple[int, int, int, int]:
+    """The lex-last block, row-major, of the multiplier-1 pool (see DirectMembership)."""
+    return (2, 1, 0, 2) if ell == 3 else (ell - 1, ell - 2, ell - 2, ell - 5)
+
+
+def _in_pool(blocks: np.ndarray, lam: int | np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Pool membership, (I - B)^-1) for an (m, 2, 2) array of blocks B of
+    multiplier lam, scalar or per block: det(I - B) != 0 and, at lam = 1, B
+    at most ``_pool_cutoff`` (compared entry by entry: an int64 key of the
+    four entries overflows past ell = 55,108).  DirectMembership argues it."""
+    det, minv = _pool_inverses(blocks, ell)
+    at_most = np.ones(blocks.shape[0], dtype=bool)
+    for x, c in reversed(list(zip(blocks.reshape(-1, 4).T, _pool_cutoff(ell)))):
+        at_most = (x < c) | ((x == c) & at_most)
+    return (det != 0) & ((lam != 1) | at_most), minv
 
 
 def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, ell: int):
@@ -286,7 +299,7 @@ def _core_entries(ctx: GroupContext, lam: int, blocks: np.ndarray) -> np.ndarray
     # (m, ell^2): forced top-row entries and the excluded corner value
     b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
     b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
-    minv = _pool_inverses(blocks, ell).transpose(1, 2, 0)[..., None]
+    minv = _pool_inverses(blocks, ell)[1].transpose(1, 2, 0)[..., None]
     excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
     # one row per (block, pair), entry (i, j) in column 4i + j; column 1 is d
     row = np.zeros((m, ell * ell, 16), dtype=np.uint8)
@@ -521,40 +534,29 @@ class DirectMembership:
     (equivalently, contains a vector (1, b, c, d) with the right shape), and
     conjugating back by the unique shear lands in the core layer: e_1-fixing
     shape, block in the pool, corner entry off the excluded value.
-    Works at g = 2 and keeps only the block pool, at 8 bytes of packed key
-    per pool block, which is what makes simulation at moduli whose
-    materialized sets would not fit in RAM possible.  Building the block
-    pool scans the genus-1 group's ell**4 candidates within the default
-    enumeration budget of 10**8, so it needs 3 <= ell <= 97; a larger prime
-    raises BudgetExceeded with a message that names ell and this
-    ell**4-candidate pool scan.
+    Works at g = 2 and holds no pool, only its ell-entry multiplier mask, so
+    it serves every prime the lane sampler takes (ell <= 55,103).
+
+    The pool has a closed form.  A block B of multiplier lam (det B = lam on
+    an e_1-fixing similitude) is eligible when det(I - B) != 0; the pool is
+    the first ell (ell+1) (ell-2) eligible blocks in row-major lex order.
+    Of the ell (ell^2-1) blocks of determinant lam, those with eigenvalue 1
+    have characteristic polynomial (x-1)(x-lam).  For lam != 1 they form one
+    split semisimple class of size ell (ell+1), so every eligible block is
+    pooled.  For lam = 1 they are I and the ell^2-1 transvections, so the
+    pool drops the lex-last ell eligible blocks: for ell >= 5 the ell-1
+    blocks (ell-1, ell-1, b22+1, b22) with det(I - B) = 3 - b22 != 0, then
+    (ell-1, ell-2, ell-1, ell-3), as the row (ell-1, ell-2, b21, 2 b21 - 1)
+    has det(I - B) = 4 - 2 b21.  So the last pooled block is
+    (ell-1, ell-2, ell-2, ell-5); at ell = 3 it is (2, 1, 0, 2).
     """
 
     def __init__(self, ctx: GroupContext):
-        ell = _require_constructible(ctx)
+        self.ell = _require_constructible(ctx)
         if ctx.g != 2:
             raise ValueError("direct membership is implemented for g = 2 only")
         self.ctx = ctx
-        self.ell = ell
-        lams = ctx.multiplier_values()
         self._admissible = ctx.multiplier_mask()
-        try:
-            pools = _blocks_entries(ctx, lams)
-        except BudgetExceeded as exc:
-            exc.args = (f"direct membership at ell={ell} scans the ell**4 = {exc.estimate} "
-                        f"candidates of its block pool, budget is {exc.budget}",)
-            raise
-        # det B = lam on an e_1-fixing similitude: pools are disjoint, the block is the key
-        keys = []
-        while pools:    # each pool is freed once packed
-            keys.append(_gf.pack_entries(pools.pop().reshape(-1, 4), ell))
-        self._pool = _gf.unique_keys(np.concatenate(keys))
-
-    def _block_inverse(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(found, (I - B)^-1) for an (N, 2, 2) array of blocks B."""
-        ell = self.ell
-        found = _gf.searchsorted_keys(self._pool, _gf.pack_entries(blocks.reshape(-1, 4), ell))
-        return found, _pool_inverses(blocks, ell)
 
     @property
     def cardinality(self) -> int:
@@ -595,11 +597,9 @@ class DirectMembership:
             core = (t @ np.array(rows, dtype=np.int64) @ tinv % ell).tolist()
         if any(core[i][0] != (1 if i == 0 else 0) for i in range(4)):
             return False
-        found, minv = self._block_inverse(np.array([[core[2][2:], core[3][2:]]]))
-        if not found[0]:
-            return False
-        return core[0][1] != _excluded_corner(minv[0].tolist(), (core[2][1], core[3][1]),
-                                              core[0][2:], ell)
+        found, minv = _in_pool(np.array([[core[2][2:], core[3][2:]]]), lam, ell)
+        return bool(found[0]) and core[0][1] != _excluded_corner(
+            minv[0].tolist(), (core[2][1], core[3][1]), core[0][2:], ell)
 
     def contains_lanes(self, a: np.ndarray) -> np.ndarray:
         """``contains_rows`` on every matrix of an (N, 4, 4) batch with entries in [0, ell).
@@ -608,21 +608,20 @@ class DirectMembership:
         the kernel vector of A - I scaled to v[0] = 1 (required to span the
         whole fixed space), the shear it determines (the identity where its second
         entry is 0, which then needs the vector to be e_1), the conjugate's
-        e_1 column, its block looked up in the sorted pool keys, and the corner.
+        e_1 column, its block's pool membership, and the corner.
         """
         ell = self.ell
-        inv = _gf.inverse_table(ell)
         lam, ok = _gf.similitude_check(a, ell)
         ok &= self._admissible[lam]
         eye = np.eye(4, dtype=np.int64)
         fixed, v = _gf.kernel_line(a - eye, ell)
         ok &= fixed & ((v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0)))
-        alpha = v[:, 2:] * inv[v[:, 1]][:, None] % ell
+        alpha = v[:, 2:] * _gf.inverse_table(ell)[v[:, 1]][:, None] % ell
         beta = -v[:, 1] % ell
-        core = np.matmul(np.matmul(transvection_lanes(ell, alpha, beta), a) % ell,
-                         transvection_lanes(ell, alpha, -beta)) % ell
+        t = transvection_lanes(ell, alpha, beta)     # I + beta N, N^2 = 0: inverse 2I - t
+        core = np.matmul(np.matmul(t, a) % ell, 2 * eye - t) % ell
         ok &= (core[:, :, 0] == eye[0]).all(axis=1)
-        found, minv = self._block_inverse(core[:, 2:, 2:])
+        found, minv = _in_pool(core[:, 2:, 2:], lam, ell)
         excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),
                                     (core[:, 0, 2], core[:, 0, 3]), ell)
         return ok & found & (core[:, 0, 1] != excluded)

@@ -37,11 +37,6 @@ class NotSimilitude(ValueError):
 class BudgetExceeded(RuntimeError):
     """An exhaustive operation would touch more candidates than allowed."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(f"enumeration needs {estimate} candidates, budget is {budget}")
-        self.estimate = estimate
-        self.budget = budget
-
 
 class _Infinity:
     """Marker for the similitude class with unrestricted unit multipliers."""
@@ -261,7 +256,7 @@ def scan_entries(ctx: GroupContext, lam: int | None = None,
     ell = ctx.modulus.n
     estimate = ell ** (ctx.dim * ctx.dim)
     if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+        raise BudgetExceeded(f"enumeration needs {estimate} candidates, budget is {budget}")
     allowed = ctx.multiplier_mask()
     if lam is not None:
         allowed &= np.arange(ell) == _require_unit(lam, ell)
@@ -306,13 +301,14 @@ def transvection_lanes(ell: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndar
     """``transvection`` on every lane: (N, 2g, 2g) for alpha (N, 2g-2) and beta (N,).
 
     The matrix is I + beta * u c^t with c_i = e(e_i, u), the column form of
-    v -> v + beta * e(v, u) * u.
+    v -> v + beta * e(v, u) * u.  beta, u and c are reduced first, so
+    beta * u_i * c_j <= (ell-1)**3 is exact in int64 for ell < 2**21.
     """
     n, k = alpha.shape
     g = k // 2 + 1
     u = np.concatenate([np.zeros((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64),
                         alpha % ell], axis=1)
-    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T
+    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T % ell
     shear = (beta % ell)[:, None, None] * u[:, :, None] * c[:, None, :]
     return (np.eye(2 * g, dtype=np.int64) + shear) % ell
 

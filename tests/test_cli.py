@@ -553,16 +553,23 @@ def test_simulate_rejects_primes_past_the_sampler_range(g, ell, capsys):
     assert capsys.readouterr().err.startswith("error: batch sampling at g=")
 
 
-def test_set_hits_past_the_direct_membership_range_exit_2(capsys):
-    # DirectMembership's block pool scans 101**4 > 10**8 candidates at ell = 101
-    for argv in (["simulate", "hit-frequency", "--n", "101", "--q", "2", "--samples", "10",
-                  "--seed", "1"],
-                 ["simulate", "borel-cantelli", "--ells", "3,101", "--e", "1", "--seed", "1"]):
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: direct membership at ell=101 scans the ell**4 = "
-                                "104060401 candidates of its block pool, budget is 100000000\n")
+def test_set_hits_run_to_the_lane_sampler_cap(capsys):
+    # DirectMembership decides pool membership in closed form, so a set hit
+    # runs past ell = 97, where its pool scan once stopped it; the lane
+    # sampler's cap ell**4 <= 2**63 (ell <= 55,103) is the only limit left
+    for ell, rc in (("101", 0), ("65521", 2)):
+        for argv in (["simulate", "hit-frequency", "--n", ell, "--q", "2", "--samples", "10",
+                      "--seed", "1"],
+                     ["simulate", "borel-cantelli", "--ells", f"3,{ell}", "--e", "1",
+                      "--samples", "10", "--seed", "1"]):
+            assert cli.main(argv) == rc
+            captured = capsys.readouterr()
+            if rc == 0:
+                assert json.loads(captured.out) and captured.err == ""
+            else:
+                assert captured.out == ""
+                assert captured.err == ("error: batch sampling at g=2 needs ell < 65536 and "
+                                        "ell**4 <= 2**63, got ell=65521\n")
 
 
 @pytest.fixture(scope="module")

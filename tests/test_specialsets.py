@@ -20,11 +20,13 @@ from symon.modmat import (
     mat_inv,
     mat_mul,
 )
-from symon.prng import CounterRng
+from symon.prng import CounterLanes, CounterRng
 from symon.specialsets import (
     _blocks_entries,
     _core_entries,
     _excluded_corner,
+    _in_pool,
+    _pool_cutoff,
     _pool_inverses,
     CompositeUnionSet,
     DirectMembership,
@@ -50,8 +52,11 @@ from symon.sympgroup import (
     form_matrix,
     is_member,
     multiplier,
+    sample_entries_lanes,
     sample_uniform,
     scan_entries,
+    stabilizer_matrix,
+    StabilizerParams,
     transvection,
 )
 
@@ -122,21 +127,54 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         assert pool.dtype == want.dtype and np.array_equal(pool, want)
 
 
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("ell", PRIMES_TO_31)
+def test_pool_predicate_matches_the_scanned_pool(ell):
+    # every 2x2 block of every multiplier: DirectMembership's closed form
+    # against membership in the pool that the builders scan
+    blocks = np.indices((ell,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+    det_b = _gf.batch_det(blocks, ell)
+    digits = ell ** np.arange(3, -1, -1)
+    lams = range(1, ell)
+    for lam, pool in zip(lams, _blocks_entries(GroupContext.of(2, ell), lams), strict=True):
+        mine = blocks[det_b == lam]
+        got = _in_pool(mine, lam, ell)[0]
+        want = np.isin(mine.reshape(-1, 4) @ digits, pool.reshape(-1, 4) @ digits)
+        assert np.array_equal(got, want)
+        assert got.sum() == pool.shape[0] == ell * (ell + 1) * (ell - 2)
+
+
+@pytest.mark.parametrize("ell", PRIMES_TO_31)
+def test_pool_cutoff_is_a_backward_walk(ell):
+    # going down from the lex-last block, the multiplier-1 pool drops the
+    # first ell eligible blocks met; the next one is its cutoff
+    eligible = (b for b in itertools.product(range(ell - 1, -1, -1), repeat=4)
+                if (b[0] * b[3] - b[1] * b[2]) % ell == 1
+                and ((1 - b[0]) * (1 - b[3]) - b[1] * b[2]) % ell)
+    assert next(itertools.islice(eligible, ell, None)) == _pool_cutoff(ell)
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
 def test_pool_inverses_match_the_scalar_inverse(ell):
     # every 2x2 block B with det(I - B) != 0, against mat_inv(I - B); those
-    # are the matrices I - B in GL_2(F_ell), so their count is checked too
+    # are the matrices I - B in GL_2(F_ell), so their count is checked too,
+    # and det(I - B) is zero exactly where I - B is not invertible
     mod = Modulus.of(ell)
     blocks = np.array(list(itertools.product(range(ell), repeat=4)), dtype=np.int64)
     blocks = blocks.reshape(-1, 2, 2)
     eye = np.eye(2, dtype=np.int64)
     checked = 0
-    for block, got in zip(blocks, _pool_inverses(blocks, ell).tolist(), strict=True):
+    det, inverses = _pool_inverses(blocks, ell)
+    for block, d, got in zip(blocks, det.tolist(), inverses.tolist(), strict=True):
         i_minus_b = ModMatrix.from_rows(mod, ((eye - block) % ell).tolist())
         try:
             want = mat_inv(i_minus_b)
         except NotInvertible:
+            assert d == 0
             continue
+        assert d != 0
         assert got == [list(row) for row in want.rows]
         checked += 1
     assert checked == (ell ** 2 - 1) * (ell ** 2 - ell)
@@ -148,7 +186,7 @@ def per_block_core_chunks(ctx, lam, blocks):
     (rows, 4, 4) int64 chunk, in pool order."""
     ell = ctx.modulus.n
     lam %= ell
-    inverses = _pool_inverses(blocks, ell)
+    inverses = _pool_inverses(blocks, ell)[1]
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
@@ -288,10 +326,10 @@ def test_union_build_peak_memory_stays_near_key_bytes():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_direct_membership_peak_memory_at_61():
-    # 8 bytes of packed key per pool block; keying by (lam, block) in a
-    # second codec and storing every block's (I - B)^-1 beside the keys had
-    # peaked at 2.1 GB at ell = 61, q = 2.  The child reads its own VmHWM,
-    # as ru_maxrss would carry pytest's peak across exec
+    # keying the scanned pool by (lam, block) in a second codec and storing
+    # every block's (I - B)^-1 beside the keys had peaked at 2.1 GB at
+    # ell = 61, q = 2.  The child reads its own VmHWM, as ru_maxrss would
+    # carry pytest's peak across exec
     code = ("from symon.specialsets import DirectMembership\n"
             "from symon.sympgroup import GroupContext\n"
             "DirectMembership(GroupContext.of(2, 61, 2))\n"
@@ -300,6 +338,20 @@ def test_direct_membership_peak_memory_at_61():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1200 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_direct_membership_peak_memory_at_97():
+    # the closed-form pool holds nothing; its ell**4-candidate scan had
+    # peaked at 2.7 GB here
+    code = ("from symon.specialsets import DirectMembership\n"
+            "from symon.sympgroup import GroupContext\n"
+            "DirectMembership(GroupContext.of(2, 97, 2))\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100 * 1024
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
@@ -376,6 +428,46 @@ def test_direct_membership_matches_materialized_at_5():
     assert 0 < in_set.sum() < len(draws)
     for m, hit in zip(draws, in_set):
         assert direct.contains_rows([list(r) for r in m.rows]) == bool(hit)
+
+
+@pytest.mark.parametrize("ell", [101, 1009, 55103, 65521])
+def test_lane_membership_matches_rows_at_large_ell(ell):
+    # full witnesses (shear conjugates of cores on any eligible block) of
+    # multipliers 1 and 2 and, up to the lane sampler's cap, uniform lanes.
+    # At 65521 an unreduced shear product (ell-1)**4 passed 2**63 and the
+    # lanes rejected witnesses that the rows accepted
+    ctx = GroupContext.of(2, ell)
+    direct = DirectMembership(ctx)
+    a = np.array([sample_full_witness(ctx, 1 + i % 2, 7, i).rows for i in range(100)],
+                 dtype=np.int64)
+    rows = [direct.contains_rows(m.tolist()) for m in a]
+    assert direct.contains_lanes(a).tolist() == rows and all(rows)
+    if ell ** 4 <= 1 << 63:
+        lanes = CounterLanes(ell, np.arange(1000, dtype=np.uint64))
+        a = sample_entries_lanes(2, ell, 1 + lanes.below(ell - 1), lanes)
+        assert direct.contains_lanes(a).tolist() == [direct.contains_rows(m.tolist()) for m in a]
+
+
+@pytest.mark.parametrize("ell", [5, 7, 101, 1009, 55103])
+def test_direct_membership_at_the_multiplier_one_cutoff(ell):
+    # a core on the last pooled block of multiplier 1 is a member and one on
+    # the lex-next eligible block is not, on rows and on lanes, and so are
+    # their shear conjugates
+    ctx = GroupContext.of(2, ell)
+    direct = DirectMembership(ctx)
+    mats = []
+    for block in ((_pool_cutoff(ell)[:2], _pool_cutoff(ell)[2:]),
+                  ((ell - 1, ell - 2), (ell - 1, ell - 3))):
+        blk = ModMatrix.from_rows(ctx.modulus, block)
+        d_vec = (3, 4)
+        b = stabilizer_matrix(ctx, StabilizerParams(1, 0, d_vec, blk)).rows[0][2:]
+        minv = _pool_inverses(np.array([block]), ell)[1][0].tolist()
+        d = (_excluded_corner(minv, d_vec, b, ell) + 1) % ell
+        core = stabilizer_matrix(ctx, StabilizerParams(1, d, d_vec, blk))
+        mats += [core, transvection(ctx, (5, 6), -2) @ core @ transvection(ctx, (5, 6), 2)]
+    a = np.array([m.rows for m in mats], dtype=np.int64)
+    assert [direct.contains_rows(m.tolist()) for m in a] == [True, True, False, False]
+    assert direct.contains_lanes(a).tolist() == [True, True, False, False]
 
 
 def test_membership_dispatch_and_self_membership():
