@@ -1,18 +1,30 @@
 """Vectorized GF(p) kernels on numpy batches of small matrices.
 
-Internal module: arrays here are raw ``int64`` stacks of shape (N, d, d)
-with entries already reduced mod p; the entry arrays that ``pack_entries``
-and ``conjugate_into`` read may have any integer dtype, ``uint8`` included.
-The scalar, exact public API lives in ``modmat``; these kernels exist so
-that exhaustive enumerations, million-element set constructions and Monte
-Carlo batches run at C speed.
+Internal module: arrays here are raw integer stacks of shape (N, d, d)
+with entries already reduced mod p.  The elementwise kernels
+(``row_pair_minors``, ``similitude_check``, ``batch_det``,
+``batch_det_minus_identity``) compute in the dtype they are given, so the
+caller picks one that holds the bound below; ``batch_rank`` and the lane
+kernels work in ``int64``; ``pack_entries`` and ``conjugate_into`` read
+any integer dtype, ``uint8`` included.  The scalar, exact public API lives
+in ``modmat``; these kernels exist so that exhaustive enumerations,
+million-element set constructions and Monte Carlo batches run at C speed.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
 * ``row_pair_minors``: an unreduced minor has magnitude at most (p-1)**2.
-* ``similitude_check``: a pairing sums g minors, so at most g * (p-1)**2.
-* ``batch_det``: at d = 4 each minor is reduced before the products of
-  two minors are summed, so every intermediate stays below 6 * p**2.
+* ``similitude_check``: a pairing sums g minors, so at most g * (p-1)**2
+  (1,800 at g = 2, p <= 31).  The candidate scan runs it on ``int16``
+  digits while g * (p-1)**2 < 2**15 (``scan_dtype``), on ``int32`` past
+  that (g = 1, p >= 191, say) and on ``int64`` past 2**31.
+* ``batch_det``: ``batch_det_minus_identity`` hands it a - I unreduced,
+  entries in [-1, p), whose minors are below p**2 in magnitude.  At d = 4
+  each minor is reduced before the products of two minors are summed, so
+  a determinant of reduced minors stays at most 6 * (p-1)**2 in magnitude
+  (5,400 at p = 31): exact in ``int16`` for p <= 74, which covers the
+  layer check (p <= 31) on the ``int16`` entries of ``unpack_digits``.
+* ``unpack_digits`` and ``index_to_entries``: a digit is below p, so it
+  fits ``int16`` for p <= 2**15; past that the scan decodes in int64.
 * ``batch_rank`` reduces its (N, r, c) input itself; both products of a
   step lie in [0, (p-1)**2] and are reduced after their difference, so
   every intermediate is below p**2 in magnitude, exact in int64 for
@@ -84,8 +96,11 @@ def batch_det(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def batch_det_minus_identity(a: np.ndarray, p: int) -> np.ndarray:
-    """det(a - I) mod p, the eigenvalue-one detector."""
-    return batch_det((a - np.eye(a.shape[-1], dtype=np.int64)) % p, p)
+    """det(a - I) mod p, the eigenvalue-one detector, in the dtype of a.
+
+    a - I is passed on unreduced: its entries lie in [-1, p), so a minor of
+    it is below p**2 in magnitude, and ``batch_det`` reduces every minor."""
+    return batch_det(a - np.eye(a.shape[-1], dtype=a.dtype), p)
 
 
 def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
@@ -174,6 +189,7 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries
 
 
+@functools.cache
 def _digits_below(p: int, bits: int) -> int:
     """Largest k with p**k < 2**bits, and at least 1."""
     k = 1
@@ -223,7 +239,10 @@ def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
 
 
 def unpack_entries(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
-    """Invert pack_entries back to (N, D) int64 entry arrays."""
+    """Invert pack_entries back to (N, D) int64 entry arrays, one divmod per digit.
+
+    The reference decoder, and the one for digits past ``int16`` (p > 2**15);
+    ``unpack_digits`` is the fast one."""
     n, words = keys.shape
     per = -(-dd // words)
     out = np.zeros((n, dd), dtype=np.int64)
@@ -234,6 +253,51 @@ def unpack_entries(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
             out[:, w * per + j] = vals % p
             vals //= p
     return out
+
+
+@functools.cache
+def _digit_table(p: int) -> np.ndarray:
+    """(k, p**k) int16, column v the k base-p digits of v, most significant
+    first, for the largest k with p**k < 2**10 (at least 1).  Cached,
+    read-only; p <= 2**15.  A row of 2**10 digits stays in L1 cache."""
+    k = _digits_below(p, 10)
+    v = np.arange(p ** k)
+    table = np.empty((k, p ** k), dtype=np.int16)
+    for j in range(k - 1, -1, -1):
+        table[j] = v % p
+        v //= p
+    table.flags.writeable = False
+    return table
+
+
+def unpack_digits(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
+    """Invert pack_entries into (N, D) int16 entries, for p <= 2**15.
+
+    A word is split into pieces of k digits by one division each, and a
+    piece's digits are gathered from ``_digit_table``.  The result is the
+    transpose of a (D, N) entry-major array, so each entry is a contiguous
+    vector and the elementwise kernels read it at unit stride: twice as
+    fast as on (N, D) rows in ``similitude_check``.
+    """
+    n, words = keys.shape
+    per = -(-dd // words)
+    table = _digit_table(p)
+    k = table.shape[0]
+    base = p ** k
+    out = np.empty((dd, n), dtype=np.int16)
+    for w in range(words):
+        vals = keys[:, w].astype(np.int64)
+        # digits [lo, hi) of the word, least significant piece first
+        for hi in range(min(per, dd - w * per), 0, -k):
+            lo = max(hi - k, 0)
+            if lo:
+                quot = vals // base
+                piece, vals = vals - quot * base, quot
+            else:
+                piece = vals
+            for j in range(lo, hi):
+                np.take(table[k - hi + j], piece, out=out[w * per + j], mode="clip")
+    return out.T
 
 
 def unique_keys(keys: np.ndarray) -> np.ndarray:
@@ -329,13 +393,24 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
 # -- exhaustive candidate scan --
 
 def index_to_entries(idx: np.ndarray, p: int, dd: int) -> np.ndarray:
-    """Base-p digits of idx, most significant first: the row-major entries
-    (one-word keys of ``unpack_entries``, as a scan in budget has p**dd < 2**63)."""
-    return unpack_entries(idx[:, None], p, dd)
+    """Base-p digits of idx, most significant first: the row-major entries,
+    as ``unpack_digits`` gives them (one-word keys, as a scan in budget has
+    p**dd < 2**63), or as int64 rows where digits pass ``int16``."""
+    if p > 1 << 15:
+        return unpack_entries(idx[:, None], p, dd)
+    return unpack_digits(idx[:, None], p, dd)
+
+
+def scan_dtype(g: int, p: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds g * (p-1)**2, the
+    bound on ``similitude_check``'s pairings at genus g."""
+    bound = g * (p - 1) ** 2
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix (multiplier, is-similitude) over a (N, 2g, 2g) batch.
+    """Per-matrix (multiplier, is-similitude) over a (N, 2g, 2g) batch, in
+    the dtype of a, which must hold g * (p-1)**2.
 
     The multiplier slot is meaningful only where the mask is True.
     """
@@ -353,18 +428,23 @@ def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def scan_similitudes(g: int, p: int, allowed: np.ndarray):
     """Scan all p**(2g)^2 candidate matrices in row-major lexicographic order.
 
-    Yields (entries, multipliers) array pairs for the candidates that are
-    symplectic similitudes whose multiplier is allowed.  ``allowed`` is a
-    boolean mask over residues [0, p).  Candidates are checked 2^20 at a time.
+    Yields (entries, multipliers) int64 array pairs for the candidates that
+    are symplectic similitudes whose multiplier is allowed.  ``allowed`` is
+    a boolean mask over residues [0, p).  Candidates are checked 2**16 at a
+    time, decoded by ``index_to_entries`` and checked in ``scan_dtype(g, p)``
+    (int16 while g * (p-1)**2 < 2**15); only the kept rows are widened.
     """
     dim = 2 * g
     dd = dim * dim
     total = p ** dd
-    step = 1 << 20
+    step = 1 << 16
+    dtype = scan_dtype(g, p)
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        a = index_to_entries(idx, p, dd).reshape(-1, dim, dim)
+        a = index_to_entries(idx, p, dd).astype(dtype, copy=False).reshape(-1, dim, dim)
         lam, ok = similitude_check(a, p)
         ok &= allowed[lam]
         if ok.any():
-            yield np.compress(ok, a, axis=0), np.compress(ok, lam)
+            # a gather: np.compress walks the entry-major rows slowly
+            kept = np.flatnonzero(ok)
+            yield np.take(a, kept, axis=0).astype(np.int64), np.take(lam, kept).astype(np.int64)

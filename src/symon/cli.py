@@ -18,10 +18,12 @@ that default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -78,17 +80,17 @@ def _open(path: str, mode: str = "r"):
         raise UsageError(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with _open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, report: dict) -> None:
-    _emit(args, json.dumps(report, indent=2) + "\n")
+def _emit(report: dict | Iterable[str], out: str | None = None) -> None:
+    """Write a report into ``out``, or stdout, as it is encoded: a dict as
+    indented JSON, any other iterable one line at a time.  No copy of the
+    whole text is built."""
+    with _open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(report, dict):
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        else:
+            for line in report:
+                fh.write(line + "\n")
 
 
 # -- verify-counts --
@@ -179,7 +181,7 @@ def cmd_verify_counts(args) -> int:
               "skipped": sum(c["status"] == "skipped" for c in checks)}
     report = {"command": "verify-counts", "g": 2, "ells": ells,
               "q": [str(q_json(q)) for q in qs], "checks": checks, "counts": counts}
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 1 if counts["fail"] else 0
 
 
@@ -203,7 +205,7 @@ def cmd_special_set_build(args) -> int:
         lines = s.dump(fh)
         s.write_sidecar(side)
     report = {**s.sidecar(), "command": "special-set-build", "out": args.out, "lines": lines}
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    _emit(report)
     return 0
 
 
@@ -223,7 +225,7 @@ def cmd_special_set_verify(args) -> int:
             problems.append("rebuild does not reproduce the dump")
     report = {"command": "special-set-verify", "dump": args.dump,
               "status": "ok" if not problems else "fail", "problems": problems}
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 0 if not problems else 1
 
 
@@ -236,11 +238,11 @@ def cmd_series(args) -> int:
     else:
         report = part_b_series(args.g, args.e, args.ell_max)
     if args.format == "csv":
-        _emit(args, "\n".join(report.csv_lines()) + "\n")
+        _emit(report.csv_lines(), args.out)
     else:
         payload = report.as_report_dict()
         payload["command"] = f"series-{args.which}"
-        _emit_json(args, payload)
+        _emit(payload, args.out)
     return 0
 
 
@@ -255,7 +257,7 @@ def cmd_simulate_hit_frequency(args) -> int:
     report = {"command": "simulate-hit-frequency", "g": 2, "n": args.n,
               "q": str(q_json(q)), "e": 1, "samples": args.samples, "seed": args.seed,
               **est.as_report_dict()}
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 0
 
 
@@ -288,7 +290,7 @@ def cmd_simulate_independence(args) -> int:
         "combined_std_error": combined_se,
         "within_4se": float(diff) <= 4.0 * combined_se,
     }
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 0
 
 
@@ -300,7 +302,7 @@ def cmd_simulate_mu_x(args) -> int:
     report = {"command": "simulate-mu-x", "g": args.g, "ell": args.ell,
               "q": str(q_json(q)), "e": args.e, "samples": args.samples,
               "seed": args.seed, **est.as_report_dict()}
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 0
 
 
@@ -311,7 +313,7 @@ def cmd_simulate_borel_cantelli(args) -> int:
                                     args.seed, args.threads)
     payload = rep.as_report_dict()
     payload["command"] = "simulate-borel-cantelli"
-    _emit_json(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -334,7 +336,7 @@ def cmd_orders(args) -> int:
         report["q_order_mod_n"] = count
         # degenerate configuration: q acts trivially on multipliers
         report["q_is_trivial_mod_n"] = count == 1
-    _emit_json(args, report)
+    _emit(report, args.out)
     return 0
 
 

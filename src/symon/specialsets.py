@@ -352,10 +352,11 @@ class FixedVectorSet:
         return bool(self.contains_flat(flat)[0])
 
     def iter_entries(self) -> Iterator[np.ndarray]:
-        """The members' entries in key order, (rows, dim*dim) int64, 2**16 rows at a time."""
+        """The members' entries in key order, (rows, dim*dim) int16 from
+        ``_gf.unpack_digits``, 2**16 rows at a time."""
         dd, chunk = self.ctx.dim * self.ctx.dim, 1 << 16
         for start in range(0, self.keys.shape[0], chunk):
-            yield _gf.unpack_entries(self.keys[start:start + chunk], self.ctx.modulus.n, dd)
+            yield _gf.unpack_digits(self.keys[start:start + chunk], self.ctx.modulus.n, dd)
 
     def __iter__(self) -> Iterator[ModMatrix]:
         for block in self.iter_entries():
@@ -436,7 +437,9 @@ class FixedVectorSet:
         allowed = (self.ctx.multiplier_mask() if self.lam is None
                    else np.arange(ell) == self.lam % ell)
         dim = self.ctx.dim
-        eye = np.eye(dim, dtype=np.int64)
+        eye = np.eye(dim, dtype=np.int16)
+        # the kernels run on the int16 entries: at ell <= HARD_ELL_CAP a
+        # pairing is at most 1,800 and a det of reduced minors at most 5,400
         for entries in self.iter_entries():
             a = entries.reshape(-1, dim, dim)
             lam, ok = _gf.similitude_check(a, ell)

@@ -487,22 +487,22 @@ def test_orders_at_large_moduli_answers_quickly(argv, capsys):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_orders_at_a_large_prime_lists_no_units():
-    # counting the units mod 10000019 by listing them peaked at 414 MB.  The
-    # child reports VmHWM, its own peak: Linux carries the spawning process's
-    # peak into ru_maxrss across exec, so ru_maxrss would read pytest's
-    code = ("import sys\n"
-            "from symon.cli import main\n"
-            "rc = main(['orders', '--g', '2', '--n', '10000019'])\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(*[ln for ln in fh if ln.startswith('VmHWM:')], file=sys.stderr)\n"
-            "sys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == \
+def test_orders_at_a_large_prime_lists_no_units(child_peak):
+    # counting the units mod 10000019 by listing them peaked at 414 MB
+    proc, peak_kib = child_peak("from symon.cli import main\n"
+                                "sys.exit(main(['orders', '--g', '2', '--n', '10000019']))\n")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
         "c55309be6e96b560c79324670d4fec4b42cb7758bfddce07d79eaed411fa2502"
-    peak_kib = int(proc.stderr.split()[-2])
+    assert peak_kib < 100 * 1024
+
+
+def test_series_csv_is_written_as_it_is_encoded(tmp_path, child_peak):
+    # joining the 48 MB of lines into one string before writing peaked at 173 MB
+    argv = ["series", "part-b", "--g", "2", "--e", "2", "--ell-max", "10000",
+            "--format", "csv", "--out", str(tmp_path / "f")]
+    _, peak_kib = child_peak(f"from symon.cli import main\nsys.exit(main({argv!r}))\n")
+    assert hashlib.sha256((tmp_path / "f").read_bytes()).hexdigest() == \
+        "087c5ca80b84c395a529b6051bc6f72a5327519b5a0ae40831efdde8e9180ec2"
     assert peak_kib < 100 * 1024
 
 

@@ -287,6 +287,100 @@ def test_batch_kernels_match_scalar_oracles_on_similitudes(ell, g):
     assert (fixed[:n] == 0).any() and (fixed[:n] != 0).any()
 
 
+# -- the narrow (int16) scan, unpack and kernels against their int64 references --
+
+NARROW_PRIMES = [3, 5, 7, 11, 13, 17, 31]
+
+
+def int64_scan(g, p, allowed):
+    """The scan as it ran in int64: every candidate decoded by ``unpack_entries``
+    and checked by the int64 kernel, in one batch."""
+    dim = 2 * g
+    idx = np.arange(p ** (dim * dim), dtype=np.int64)
+    a = _gf.unpack_entries(idx[:, None], p, dim * dim).reshape(-1, dim, dim)
+    lam, ok = _gf.similitude_check(a, p)
+    ok &= allowed[lam]
+    return a[ok], lam[ok]
+
+
+@pytest.mark.parametrize("g,p", [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (1, 13), (1, 17),
+                                 (2, 2)])
+def test_narrow_scan_matches_the_int64_scan(g, p):
+    # (1, 17) spans two 2**16-candidate chunks; every other case fits one
+    masks = [np.arange(p) == lam for lam in range(1, p)] + [np.arange(p) != 0]
+    for allowed in masks:
+        chunks = list(_gf.scan_similitudes(g, p, allowed))
+        entries = np.concatenate([e for e, _ in chunks])
+        mults = np.concatenate([m for _, m in chunks])
+        want_entries, want_mults = int64_scan(g, p, allowed)
+        assert entries.dtype == mults.dtype == np.int64 and entries.flags.c_contiguous
+        assert np.array_equal(entries, want_entries) and np.array_equal(mults, want_mults)
+
+
+def narrow_copy(batch, p):
+    """``batch`` as the layer check sees it: packed, then ``unpack_digits``' int16."""
+    n, dim, _ = batch.shape
+    out = _gf.unpack_digits(_gf.pack_entries(batch.reshape(n, -1), p), p, dim * dim)
+    return out.reshape(n, dim, dim)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("p", NARROW_PRIMES)
+def test_narrow_kernels_match_int64(p, g):
+    dim, n = 2 * g, 256
+    rng = np.random.default_rng(10 * p + g)
+    lanes = CounterLanes(p, np.arange(n, dtype=np.uint64))
+    sims = sample_entries_lanes(g, p, lanes.below(p - 1) + 1, lanes)
+    wide = np.concatenate([rng.integers(0, p, (4 * n, dim, dim)), sims,
+                           np.full((4, dim, dim), p - 1)])
+    narrow = narrow_copy(wide, p)
+    assert narrow.dtype == np.int16 and np.array_equal(narrow, wide)
+    (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p) for b in (narrow, wide))
+    assert lam.dtype == np.int16 and np.array_equal(lam, want_lam)
+    assert np.array_equal(ok, want_ok) and ok[4 * n:-4].all()
+    got = _gf.batch_det_minus_identity(narrow, p)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, _gf.batch_det_minus_identity(wide, p))
+
+
+def test_scan_dtype_widens_where_a_pairing_passes_int16():
+    assert _gf.scan_dtype(1, 181) == np.int16      # 180**2 = 32,400 < 2**15
+    assert _gf.scan_dtype(1, 191) == np.int32      # 190**2 = 36,100
+    assert _gf.scan_dtype(2, 127) == np.int16 and _gf.scan_dtype(2, 131) == np.int32
+    assert _gf.scan_dtype(1, 46349) == np.int64    # 46348**2 > 2**31
+    for p in (181, 191):
+        dtype = _gf.scan_dtype(1, p)
+        # all entries p - 1, and diag(p - 1, p - 1), whose pairing is (p-1)**2
+        wide = np.array([[[p - 1, p - 1], [p - 1, p - 1]], [[p - 1, 0], [0, p - 1]]])
+        (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p)
+                                          for b in (wide.astype(dtype), wide))
+        assert lam.dtype == dtype and np.array_equal(lam, want_lam)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(_gf.batch_det_minus_identity(wide.astype(dtype), p),
+                              _gf.batch_det_minus_identity(wide, p))
+    # at 191 int16 would not do: the pairing of diag(190, 190) wraps
+    diag = np.array([[[190, 0], [0, 190]]])
+    assert _gf.similitude_check(diag.astype(np.int16), 191)[0][0] != 190 ** 2 % 191
+    # digits past int16 are decoded in int64
+    top = np.array([0, 32771 ** 4 - 1])
+    assert np.array_equal(_gf.index_to_entries(top, 32771, 4), [[0] * 4, [32770] * 4])
+
+
+@pytest.mark.parametrize("dd", [4, 16])
+@pytest.mark.parametrize("p", NARROW_PRIMES)
+def test_unpack_digits_matches_unpack_entries(p, dd):
+    rng = np.random.default_rng(p + dd)
+    flat = np.concatenate([rng.integers(0, p, (2000, dd)), np.full((3, dd), p - 1),
+                           np.zeros((1, dd), dtype=np.int64)])
+    keys = _gf.pack_entries(flat, p)
+    got = _gf.unpack_digits(keys, p, dd)
+    assert got.dtype == np.int16 and np.array_equal(got, _gf.unpack_entries(keys, p, dd))
+    # one-word keys from the scan's indices decode alike
+    idx = np.append(np.arange(0, p ** 4, 1 + p ** 4 // 97), p ** 4 - 1)
+    assert np.array_equal(_gf.index_to_entries(idx, p, 4),
+                          _gf.unpack_entries(idx[:, None], p, 4))
+
+
 def _core_shaped(ell, free):
     """A 4x4 matrix with the zero pattern of a core member; free fills the rest."""
     it = iter(free)

@@ -1,9 +1,6 @@
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -302,72 +299,47 @@ def test_cardinality_is_measured_not_assumed(monkeypatch):
     assert s.cardinality == s.keys.shape[0] < full_cardinality(2, 3)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_union_build_peak_memory_stays_near_key_bytes():
+def test_union_build_peak_memory_stays_near_key_bytes(child_peak):
     # one preallocated key array sorted in place; concatenating per-layer
-    # arrays and deduplicating them twice had peaked at about 5x the keys.
-    # The child reads its own VmRSS and VmHWM, as ru_maxrss would carry
-    # pytest's peak across exec
-    code = ("from symon.specialsets import build_union_set\n"
-            "from symon.sympgroup import GroupContext\n"
-            "def status(field):\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith(field))\n"
-            "ctx = GroupContext.of(2, 5, 2)\n"
-            "before = status('VmRSS:')\n"
-            "s = build_union_set(ctx)\n"
-            "print(before, status('VmHWM:'), s.keys.nbytes)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    before_kib, peak_kib, key_bytes = map(int, proc.stdout.split())
+    # arrays and deduplicating them twice had peaked at about 5x the keys
+    proc, peak_kib = child_peak("from symon.specialsets import build_union_set\n"
+                                "from symon.sympgroup import GroupContext\n"
+                                "ctx = GroupContext.of(2, 5, 2)\n"
+                                "before = status('VmRSS:')\n"
+                                "s = build_union_set(ctx)\n"
+                                "print(before, s.keys.nbytes)\n")
+    before_kib, key_bytes = map(int, proc.stdout.split())
     assert key_bytes == 8 * union_cardinality(2, 5, 2)
     assert (peak_kib - before_kib) * 1024 <= 2 * key_bytes
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_direct_membership_peak_memory_at_61():
+def test_direct_membership_peak_memory_at_61(child_peak):
     # keying the scanned pool by (lam, block) in a second codec and storing
     # every block's (I - B)^-1 beside the keys had peaked at 2.1 GB at
-    # ell = 61, q = 2.  The child reads its own VmHWM, as ru_maxrss would
-    # carry pytest's peak across exec
-    code = ("from symon.specialsets import DirectMembership\n"
-            "from symon.sympgroup import GroupContext\n"
-            "DirectMembership(GroupContext.of(2, 61, 2))\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1200 * 1024
+    # ell = 61, q = 2
+    _, peak_kib = child_peak("from symon.specialsets import DirectMembership\n"
+                             "from symon.sympgroup import GroupContext\n"
+                             "DirectMembership(GroupContext.of(2, 61, 2))\n")
+    assert peak_kib < 1200 * 1024
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_direct_membership_peak_memory_at_97():
+def test_direct_membership_peak_memory_at_97(child_peak):
     # the closed-form pool holds nothing; its ell**4-candidate scan had
     # peaked at 2.7 GB here
-    code = ("from symon.specialsets import DirectMembership\n"
-            "from symon.sympgroup import GroupContext\n"
-            "DirectMembership(GroupContext.of(2, 97, 2))\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100 * 1024
+    _, peak_kib = child_peak("from symon.specialsets import DirectMembership\n"
+                             "from symon.sympgroup import GroupContext\n"
+                             "DirectMembership(GroupContext.of(2, 97, 2))\n")
+    assert peak_kib < 100 * 1024
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_core_build_peak_memory_is_bounded():
+def test_core_build_peak_memory_is_bounded(child_peak):
     # the 4.06M-row core at ell=13 is 65 MB of uint8 entries and 32 MB of
     # keys; casting all entries to float64 at once for packing (520 MB)
     # had peaked at about 720 MB
-    code = ("from symon.specialsets import build_core_set\n"
-            "from symon.sympgroup import GroupContext\n"
-            "s = build_core_set(GroupContext.of(2, 13), 1)\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(s.cardinality, *[ln.split()[1] for ln in fh if ln.startswith('VmHWM:')])\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    count, peak_kib = map(int, proc.stdout.split())
-    assert count == core_cardinality(2, 13)
+    proc, peak_kib = child_peak("from symon.specialsets import build_core_set\n"
+                                "from symon.sympgroup import GroupContext\n"
+                                "print(build_core_set(GroupContext.of(2, 13), 1).cardinality)\n")
+    assert int(proc.stdout) == core_cardinality(2, 13)
     assert peak_kib < 350 * 1024
 
 

@@ -160,6 +160,14 @@ def test_gsp4_f3_scan_matches_its_digest_in_order(gsp4_f3):
     assert hashlib.sha256(lams.astype("<i8").tobytes()).hexdigest() == GSP4_F3_MULTIPLIERS_SHA256
 
 
+def test_scan_chunk_peak_memory_is_bounded(child_peak):
+    # one 2**20-candidate chunk of this scan, decoded and checked in int64,
+    # peaked at about 231 MB
+    _, peak_kib = child_peak("from symon.sympgroup import GroupContext, scan_entries\n"
+                             "next(scan_entries(GroupContext.of(2, 3)))\n")
+    assert peak_kib < 80 * 1024
+
+
 def test_transvection_examples():
     ctx = GroupContext.of(2, 5)
     assert transvection(ctx, (0, 0), 0) == ModMatrix.identity(M5, 4)
