@@ -46,6 +46,22 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   (14,400 at D = 16, p = 31).  That is exact in float32 (below 2**24) and
   fits uint16 (below 2**16), where it is reduced; see its docstring.
 
+``similitude_check`` and ``batch_det`` reduce through ``reduce_mod``, as
+x - p * (x // p): numpy's integer ``%`` by a scalar is not vectorized.
+
+Shear conjugation runs in row tiles (``conjugate_into``): ``rows =
+max(1, TILE_BYTES // (m * D * 4))`` batch rows at a time go through one
+float32 GEMM against the whole (D, m*D) stack of m operators, so a tile's
+product stays within ``TILE_BYTES`` (128 KiB) and its GEMM within
+rows * m*D * D <= 2**19 multiply-adds.  On a 2-core Xeon, OpenBLAS
+threads a GEMM from somewhere between 0.82M and 1.02M multiply-adds, and
+at these sizes its threaded path is slower per row: a 40-row, 256 KiB
+tile at m = 100 lost the whole gain.  Its workspaces (16 bytes per product
+entry, 512 KiB while rows > 1) are allocated once per call and reused for
+every tile.  Keys are written row-major, row i's m conjugates at
+[i*m, (i+1)*m), so a tile's keys are one contiguous block.  ``pack_entries``
+and the tile loop share one packer, ``_pack_into``.
+
 The int64 bounds hold far beyond any modulus whose scan fits the
 enumeration budget; ``conjugate_into`` checks its bound and raises
 ``ValueError`` once D * (p-1)**2 reaches 2**16 (p >= 67 at D = 16, above
@@ -75,6 +91,17 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in the dtype of x, as x - p * (x // p).
+
+    The same values as ``x % p``, negative x included (both floor), but
+    numpy vectorizes integer floor division by a scalar and not the
+    remainder: on 65,536 int16 entries this is about 20 times faster.  An
+    intermediate that wraps in a narrow dtype still gives the exact
+    residue, since the result lies in [0, p)."""
+    return x - p * (x // p)
+
+
 def row_pair_minors(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Unreduced 2x2 minors at columns (i, j) of the row pairs (2b, 2b+1) of
     a (N, 2g, 2g) batch, as an (N, g) array; the caller reduces them."""
@@ -85,13 +112,13 @@ def batch_det(a: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (N, d, d) batch, closed-form for d = 2 and 4."""
     d = a.shape[-1]
     if d == 2:
-        return row_pair_minors(a, 0, 1)[:, 0] % p
+        return reduce_mod(row_pair_minors(a, 0, 1)[:, 0], p)
     if d == 4:
         # Laplace expansion along rows (0, 1): column pair s, in lexicographic
         # order, has complement 5 - s; both minors are reduced before the product
-        m = [row_pair_minors(a, i, j) % p for i, j in itertools.combinations(range(4), 2)]
-        return (m[0][:, 0] * m[5][:, 1] - m[1][:, 0] * m[4][:, 1] + m[2][:, 0] * m[3][:, 1]
-                + m[3][:, 0] * m[2][:, 1] - m[4][:, 0] * m[1][:, 1] + m[5][:, 0] * m[0][:, 1]) % p
+        m = [reduce_mod(row_pair_minors(a, i, j), p) for i, j in itertools.combinations(range(4), 2)]
+        return reduce_mod(m[0][:, 0] * m[5][:, 1] - m[1][:, 0] * m[4][:, 1] + m[2][:, 0] * m[3][:, 1]
+                          + m[3][:, 0] * m[2][:, 1] - m[4][:, 0] * m[1][:, 1] + m[5][:, 0] * m[0][:, 1], p)
     raise NotImplementedError(f"batch_det supports d = 2 and 4, got {d}")
 
 
@@ -208,33 +235,64 @@ def piece_digits(p: int) -> int:
     return _digits_below(p, 53)
 
 
+@functools.cache
+def _pack_plan(p: int, dd: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, np.uint64], ...], ...]]:
+    """How ``_pack_into`` packs D base-p digits: (powers, words).
+
+    Column c of the (D, P) float64 ``powers`` holds p**(width-1), ..., p**0 at
+    the digits of piece c and zeros elsewhere.  ``words[w]`` lists word w's
+    pieces, most significant first, as (column, p**width).  Cached,
+    read-only, built on the first call for each (p, D).
+    """
+    words = pack_words(p, dd)
+    per = -(-dd // words)
+    k = piece_digits(p)
+    columns, plan = [], []
+    for w in range(words):
+        end = min((w + 1) * per, dd)
+        pieces = []
+        for lo in range(w * per, end, k):
+            width = min(k, end - lo)
+            column = np.zeros(dd)
+            column[lo:lo + width] = float(p) ** np.arange(width - 1, -1, -1)
+            pieces.append((len(columns), np.uint64(p ** width)))
+            columns.append(column)
+        plan.append(tuple(pieces))
+    powers = np.stack(columns, axis=1)
+    powers.flags.writeable = False
+    return powers, tuple(plan)
+
+
+def _pack_into(digits: np.ndarray, plan: tuple, out: np.ndarray) -> None:
+    """Pack the (R, D) float64 digits, in [0, p), into the (R, W) uint64 rows
+    of out, by the ``_pack_plan(p, D)`` given as ``plan``.
+
+    One float64 product with the plan's power columns sums every piece at
+    once, exact because a piece is below p**k < 2**53; the pieces of a word
+    are joined in uint64 as ``word * p**width + piece``.
+    """
+    powers, words = plan
+    pieces = digits @ powers
+    for w, ((c, _), *rest) in enumerate(words):
+        out[:, w] = pieces[:, c]
+        for c, scale in rest:
+            out[:, w] *= scale
+            out[:, w] += pieces[:, c].astype(np.uint64)
+
+
 def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
     """Pack (N, D) entry arrays into (N, W) uint64 key arrays.
 
     ``flat`` may have any integer dtype; its entries must lie in [0, p).
-    Each word is built from pieces of at most ``piece_digits(p)`` digits.
-    A piece is one float64 matrix-vector product (BLAS), exact because its
-    value is below p**k < 2**53; the pieces are joined in uint64 as
-    ``word * p**width + piece``.  Each slice of ``PACK_ROWS`` rows is cast
-    to float64 and packed into ``out`` on its own.
+    Each slice of ``PACK_ROWS`` rows is cast to float64 and packed into
+    the output by ``_pack_into``.
     """
     n, dd = flat.shape
-    words = pack_words(p, dd)
-    per = -(-dd // words)
-    k = piece_digits(p)
-    out = np.zeros((n, words), dtype=np.uint64)
+    plan = _pack_plan(p, dd)
+    out = np.empty((n, pack_words(p, dd)), dtype=np.uint64)
     for start in range(0, n, PACK_ROWS):
-        a = flat[start:start + PACK_ROWS].astype(np.float64)
-        dst = out[start:start + PACK_ROWS]
-        for w in range(words):
-            end = min((w + 1) * per, dd)
-            for lo in range(w * per, end, k):
-                width = min(k, end - lo)
-                powers = float(p) ** np.arange(width - 1, -1, -1)
-                piece = (a[:, lo:lo + width] @ powers).astype(np.uint64)
-                if lo > w * per:
-                    piece += dst[:, w] * np.uint64(p ** width)
-                dst[:, w] = piece
+        _pack_into(flat[start:start + PACK_ROWS].astype(np.float64), plan,
+                   out[start:start + PACK_ROWS])
     return out
 
 
@@ -349,6 +407,9 @@ def searchsorted_keys(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarra
 # conjugation C -> T^-1 C T of every row of an (N, d*d) batch is a single
 # dense product with the d*d x d*d operator kron(T^-1, T^T)^T.
 
+TILE_BYTES = 128 << 10  # float32 product bytes per row tile in conjugate_into
+
+
 def conjugation_operators(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Stack kron(T^-1, T^T)^T over the (T, T^-1) pairs into a (D, D*m) float64 array.
 
@@ -366,28 +427,54 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
 
     ``flat`` is an (N, D) batch of entries in [0, p) of any integer dtype,
     ``ops`` the stack that ``conjugation_operators`` built from m pairs with
-    entries in [0, p), and ``out`` an (N*m, W) uint64 array: rows
-    [j*N, (j+1)*N) receive the keys (``pack_entries``) of the conjugates by
-    the j-th pair.
+    entries in [0, p), and ``out`` an (N*m, W) uint64 array.  Rows are
+    row-major: rows [i*m, (i+1)*m) receive the keys (as ``pack_entries``
+    packs them) of row i's conjugates, by pair 0, ..., m-1.
+
+    Tiles: ``rows = max(1, TILE_BYTES // (m * D * 4))`` rows of flat at a
+    time go through one float32 product with the whole (D, m*D) stack, so
+    a tile's product is at most TILE_BYTES (20 rows at m = 100, D = 16) and
+    its GEMM at most 2**19 multiply-adds (rows * m*D * D).  That keeps
+    OpenBLAS on its single-threaded path, faster at these sizes than its
+    threaded one (see the module docstring), and the tile in L2 cache.  The
+    product is cast to uint16, reduced there in place, widened to float64
+    digits and packed by ``_pack_into`` straight into out, whose rows for a
+    tile are contiguous.  The float32 product, its uint16 copy and quotient
+    and the float64 digits (4 + 2 + 2 + 8 bytes a product entry, at most
+    4 * TILE_BYTES = 512 KiB while rows > 1) are allocated once per call and
+    reused for every tile.
 
     Exactness: ``ops`` is reduced mod p once, so each output entry is a sum
     of D nonnegative integer terms, each at most (p-1)**2.  At g = 2 (D = 16)
     and the hard cap p = 31 that sum is at most 16 * 30**2 = 14,400, so it
     is exact in float32 (below 2**24) whatever order BLAS sums in, and it
-    fits uint16 (below 2**16).  Each shear's product is cast to uint16 and
-    reduced there as e - p * (e // p), which never leaves [0, e]; the
-    reduced entries are packed by ``pack_entries``.  Raises ValueError when
-    D * (p-1)**2 >= 2**16.
+    fits uint16 (below 2**16), where it is reduced as e - p * (e // p),
+    which never leaves [0, e].  Raises ValueError when D * (p-1)**2 >= 2**16.
     """
     n, dd = flat.shape
     if dd * (p - 1) ** 2 >= 1 << 16:
         raise ValueError(f"conjugation sums at p={p}, D={dd} may not fit uint16")
+    width = ops.shape[1]
+    m = width // dd
+    rows = max(1, TILE_BYTES // (width * 4))
     ops = (ops % p).astype(np.float32)
-    a = flat.astype(np.float32)
-    for j in range(ops.shape[1] // dd):
-        entries = (a @ ops[:, j * dd:(j + 1) * dd]).astype(np.uint16)
-        entries -= p * (entries // p)
-        out[j * n:(j + 1) * n] = pack_entries(entries, p)
+    a = np.empty((rows, dd), dtype=np.float32)
+    prod = np.empty((rows, width), dtype=np.float32)
+    e, q = np.empty((2, rows, width), dtype=np.uint16)
+    digits = np.empty((rows * m, dd), dtype=np.float64)
+    plan = _pack_plan(p, dd)
+    for start in range(0, n, rows):
+        t = min(rows, n - start)
+        if t < rows:        # the last tile only
+            a, prod, e, q, digits = a[:t], prod[:t], e[:t], q[:t], digits[:t * m]
+        a[:] = flat[start:start + t]
+        np.matmul(a, ops, out=prod)
+        e[:] = prod
+        np.floor_divide(e, p, out=q)    # reduce_mod, in place in the workspaces
+        q *= p
+        e -= q
+        digits[:] = e.reshape(t * m, dd)
+        _pack_into(digits, plan, out[start * m:(start + t) * m])
 
 
 # -- exhaustive candidate scan --
@@ -416,11 +503,11 @@ def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # a pairing sums the row pairs' minors; sum() over the transpose adds
     # the g columns as vectors, several times faster than .sum(axis=1)
-    lam = sum(row_pair_minors(a, 0, 1).T) % p
+    lam = reduce_mod(sum(row_pair_minors(a, 0, 1).T), p)
     ok = lam != 0
     for i, j in itertools.combinations(range(a.shape[-1]), 2):
         if (i, j) != (0, 1):
-            e = sum(row_pair_minors(a, i, j).T) % p
+            e = reduce_mod(sum(row_pair_minors(a, i, j).T), p)
             ok &= e == (lam if i % 2 == 0 and j == i + 1 else 0)
     return lam, ok
 

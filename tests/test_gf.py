@@ -343,6 +343,20 @@ def test_narrow_kernels_match_int64(p, g):
     assert np.array_equal(got, _gf.batch_det_minus_identity(wide, p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_reduce_mod_matches_the_remainder(dtype, p):
+    # random values of both signs, the dtype's extremes (where p * (x // p)
+    # wraps) and the all-(p-1) products and sums the kernels reduce
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(p)
+    x = np.concatenate([rng.integers(info.min, info.max, 4096, endpoint=True),
+                        np.arange(-3 * p, 3 * p), [info.min, info.min + 1, info.max - 1, info.max],
+                        [(p - 1) ** 2, -(p - 1) ** 2, 6 * (p - 1) ** 2, p - 1]]).astype(dtype)
+    got = _gf.reduce_mod(x, p)
+    assert got.dtype == dtype and np.array_equal(got, x % p)
+
+
 def test_scan_dtype_widens_where_a_pairing_passes_int16():
     assert _gf.scan_dtype(1, 181) == np.int16      # 180**2 = 32,400 < 2**15
     assert _gf.scan_dtype(1, 191) == np.int32      # 190**2 = 36,100
@@ -406,15 +420,36 @@ def test_conjugate_into_matches_scalar_conjugation(data):
           for a3, a4, beta in shears]
     ops = _gf.conjugation_operators([(np.array(t.rows), np.array(tinv.rows))
                                      for t, tinv in ts])
-    n = flat.shape[0]
-    out = np.empty((n * len(ts), _gf.pack_words(ell, 16)), dtype=np.uint64)
+    n, m = flat.shape[0], len(ts)
+    out = np.empty((n * m, _gf.pack_words(ell, 16)), dtype=np.uint64)
     _gf.conjugate_into(flat, ops, ell, out)
     got = _gf.unpack_entries(out, ell, 16)
     modulus = Modulus.of(ell)
     for j, (t, tinv) in enumerate(ts):
         for i in range(n):
             c = ModMatrix.from_flat(modulus, flat[i])
-            assert tuple(got[j * n + i]) == (tinv @ c @ t).flat()
+            assert tuple(got[i * m + j]) == (tinv @ c @ t).flat()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 31])
+def test_conjugate_into_tiles_match_a_per_shear_reference(p):
+    # every tile boundary: n at rows - 1, rows, rows + 1 and past two tiles,
+    # for stacks of 1, 18 and 100 operators and one wide enough that a tile
+    # is a single row; p = 17 and 31 give 2-word keys
+    rng = np.random.default_rng(p)
+    for m in (1, 18, 100, _gf.TILE_BYTES // 64 + 1):
+        rows = max(1, _gf.TILE_BYTES // (m * 16 * 4))
+        ops = rng.integers(0, p, (16, 16 * m)).astype(np.float64)
+        ops[:, :16] = p - 1
+        for n in sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3}):
+            flat = rng.integers(0, p, (n, 16), dtype=np.uint8)
+            flat[0] = p - 1
+            out = np.empty((n * m, _gf.pack_words(p, 16)), dtype=np.uint64)
+            _gf.conjugate_into(flat, ops, p, out)
+            per_shear = [_gf.pack_entries(flat.astype(np.int64) @ ops[:, j * 16:(j + 1) * 16]
+                                          .astype(np.int64) % p, p) for j in range(m)]
+            want = np.stack(per_shear, axis=1).reshape(n * m, -1)   # row i's conjugates together
+            assert np.array_equal(out, want), (m, n)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 13, 31])

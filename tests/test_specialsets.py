@@ -283,7 +283,9 @@ def test_union_set_at_3():
 
 
 def duplicate_first_block(monkeypatch):
-    """Make the conjugation kernel write its first block over its second."""
+    """Make the conjugation kernel copy its first N keys over the next N, N the
+    number of core rows: with its row-major output, conjugates of the first
+    rows stand in for others, so the built set loses members."""
     conjugate = _gf.conjugate_into
 
     def doubled(flat, ops, p, out):
