@@ -39,7 +39,6 @@ from .specialsets import (
     CompositeUnionSet,
     DirectMembership,
     FixedVectorSet,
-    InsufficientMatrices,
     SetLevel,
     build_core_set,
     build_full_set,

@@ -2,13 +2,13 @@
 
 Internal module: arrays here are raw integer stacks of shape (N, d, d)
 with entries already reduced mod p.  The elementwise kernels
-(``row_pair_minors``, ``similitude_check``, ``batch_det``,
-``batch_det_minus_identity``) compute in the dtype they are given, so the
-caller picks one that holds the bound below; ``batch_rank`` and the lane
-kernels work in ``int64``; ``pack_entries`` and ``conjugate_into`` read
-any integer dtype, ``uint8`` included.  The scalar, exact public API lives
-in ``modmat``; these kernels exist so that exhaustive enumerations,
-million-element set constructions and Monte Carlo batches run at C speed.
+(``row_pair_minors``, ``similitude_check``, ``batch_det_minus_identity``)
+compute in the dtype they are given, so the caller picks one that holds
+the bound below; ``batch_rank`` and the lane kernels work in ``int64``;
+``pack_entries`` and ``conjugate_into`` read any integer dtype, ``uint8``
+included.  The scalar, exact public API lives in ``modmat``; these kernels
+exist so that exhaustive enumerations, million-element set constructions
+and Monte Carlo batches run at C speed.
 
 Integer bounds, kernel by kernel (entries in [0, p) on input):
 
@@ -17,14 +17,17 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   (1,800 at g = 2, p <= 31).  The candidate scan runs it on ``int16``
   digits while g * (p-1)**2 < 2**15 (``scan_dtype``), on ``int32`` past
   that (g = 1, p >= 191, say) and on ``int64`` past 2**31.
-* ``batch_det``: ``batch_det_minus_identity`` hands it a - I unreduced,
-  entries in [-1, p), whose minors are below p**2 in magnitude.  At d = 4
-  each minor is reduced before the products of two minors are summed, so
-  a determinant of reduced minors stays at most 6 * (p-1)**2 in magnitude
-  (5,400 at p = 31): exact in ``int16`` for p <= 74, which covers the
-  layer check (p <= 31) on the ``int16`` entries of ``unpack_digits``.
+* ``batch_det_minus_identity``: chi(1) = 1 - t(1+lam) + c2 + lam**2 at
+  g = 2 sums a trace t <= 4(p-1) times 1 + lam <= p, six principal minors
+  and lam**2, so |chi(1)| <= 1 + 4p(p-1) + 7(p-1)**2 before it is reduced
+  (10,021 at p = 31): exact in ``int16`` for p <= 53, which covers the
+  layer check (p <= 31) on the ``int16`` entries of ``unpack_digits`` and
+  ``similitude_check``'s ``int16`` multipliers.  At g = 1, 1 - t + lam is
+  at most 3p in magnitude.
 * ``unpack_digits`` and ``index_to_entries``: a digit is below p, so it
   fits ``int16`` for p <= 2**15; past that the scan decodes in int64.
+  The scan and the layer check decode and check ``NARROW_ROWS`` (2**16)
+  rows at a time, so a batch of ``int16`` entries stays at 2 MiB at D = 16.
 * ``batch_rank`` reduces its (N, r, c) input itself; both products of a
   step lie in [0, (p-1)**2] and are reduced after their difference, so
   every intermediate is below p**2 in magnitude, exact in int64 for
@@ -46,8 +49,10 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   (14,400 at D = 16, p = 31).  That is exact in float32 (below 2**24) and
   fits uint16 (below 2**16), where it is reduced; see its docstring.
 
-``similitude_check`` and ``batch_det`` reduce through ``reduce_mod``, as
-x - p * (x // p): numpy's integer ``%`` by a scalar is not vectorized.
+``similitude_check``, ``batch_det_minus_identity``, ``batch_rank``'s
+elimination steps and the lane kernels' pivot and determinant reductions
+go through ``reduce_mod``, as x - p * (x // p), or its in-place form:
+numpy's integer ``%`` by a scalar is not vectorized.
 
 Shear conjugation runs in row tiles (``conjugate_into``): ``rows =
 max(1, TILE_BYTES // (m * D * 4))`` batch rows at a time go through one
@@ -75,6 +80,8 @@ import itertools
 from typing import Sequence
 
 import numpy as np
+
+NARROW_ROWS = 1 << 16   # rows per int16 batch in the scan and the layer check
 
 
 @functools.cache
@@ -108,26 +115,27 @@ def row_pair_minors(a: np.ndarray, i: int, j: int) -> np.ndarray:
     return a[:, 0::2, i] * a[:, 1::2, j] - a[:, 0::2, j] * a[:, 1::2, i]
 
 
-def batch_det(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (N, d, d) batch, closed-form for d = 2 and 4."""
-    d = a.shape[-1]
-    if d == 2:
-        return reduce_mod(row_pair_minors(a, 0, 1)[:, 0], p)
-    if d == 4:
-        # Laplace expansion along rows (0, 1): column pair s, in lexicographic
-        # order, has complement 5 - s; both minors are reduced before the product
-        m = [reduce_mod(row_pair_minors(a, i, j), p) for i, j in itertools.combinations(range(4), 2)]
-        return reduce_mod(m[0][:, 0] * m[5][:, 1] - m[1][:, 0] * m[4][:, 1] + m[2][:, 0] * m[3][:, 1]
-                          + m[3][:, 0] * m[2][:, 1] - m[4][:, 0] * m[1][:, 1] + m[5][:, 0] * m[0][:, 1], p)
-    raise NotImplementedError(f"batch_det supports d = 2 and 4, got {d}")
+def batch_det_minus_identity(a: np.ndarray, lam, p: int) -> np.ndarray:
+    """det(a - I) mod p, the eigenvalue-one detector, for a (N, 2g, 2g) batch
+    of similitudes of multiplier lam (an int, or one per matrix) at g = 1 or 2,
+    in the dtype of a.
 
-
-def batch_det_minus_identity(a: np.ndarray, p: int) -> np.ndarray:
-    """det(a - I) mod p, the eigenvalue-one detector, in the dtype of a.
-
-    a - I is passed on unreduced: its entries lie in [-1, p), so a minor of
-    it is below p**2 in magnitude, and ``batch_det`` reduces every minor."""
-    return batch_det(a - np.eye(a.shape[-1], dtype=a.dtype), p)
+    det(a - I) is chi(1), chi the characteristic polynomial of a.  From
+    a^T J a = lam J, a = lam J^-1 a^-T J, so a is similar to lam a^-T and,
+    with det a = lam**g, chi(x) = lam**-g x**2g chi(lam / x): the
+    coefficients are palindromic up to powers of lam.  With t the trace and
+    c2 the sum of the six principal 2x2 minors, chi(x) = x**4 - t x**3 +
+    c2 x**2 - lam t x + lam**2 at g = 2, so chi(1) = 1 - t(1 + lam) + c2 +
+    lam**2; at g = 1, chi(1) = 1 - t + lam.  This holds only on similitudes
+    of multiplier lam: on any other matrix the value need not be det(a - I).
+    """
+    diag = [a[:, i, i] for i in range(a.shape[-1])]
+    t = sum(diag)
+    if len(diag) == 2:
+        return reduce_mod(1 - t + lam, p)
+    c2 = sum(diag[i] * diag[j] - a[:, i, j] * a[:, j, i]
+             for i, j in itertools.combinations(range(4), 2))
+    return reduce_mod(1 - t * (1 + lam) + c2 + lam * lam, p)
 
 
 def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
@@ -150,7 +158,7 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
         rest = a[:, :, j + 1:]
         rest *= np.maximum(top[:, :1], 1)[:, :, None]
         rest -= a[:, :, j, None] * top[:, None, 1:]
-        rest %= p
+        rest -= p * (rest // p)
     return rank
 
 
@@ -169,7 +177,7 @@ def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
         m[:, i, j] = row_pair_minors(w, i, j)[:, 0]
         m[:, j, i] = -m[:, i, j]
     p1 = ((w[:, 0] != 0) | (w[:, 1] != 0)).argmax(axis=1)
-    top = m[at, p1] % p
+    top = reduce_mod(m[at, p1], p)
     p2 = (top != 0).argmax(axis=1)
     scale = inverse_table(p)[top[at, p2]][:, None]
     t = np.arange(c - 2)
@@ -199,8 +207,8 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         t = [b[:, i ^ 1, k] * minors[tuple(c for c in rest if c != k)][:, 1 - i // 2]
              for k in rest]
         adj[:, j, i] = t[0] - t[1] + t[2] if (i + j) % 2 == 0 else t[1] - t[0] - t[2]
-    row = adj[:, 0] % p
-    det = (b[:, :, 0] * row).sum(axis=1) % p      # expansion along column 0
+    row = reduce_mod(adj[:, 0], p)
+    det = reduce_mod((b[:, :, 0] * row).sum(axis=1), p)     # expansion along column 0
     j = (row != 0).argmax(axis=1)
     pivot = row[at, j]
     return (det == 0) & (pivot != 0), adj[at, :, j] % p * inverse_table(p)[pivot][:, None] % p
@@ -517,17 +525,17 @@ def scan_similitudes(g: int, p: int, allowed: np.ndarray):
 
     Yields (entries, multipliers) int64 array pairs for the candidates that
     are symplectic similitudes whose multiplier is allowed.  ``allowed`` is
-    a boolean mask over residues [0, p).  Candidates are checked 2**16 at a
-    time, decoded by ``index_to_entries`` and checked in ``scan_dtype(g, p)``
-    (int16 while g * (p-1)**2 < 2**15); only the kept rows are widened.
+    a boolean mask over residues [0, p).  Candidates are checked
+    ``NARROW_ROWS`` at a time, decoded by ``index_to_entries`` and checked
+    in ``scan_dtype(g, p)`` (int16 while g * (p-1)**2 < 2**15); only the
+    kept rows are widened.
     """
     dim = 2 * g
     dd = dim * dim
     total = p ** dd
-    step = 1 << 16
     dtype = scan_dtype(g, p)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+    for start in range(0, total, NARROW_ROWS):
+        idx = np.arange(start, min(start + NARROW_ROWS, total), dtype=np.int64)
         a = index_to_entries(idx, p, dd).astype(dtype, copy=False).reshape(-1, dim, dim)
         lam, ok = similitude_check(a, p)
         ok &= allowed[lam]

@@ -15,10 +15,11 @@ The construction runs in three layers over F_ell (genus g >= 2):
 
 Cardinalities obey closed formulas which the materialized builders measure
 independently (build, pack, deduplicate, count); the test suite pins the two
-against each other.  There is one block pool per multiplier: the first
-eligible blocks in the genus g-1 group's lexicographic enumeration order,
-reproducible across runs and machines.  Dump sidecars name it
-``POOL_NAME``.
+against each other.  There is one block pool per multiplier, reproducible
+across runs and machines: the builders and ``DirectMembership`` both select
+blocks by ``_in_pool``, which by the argument in ``DirectMembership`` keeps
+the first ell (ell+1) (ell-2) eligible blocks of the genus-1 group's
+lexicographic scan.  Dump sidecars name it ``POOL_NAME``.
 
 This module also owns a layer's files: ``FixedVectorSet`` writes and reads
 its dump and the dump's JSON sidecar, and checks a loaded dump.
@@ -72,10 +73,6 @@ HARD_ELL_CAP = 31
 POOL_NAME = "lex-canonical"    # the sidecar's "strategy" field
 
 
-class InsufficientMatrices(RuntimeError):
-    """Fewer eligible blocks exist than the construction requires."""
-
-
 class SetLevel(enum.Enum):
     """A layer of the construction.  A union layer ignores lam; builders and
     formulas are looked up when called, so a patched or traced one is used."""
@@ -122,8 +119,8 @@ def count_without_eigenvalue_one(ell: int, g: int, lam: int) -> int:
     """
     ctx = GroupContext.of(g, ell)
     total = 0
-    for entries, _ in scan_entries(ctx, lam=lam):
-        total += int(np.count_nonzero(_gf.batch_det_minus_identity(entries, ell)))
+    for entries, mults in scan_entries(ctx, lam=lam):
+        total += int(np.count_nonzero(_gf.batch_det_minus_identity(entries, mults, ell)))
     return total
 
 
@@ -157,32 +154,22 @@ def _require_in_class(ctx: GroupContext, lam: int) -> int:
 
 
 def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
-    """Block pools of the multipliers ``lams``, each an (m, 2g-2, 2g-2) int64 array.
+    """Block pools of the multipliers ``lams``, each an (m, 2, 2) int64 array
+    in the genus-1 scan order.
 
-    The canonical pool of lam is the first eligible blocks of multiplier lam
-    in the scan order of the genus g-1 group.  One scan of that group, its
-    eigenvalue-one-free rows split by multiplier, serves every lam.
+    One scan of the genus-1 group serves every lam: a block is pooled when
+    ``_in_pool`` says so, which by DirectMembership's argument keeps the
+    first ell (ell+1) (ell-2) eligible blocks of its multiplier.  g = 2 only,
+    since ``_in_pool`` is a 2x2 closed form.
     """
     ell = _require_constructible(ctx)
+    if ctx.g != 2:
+        raise ValueError("block pools are implemented for g = 2 only")
     lams = [_require_in_class(ctx, lam) for lam in lams]
-    need = _block_count(ell, ctx.g)
-    picked: dict[int, list[np.ndarray]] = {lam: [] for lam in lams}
-    have = dict.fromkeys(lams, 0)
-    for entries, mults in scan_entries(GroupContext(ctx.g - 1, ctx.modulus)):
-        for lam in picked:
-            # take and compress: several times faster than indexing here
-            cand = np.take(entries, np.flatnonzero(mults == lam), axis=0)
-            free = _gf.batch_det_minus_identity(cand, ell) != 0
-            keep = np.compress(free, cand, axis=0)[: need - have[lam]]
-            picked[lam].append(keep)
-            have[lam] += keep.shape[0]
-        if all(n == need for n in have.values()):
-            break
-    for lam in lams:
-        if have[lam] < need:
-            raise InsufficientMatrices(
-                f"only {have[lam]} eigenvalue-one-free blocks available, need {need}")
-    return [np.concatenate(picked.pop(lam)) for lam in lams]
+    blocks, mults = (np.concatenate(parts)
+                     for parts in zip(*scan_entries(GroupContext(1, ctx.modulus))))
+    pooled = _in_pool(blocks, mults, ell)[0]
+    return [np.compress(pooled & (mults == lam), blocks, axis=0) for lam in lams]
 
 
 def select_blocks(ctx: GroupContext, lam: int) -> list[ModMatrix]:
@@ -353,8 +340,8 @@ class FixedVectorSet:
 
     def iter_entries(self) -> Iterator[np.ndarray]:
         """The members' entries in key order, (rows, dim*dim) int16 from
-        ``_gf.unpack_digits``, 2**16 rows at a time."""
-        dd, chunk = self.ctx.dim * self.ctx.dim, 1 << 16
+        ``_gf.unpack_digits``, ``_gf.NARROW_ROWS`` rows at a time."""
+        dd, chunk = self.ctx.dim * self.ctx.dim, _gf.NARROW_ROWS
         for start in range(0, self.keys.shape[0], chunk):
             yield _gf.unpack_digits(self.keys[start:start + chunk], self.ctx.modulus.n, dd)
 
@@ -439,14 +426,15 @@ class FixedVectorSet:
         dim = self.ctx.dim
         eye = np.eye(dim, dtype=np.int16)
         # the kernels run on the int16 entries: at ell <= HARD_ELL_CAP a
-        # pairing is at most 1,800 and a det of reduced minors at most 5,400
+        # pairing is at most 1,800 and chi(1) before reduction at most 10,021;
+        # det(A - I) = chi(1) holds once every member is a similitude of lam
         for entries in self.iter_entries():
             a = entries.reshape(-1, dim, dim)
             lam, ok = _gf.similitude_check(a, ell)
             if not bool(ok.all()) or not bool(allowed[lam].all()):
                 found.append("a member is not a similitude with an admissible multiplier")
                 break
-            if bool(np.any(_gf.batch_det_minus_identity(a, ell) != 0)):
+            if bool(np.any(_gf.batch_det_minus_identity(a, lam, ell) != 0)):
                 found.append("a member fixes no nonzero vector")
                 break
             if self.level is SetLevel.CORE:
@@ -540,9 +528,10 @@ class DirectMembership:
     Works at g = 2 and holds no pool, only its ell-entry multiplier mask, so
     it serves every prime the lane sampler takes (ell <= 55,103).
 
-    The pool has a closed form.  A block B of multiplier lam (det B = lam on
-    an e_1-fixing similitude) is eligible when det(I - B) != 0; the pool is
-    the first ell (ell+1) (ell-2) eligible blocks in row-major lex order.
+    The pool has a closed form, ``_in_pool``, by which the builders select
+    their blocks too.  A block B of multiplier lam (det B = lam on an
+    e_1-fixing similitude) is eligible when det(I - B) != 0; the pool is the
+    first ell (ell+1) (ell-2) eligible blocks in row-major lex order.
     Of the ell (ell^2-1) blocks of determinant lam, those with eigenvalue 1
     have characteristic polynomial (x-1)(x-lam).  For lam != 1 they form one
     split semisimple class of size ell (ell+1), so every eligible block is

@@ -12,7 +12,8 @@ from symon.modmat import (
 )
 from symon.prng import CounterLanes, CounterRng
 from symon.sympgroup import (
-    GroupContext, NotSimilitude, form_matrix, multiplier, sample_entries_lanes, transvection,
+    GroupContext, NotSimilitude, form_matrix, multiplier, sample_entries, sample_entries_lanes,
+    transvection,
 )
 
 
@@ -130,17 +131,6 @@ def test_searchsorted_keys_membership(p):
     assert _gf.searchsorted_keys(empty, keys).tolist() == [False] * keys.shape[0]
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (7, 4), (13, 4)])
-def test_batch_det_against_scalar(p, d):
-    flat = rand_entries(200, d * d, p, p + d)
-    batch = flat.reshape(-1, d, d)
-    dets = _gf.batch_det(batch, p)
-    modulus = Modulus.of(p)
-    for mat, bd in zip(batch, dets):
-        m = ModMatrix.from_rows(modulus, [[int(x) for x in row] for row in mat])
-        assert det(m) == int(bd)
-
-
 @pytest.mark.parametrize("p,shape", [(3, (4, 4)), (5, (4, 4)), (7, (6, 3))])
 def test_batch_rank_against_scalar(p, shape):
     r, c = shape
@@ -176,6 +166,31 @@ def test_batch_rank_matches_rank_mod(p, r, c, seed):
 
 
 KERNEL_PRIMES = [2, 3, 5, 7, 13, 31, 65521]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_det_minus_identity_matches_the_scalar_det(p, g):
+    # chi(1) on sampled similitudes against the scalar det(A - I): one
+    # multiplier per matrix, then one for the whole batch with I and -I
+    # appended (lam = 1; at p = 31, -I has every principal minor at its
+    # maximum, 30**2), and in int16, the layer check's dtype, for p <= 31
+    dim, modulus = 2 * g, Modulus.of(p)
+    rng = CounterRng(p + g, 0)
+    eye = np.eye(dim, dtype=np.int64)
+    per_row = np.arange(40) % (p - 1) + 1
+    mixed = np.array([sample_entries(g, p, int(lam), rng) for lam in per_row])
+    one = np.concatenate([[sample_entries(g, p, 1, rng) for _ in range(20)],
+                          [eye, (p - 1) * eye]])
+    for batch, lam in ((mixed, per_row), (one, 1)):
+        want = [det(ModMatrix.from_rows(modulus, minus_identity(rows, p)))
+                for rows in batch.tolist()]
+        assert _gf.batch_det_minus_identity(batch, lam, p).tolist() == want
+        if p <= 31:
+            narrow = _gf.batch_det_minus_identity(batch.astype(np.int16),
+                                                  np.asarray(lam, dtype=np.int16), p)
+            assert narrow.dtype == np.int16 and narrow.tolist() == want
+    assert 0 in want        # I, in the lam = 1 batch
 
 
 @pytest.mark.parametrize("c", [4, 6])
@@ -267,8 +282,7 @@ def test_batch_kernels_match_scalar_oracles_on_similitudes(ell, g):
     near[np.arange(n), at] += lanes.below(ell - 1) + 1
     batch = np.concatenate([sims, near.reshape(sims.shape) % ell])
     lams, ok = _gf.similitude_check(batch, ell)
-    dets = _gf.batch_det(batch, ell)
-    fixed = _gf.batch_det_minus_identity(batch, ell)
+    fixed = _gf.batch_det_minus_identity(batch, lams, ell)    # read on similitudes only
     ctx, modulus = GroupContext.of(g, ell), Modulus.of(ell)
     form = form_matrix(g, modulus)
     for k, rows in enumerate(batch.tolist()):
@@ -281,8 +295,8 @@ def test_batch_kernels_match_scalar_oracles_on_similitudes(ell, g):
         except NotSimilitude:
             want = None
         assert bool(ok[k]) == (want is not None) and want in (None, int(lams[k]))
-        assert int(dets[k]) == det(m)
-        assert int(fixed[k]) == det(ModMatrix.from_rows(modulus, minus_identity(rows, ell)))
+        if ok[k]:
+            assert int(fixed[k]) == det(ModMatrix.from_rows(modulus, minus_identity(rows, ell)))
     assert ok[:n].all() and (lams[:n] == lam).all() and not ok[n:].all()
     assert (fixed[:n] == 0).any() and (fixed[:n] != 0).any()
 
@@ -338,9 +352,10 @@ def test_narrow_kernels_match_int64(p, g):
     (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p) for b in (narrow, wide))
     assert lam.dtype == np.int16 and np.array_equal(lam, want_lam)
     assert np.array_equal(ok, want_ok) and ok[4 * n:-4].all()
-    got = _gf.batch_det_minus_identity(narrow, p)
+    # det(A - I) only on the similitude lanes, where chi(1) gives it
+    got = _gf.batch_det_minus_identity(narrow[ok], lam[ok], p)
     assert got.dtype == np.int16
-    assert np.array_equal(got, _gf.batch_det_minus_identity(wide, p))
+    assert np.array_equal(got, _gf.batch_det_minus_identity(wide[ok], want_lam[ok], p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -369,9 +384,10 @@ def test_scan_dtype_widens_where_a_pairing_passes_int16():
         (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p)
                                           for b in (wide.astype(dtype), wide))
         assert lam.dtype == dtype and np.array_equal(lam, want_lam)
-        assert np.array_equal(ok, want_ok)
-        assert np.array_equal(_gf.batch_det_minus_identity(wide.astype(dtype), p),
-                              _gf.batch_det_minus_identity(wide, p))
+        assert np.array_equal(ok, want_ok) and want_ok.tolist() == [False, True]
+        # det(A - I) on the similitude lane only
+        assert np.array_equal(_gf.batch_det_minus_identity(wide.astype(dtype)[ok], lam[ok], p),
+                              _gf.batch_det_minus_identity(wide[ok], want_lam[ok], p))
     # at 191 int16 would not do: the pairing of diag(190, 190) wraps
     diag = np.array([[[190, 0], [0, 190]]])
     assert _gf.similitude_check(diag.astype(np.int16), 191)[0][0] != 190 ** 2 % 191

@@ -22,7 +22,6 @@ from symon.specialsets import (
     _blocks_entries,
     _core_entries,
     _excluded_corner,
-    _in_pool,
     _pool_cutoff,
     _pool_inverses,
     CompositeUnionSet,
@@ -108,39 +107,28 @@ def test_select_blocks_availability_at_3():
     assert count_without_eigenvalue_one(3, 1, 1) == 15   # 15 available >= 12 needed
 
 
-@pytest.mark.parametrize("q", [2, INFINITY], ids=["q2", "qinf"])
-@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
-def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
-    # the pools of every multiplier, split from one genus-1 scan, against
-    # one scan restricted to each multiplier, truncated to the pool size
-    ctx = GroupContext.of(2, ell, q)
-    lams = ctx.multiplier_values()
-    need = no_eigenvalue_one_floor(ell, 1)
-    for lam, pool in zip(lams, _blocks_entries(ctx, lams), strict=True):
-        scan = np.concatenate([entries for entries, _ in
-                               scan_entries(GroupContext.of(1, ell), lam=lam)])
-        want = scan[_gf.batch_det_minus_identity(scan, ell) != 0][:need]
-        assert want.shape == (need, 2, 2)
-        assert pool.dtype == want.dtype and np.array_equal(pool, want)
-
-
 PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
+@pytest.mark.parametrize("q", [2, INFINITY], ids=["q2", "qinf"])
 @pytest.mark.parametrize("ell", PRIMES_TO_31)
-def test_pool_predicate_matches_the_scanned_pool(ell):
-    # every 2x2 block of every multiplier: DirectMembership's closed form
-    # against membership in the pool that the builders scan
-    blocks = np.indices((ell,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
-    det_b = _gf.batch_det(blocks, ell)
-    digits = ell ** np.arange(3, -1, -1)
-    lams = range(1, ell)
-    for lam, pool in zip(lams, _blocks_entries(GroupContext.of(2, ell), lams), strict=True):
-        mine = blocks[det_b == lam]
-        got = _in_pool(mine, lam, ell)[0]
-        want = np.isin(mine.reshape(-1, 4) @ digits, pool.reshape(-1, 4) @ digits)
-        assert np.array_equal(got, want)
-        assert got.sum() == pool.shape[0] == ell * (ell + 1) * (ell - 2)
+def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
+    # the pools of every multiplier, one genus-1 scan filtered by _in_pool,
+    # against the first-`need` scan they replaced: one scan restricted to
+    # each multiplier, its blocks with det(I - B) != 0, truncated to the
+    # pool size.  The scan lists every block of each determinant, so this
+    # checks the closed form on all of them
+    ctx = GroupContext.of(2, ell, q)
+    lams = ctx.multiplier_values()
+    need = no_eigenvalue_one_floor(ell, 1)
+    assert need == ell * (ell + 1) * (ell - 2)
+    for lam, pool in zip(lams, _blocks_entries(ctx, lams), strict=True):
+        scan = np.concatenate([entries for entries, _ in
+                               scan_entries(GroupContext.of(1, ell), lam=lam)])
+        b11, b12, b21, b22 = (scan[:, i, j] for i in (0, 1) for j in (0, 1))
+        want = scan[((1 - b11) * (1 - b22) - b12 * b21) % ell != 0][:need]
+        assert want.shape == (need, 2, 2)
+        assert pool.dtype == want.dtype and np.array_equal(pool, want)
 
 
 @pytest.mark.parametrize("ell", PRIMES_TO_31)
@@ -234,8 +222,11 @@ def test_construction_guards():
         build_core_set(GroupContext.of(2, 17), 1)           # over the default cap
     with pytest.raises(ValueError):
         build_core_set(GroupContext.of(2, 37), 1, allow_large=True)   # over the hard cap
-    # the block pool itself is fine past the default cap
+    # the block pool itself is fine past the default cap, but g = 2 only:
+    # _in_pool is a 2x2 closed form
     assert len(select_blocks(GroupContext.of(2, 17), 1)) == 4590
+    with pytest.raises(ValueError, match="^block pools are implemented for g = 2 only$"):
+        select_blocks(GroupContext.of(3, 3), 1)
 
 
 @pytest.mark.parametrize("make", [
