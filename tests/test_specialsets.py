@@ -22,6 +22,7 @@ from symon.specialsets import (
     _blocks_entries,
     _core_entries,
     _excluded_corner,
+    _in_pool,
     _pool_cutoff,
     _pool_inverses,
     CompositeUnionSet,
@@ -129,6 +130,27 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         want = scan[((1 - b11) * (1 - b22) - b12 * b21) % ell != 0][:need]
         assert want.shape == (need, 2, 2)
         assert pool.dtype == want.dtype and np.array_equal(pool, want)
+
+
+@pytest.mark.parametrize("ell", PRIMES_TO_31)
+def test_pool_predicate_matches_the_scanned_pool(ell):
+    # every 2x2 block of every multiplier: DirectMembership's closed form
+    # against the pool's definition, the first `need` blocks B of det lam
+    # with det(I - B) != 0 in row-major lex order, and against the pool
+    # that the builders return
+    blocks = np.indices((ell,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+    b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
+    det_b = (b11 * b22 - b12 * b21) % ell
+    eligible = ((1 - b11) * (1 - b22) - b12 * b21) % ell != 0
+    need = ell * (ell + 1) * (ell - 2)
+    lams = range(1, ell)
+    for lam, pool in zip(lams, _blocks_entries(GroupContext.of(2, ell), lams), strict=True):
+        mine, free = blocks[det_b == lam], eligible[det_b == lam]
+        want = free & (np.cumsum(free) <= need)
+        got = _in_pool(mine, lam, ell)[0]
+        assert np.array_equal(got, want)
+        assert got.sum() == pool.shape[0] == need
+        assert np.array_equal(pool, mine[want])
 
 
 @pytest.mark.parametrize("ell", PRIMES_TO_31)
