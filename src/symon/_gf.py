@@ -43,16 +43,34 @@ Integer bounds, kernel by kernel (entries in [0, p) on input):
   exceeding the word's p**k.  A piece holds at least 8 digits for p <= 31.
   Rows are packed ``PACK_ROWS`` at a time, so the float64 copy of the
   entries stays at PACK_ROWS * D * 8 bytes (8 MiB at D = 16) however many
-  rows are packed.
+  rows are packed.  The ``digits @ powers`` product runs ``GEMM_ROWS``
+  (2**12) rows at a time: at most 2**12 * D * P multiply-adds for P
+  pieces (2**17 at D = 16 and p <= 31, where P <= 2), below the size from
+  which OpenBLAS threads it.  On a 2-core Xeon the threaded call can stall
+  for milliseconds: at p = 5, packing 82,320 rows took up to 7.9 ms with
+  one product per slice and about 1 ms with 2**12-row products.  The
+  slice itself stays large: 2**12-row float64 slices, each a separate
+  512 KiB allocation, left the C heap larger and raised the peak RSS of a
+  union-layer build by 0.7 MB.
 * ``conjugate_into``: the operator is reduced mod p first, so an output
   entry is a float32 sum of D terms in [0, (p-1)**2], at most D * (p-1)**2
   (14,400 at D = 16, p = 31).  That is exact in float32 (below 2**24) and
   fits uint16 (below 2**16), where it is reduced; see its docstring.
 
-``similitude_check``, ``batch_det_minus_identity``, ``batch_rank``'s
-elimination steps and the lane kernels' pivot and determinant reductions
-go through ``reduce_mod``, as x - p * (x // p), or its in-place form:
-numpy's integer ``%`` by a scalar is not vectorized.
+The kernels reduce mod p through ``reduce_mod``, as x - p * (x // p), in
+place (``out=x``) where x is a fresh array: numpy's integer ``%`` by a
+scalar is not vectorized.  That covers ``similitude_check``,
+``batch_det_minus_identity``, ``batch_rank`` (its input copy and every
+elimination step), ``rank2_kernel_basis`` and ``kernel_line``, and the
+lane kernels outside this module: ``prng.CounterLanes.below``,
+``sympgroup.sample_entries_lanes`` (its digits, its pivot entry and its
+kernel change of basis) with ``_combine_lanes`` and ``_pair_lanes``,
+``sympgroup.transvection_lanes`` (which takes ``contains_lanes``'s alpha
+and beta unreduced) and ``specialsets.DirectMembership.contains_lanes``
+(both conjugation products).
+``CounterLanes.below`` reduces uint64 draws u by n < 2**63: n * (u // n)
+is at most u, so u - n * (u // n) never wraps, and the residue reads as
+the same value in int64.
 
 Shear conjugation runs in row tiles (``conjugate_into``): ``rows =
 max(1, TILE_BYTES // (m * D * 4))`` batch rows at a time go through one
@@ -98,15 +116,18 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in the dtype of x, as x - p * (x // p).
+def reduce_mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in the dtype of x, as x - p * (x // p), into ``out`` if given.
 
     The same values as ``x % p``, negative x included (both floor), but
     numpy vectorizes integer floor division by a scalar and not the
     remainder: on 65,536 int16 entries this is about 20 times faster.  An
     intermediate that wraps in a narrow dtype still gives the exact
-    residue, since the result lies in [0, p)."""
-    return x - p * (x // p)
+    residue, since the result lies in [0, p).  ``out=x`` reduces in place,
+    with the quotient as the only temporary."""
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=out)
 
 
 def row_pair_minors(a: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -149,7 +170,8 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     so no row is a pivot twice, and the rank is the number of columns that
     found a pivot.
     """
-    a = np.array(a, dtype=np.int64) % p
+    a = np.array(a, dtype=np.int64)
+    reduce_mod(a, p, out=a)
     lanes = np.arange(a.shape[0])
     rank = np.zeros(a.shape[0], dtype=np.int64)
     for j in range(a.shape[2]):
@@ -158,7 +180,7 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
         rest = a[:, :, j + 1:]
         rest *= np.maximum(top[:, :1], 1)[:, :, None]
         rest -= a[:, :, j, None] * top[:, None, 1:]
-        rest -= p * (rest // p)
+        reduce_mod(rest, p, out=rest)
     return rank
 
 
@@ -183,8 +205,10 @@ def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
     t = np.arange(c - 2)
     free = t + (t >= p1[:, None]) + (t >= p2[:, None] - 1)    # skips p1 < p2
     basis = np.eye(c, dtype=np.int64)[free]
-    basis[at[:, None], t, p1[:, None]] = -np.take_along_axis(m[at, :, p2], free, 1) * scale % p
-    basis[at[:, None], t, p2[:, None]] = -np.take_along_axis(top, free, 1) * scale % p
+    for col, minors in ((p1, m[at, :, p2]), (p2, top)):
+        r = -np.take_along_axis(minors, free, 1)
+        r *= scale
+        basis[at[:, None], t, col[:, None]] = reduce_mod(r, p, out=r)
     return basis
 
 
@@ -211,7 +235,10 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     det = reduce_mod((b[:, :, 0] * row).sum(axis=1), p)     # expansion along column 0
     j = (row != 0).argmax(axis=1)
     pivot = row[at, j]
-    return (det == 0) & (pivot != 0), adj[at, :, j] % p * inverse_table(p)[pivot][:, None] % p
+    line = adj[at, :, j]        # a gather: a copy, reduced in place
+    reduce_mod(line, p, out=line)
+    line *= inverse_table(p)[pivot][:, None]
+    return (det == 0) & (pivot != 0), reduce_mod(line, p, out=line)
 
 
 # -- packing matrices into sortable integer keys --
@@ -221,7 +248,8 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 # 64-bit word holds up to floor(63 / log2(p)) entries; wider matrices are
 # split across several words and compared left to right.
 
-PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries
+PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries: see the module docstring
+GEMM_ROWS = 1 << 12     # rows per digits @ powers product in _pack_into: likewise
 
 
 @functools.cache
@@ -275,12 +303,16 @@ def _pack_into(digits: np.ndarray, plan: tuple, out: np.ndarray) -> None:
     """Pack the (R, D) float64 digits, in [0, p), into the (R, W) uint64 rows
     of out, by the ``_pack_plan(p, D)`` given as ``plan``.
 
-    One float64 product with the plan's power columns sums every piece at
-    once, exact because a piece is below p**k < 2**53; the pieces of a word
-    are joined in uint64 as ``word * p**width + piece``.
+    One float64 product with the plan's power columns, ``GEMM_ROWS`` rows
+    at a time, sums every piece at once, exact because a piece is below
+    p**k < 2**53; the pieces of a word are joined in uint64 as
+    ``word * p**width + piece``.
     """
     powers, words = plan
-    pieces = digits @ powers
+    pieces = np.empty((digits.shape[0], powers.shape[1]))
+    for start in range(0, digits.shape[0], GEMM_ROWS):
+        rows = slice(start, start + GEMM_ROWS)
+        np.matmul(digits[rows], powers, out=pieces[rows])
     for w, ((c, _), *rest) in enumerate(words):
         out[:, w] = pieces[:, c]
         for c, scale in rest:

@@ -421,6 +421,21 @@ def crt_lift(mats: Iterable[ModMatrix]) -> ModMatrix:
 LINES_PER_CHUNK = 1 << 16
 
 
+_TOKEN_BYTES = np.zeros(256, dtype=bool)
+_TOKEN_BYTES[list(b"0123456789,\n")] = True
+
+
+def _canonical(text: bytes) -> bool:
+    """Whether dump lines hold only digits, commas and newlines, and no
+    token of two or more digits starts with 0: what ``write_matrix_lines``
+    writes.  One table lookup and one shifted comparison over the bytes."""
+    b = np.frombuffer(b"\n" + text + b"\n", dtype=np.uint8)
+    if not _TOKEN_BYTES[b].all():
+        return False
+    digit = b >= ord("0")    # once the bytes are checked, "," and "\n" sort below "0"
+    return not ((b[1:-1] == ord("0")) & ~digit[:-2] & digit[2:]).any()
+
+
 def header_line(dim: int, n: int) -> str:
     return f"# dim={dim} mod={n}"
 
@@ -452,8 +467,11 @@ def read_matrix_lines(fh: TextIO, dim: int, n: int) -> Iterator[np.ndarray]:
     """The rows of a dump of dim x dim matrices mod n, as (N, dim*dim) int64 chunks.
 
     Raises ValueError on a header other than ``header_line(dim, n)``, a line
-    of the wrong width, a token that is not a decimal integer, and an entry
-    outside [0, n).  Empty lines are skipped.
+    of the wrong width, a token that is not a decimal integer, an entry
+    outside [0, n), a token that is not canonical (a sign, a space or a
+    leading zero: ``_canonical``) and a line end other than ``\n``: a
+    ``\r`` byte where the stream keeps line ends, its ``newlines`` record
+    where it translates them.  Empty lines are skipped.
     """
     got = parse_header(fh.readline())
     if got != (dim, n):
@@ -463,6 +481,8 @@ def read_matrix_lines(fh: TextIO, dim: int, n: int) -> Iterator[np.ndarray]:
     while lines := list(islice(fh, LINES_PER_CHUNK)):
         where = f"dump lines {first}-{first + len(lines) - 1}"
         first += len(lines)
+        if getattr(fh, "newlines", None) not in (None, "\n"):
+            raise ValueError(f"{where}: a line end is not \\n")
         if all(line == "\n" for line in lines):     # np.loadtxt warns on no data
             continue
         try:
@@ -474,4 +494,7 @@ def read_matrix_lines(fh: TextIO, dim: int, n: int) -> Iterator[np.ndarray]:
                              f"got {chunk.shape[1]}")
         if chunk.min() < 0 or chunk.max() >= n:
             raise ValueError(f"{where}: an entry lies outside [0, {n})")
+        if not _canonical("".join(lines).encode()):
+            raise ValueError(f"{where}: a token is not a canonical decimal integer "
+                             "(digits only, no leading zero)")
         yield chunk

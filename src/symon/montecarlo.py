@@ -244,6 +244,21 @@ def common_fixed_upper_bound(ctx: GroupContext, ell: int, e: int) -> Fraction:
     return Fraction(ell ** (2 * ctx.g) - 1, ell - 1) * hi
 
 
+def _count_rows(out: np.ndarray) -> Counter:
+    """How often each row of an (N, E) bool array occurs, keyed by the row
+    as a tuple of bools.
+
+    Each row's bools are packed into ceil(E / 8) bytes and the rows counted
+    by one 1-D ``np.unique`` over a void view of those bytes; a key is read
+    off the first row with its bytes.  ``np.unique(out, axis=0)`` gives the
+    same counts several times slower.
+    """
+    packed = np.packbits(out, axis=1, bitorder="little")
+    rows = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    return Counter(dict(zip(map(tuple, out[first].tolist()), counts.tolist())))
+
+
 def _tally(lanes_outcomes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
            oracle: Callable[[int], tuple[bool, ...]], n_samples: int,
            threads: int) -> Counter:
@@ -274,8 +289,7 @@ def _tally(lanes_outcomes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                                      f"scalar outcomes {want}")
         for i in np.flatnonzero(rejected).tolist():
             out[i] = oracle(lo + i)
-        rows, counts = np.unique(out, axis=0, return_counts=True)
-        return Counter(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+        return _count_rows(out)
 
     # worker k takes chunks k, k + workers, ...: one task per thread, so
     # no per-chunk future is held however many chunks there are

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._gf import reduce_mod
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -128,4 +130,6 @@ class CounterLanes:
         limit = _rejection_limit(n)
         if limit < 1 << 64:
             self.rejected |= u >= np.uint64(limit)
-        return (u % np.uint64(n)).astype(np.int64)
+        # u - n * (u // n) never wraps in uint64, and the residue is below
+        # n < 2**63, so the uint64 words read as the same int64 values
+        return reduce_mod(u, np.uint64(n), out=u).view(np.int64)

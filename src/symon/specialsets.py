@@ -608,10 +608,12 @@ class DirectMembership:
         eye = np.eye(4, dtype=np.int64)
         fixed, v = _gf.kernel_line(a - eye, ell)
         ok &= fixed & ((v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0)))
-        alpha = v[:, 2:] * _gf.inverse_table(ell)[v[:, 1]][:, None] % ell
-        beta = -v[:, 1] % ell
-        t = transvection_lanes(ell, alpha, beta)     # I + beta N, N^2 = 0: inverse 2I - t
-        core = np.matmul(np.matmul(t, a) % ell, 2 * eye - t) % ell
+        # transvection_lanes reduces alpha and beta itself
+        t = transvection_lanes(ell, v[:, 2:] * _gf.inverse_table(ell)[v[:, 1]][:, None],
+                               -v[:, 1])
+        ta = np.matmul(t, a)    # t = I + beta N with N^2 = 0, so its inverse is 2I - t
+        core = np.matmul(_gf.reduce_mod(ta, ell, out=ta), 2 * eye - t)
+        _gf.reduce_mod(core, ell, out=core)
         ok &= (core[:, :, 0] == eye[0]).all(axis=1)
         found, minv = _in_pool(core[:, 2:, 2:], lam, ell)
         excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),

@@ -307,10 +307,12 @@ def transvection_lanes(ell: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndar
     n, k = alpha.shape
     g = k // 2 + 1
     u = np.concatenate([np.zeros((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64),
-                        alpha % ell], axis=1)
-    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T % ell
-    shear = (beta % ell)[:, None, None] * u[:, :, None] * c[:, None, :]
-    return (np.eye(2 * g, dtype=np.int64) + shear) % ell
+                        _gf.reduce_mod(alpha, ell)], axis=1)
+    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T
+    _gf.reduce_mod(c, ell, out=c)
+    shear = _gf.reduce_mod(beta, ell)[:, None, None] * u[:, :, None] * c[:, None, :]
+    shear += np.eye(2 * g, dtype=np.int64)
+    return _gf.reduce_mod(shear, ell, out=shear)
 
 
 @dataclass(frozen=True)
@@ -467,7 +469,7 @@ def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes)
         r = lanes.below(ell ** d - 1) + 1
         c1 = np.empty((n, d), dtype=np.int64)
         for i in range(d):
-            c1[:, i] = r % ell
+            _gf.reduce_mod(r, ell, out=c1[:, i])
             r //= ell
         f1 = _combine_lanes(c1, basis, ell)
         w1 = _pair_lanes(f1, basis, form, ell)
@@ -478,23 +480,28 @@ def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes)
         j = np.arange(d)
         c2 = np.take_along_axis(draws, np.minimum(j - (j > p[:, None]), d - 2), axis=1)
         c2[at, p] = 0
-        s = (w1 * c2).sum(axis=1)
-        c2[at, p] = (lam - s) % ell * inv[w1[at, p]] % ell
+        x = lam - (w1 * c2).sum(axis=1)
+        _gf.reduce_mod(x, ell, out=x)
+        x *= inv[w1[at, p]]
+        c2[at, p] = _gf.reduce_mod(x, ell, out=x)
         f2 = _combine_lanes(c2, basis, ell)
         cols += [f1, f2]
         if d == 2:
             break
         w2 = _pair_lanes(f2, basis, form, ell)
         kernel = _gf.rank2_kernel_basis(np.stack([w1, w2], axis=1), ell)
-        basis = np.matmul(kernel, basis) % ell
+        basis = np.matmul(kernel, basis)
+        _gf.reduce_mod(basis, ell, out=basis)
     return np.stack(cols, axis=2)
 
 
 def _combine_lanes(coeffs: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
     """Per lane, the combination sum_i coeffs[i] * basis[i] mod ell."""
-    return np.matmul(coeffs[:, None, :], basis)[:, 0] % ell
+    f = np.matmul(coeffs[:, None, :], basis)[:, 0]
+    return _gf.reduce_mod(f, ell, out=f)
 
 
 def _pair_lanes(f: np.ndarray, basis: np.ndarray, form: np.ndarray, ell: int) -> np.ndarray:
     """Per lane, the pairings e(f, b) with every basis vector b."""
-    return np.matmul(basis, (f @ form)[:, :, None])[:, :, 0] % ell
+    w = np.matmul(basis, (f @ form)[:, :, None])[:, :, 0]
+    return _gf.reduce_mod(w, ell, out=w)

@@ -624,6 +624,14 @@ CORRUPT_DUMPS = {
     "header-mod-differs": lambda ls: ["# dim=4 mod=5"] + ls[1:],
     "header-dim-differs": lambda ls: ["# dim=2 mod=3"] + ls[1:],
     "header-only": lambda ls: ls[:1],
+    # tokens that read as the entries they replace (line 2 starts "1,0,"),
+    # so the set loads unchanged, but that no canonical dump holds
+    "leading-zero": lambda ls: ls[:1] + [_with_entries(ls[1], {0: "01"})] + ls[2:],
+    "plus-sign": lambda ls: ls[:1] + [_with_entries(ls[1], {0: "+1"})] + ls[2:],
+    "leading-space": lambda ls: ls[:1] + [_with_entries(ls[1], {0: " 1"})] + ls[2:],
+    "trailing-space": lambda ls: ls[:1] + [_with_entries(ls[1], {0: "1 "})] + ls[2:],
+    "minus-zero": lambda ls: ls[:1] + [_with_entries(ls[1], {1: "-0"})] + ls[2:],
+    "crlf-line-end": lambda ls: ls[:1] + [ls[1] + "\r"] + ls[2:],
 }
 
 

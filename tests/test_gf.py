@@ -80,8 +80,11 @@ def reference_keys(flat, p):
 
 @pytest.mark.parametrize("dd", [4, 16])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 509])
-def test_pack_entries_matches_python_int_reference(p, dd):
-    # at p = 509 a word holds 6 digits but a float64 piece only 5
+def test_pack_entries_matches_python_int_reference(p, dd, monkeypatch):
+    # at p = 509 a word holds 6 digits but a float64 piece only 5; 200 rows
+    # in slices of 64 and products of 5 rows end both on a partial block
+    monkeypatch.setattr(_gf, "PACK_ROWS", 64)
+    monkeypatch.setattr(_gf, "GEMM_ROWS", 5)
     flat = rand_entries(200, dd, p, 5 * p + dd)
     flat[0] = p - 1                      # the largest word: every digit at p - 1
     flat[1, ::2] = p - 1
@@ -370,6 +373,20 @@ def test_reduce_mod_matches_the_remainder(dtype, p):
                         [(p - 1) ** 2, -(p - 1) ** 2, 6 * (p - 1) ** 2, p - 1]]).astype(dtype)
     got = _gf.reduce_mod(x, p)
     assert got.dtype == dtype and np.array_equal(got, x % p)
+    y = x.copy()
+    assert _gf.reduce_mod(y, p, out=y) is y and np.array_equal(y, got)
+
+
+def test_reduce_mod_on_uint64_words():
+    # CounterLanes.below's case: n * (u // n) <= u, so u - n * (u // n)
+    # never wraps, from u = 0 to 2**64 - 1 and for n up to 2**63 - 1
+    rng = np.random.default_rng(0)
+    u = np.concatenate([rng.integers(0, 2**64, 4096, dtype=np.uint64),
+                        np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)])
+    for n in (2, 3, 65521, 2**40 + 3, 2**62 + 1, 2**63 - 1):
+        n = np.uint64(n)
+        got = _gf.reduce_mod(u.copy(), n)
+        assert got.dtype == np.uint64 and np.array_equal(got, u % n)
 
 
 def test_scan_dtype_widens_where_a_pairing_passes_int16():

@@ -266,6 +266,12 @@ def test_read_matrix_lines_skips_empty_lines():
     "# dim=2 mod=5\n1,2,3,5\n",             # not canonical
     "# dim=2 mod=5\n1,-2,3,4\n",
     "# dim=2 mod=5\n1,2,3,99999999999999999999\n",
+    "# dim=2 mod=5\n1,02,3,4\n",           # read as entries, but not canonical
+    "# dim=2 mod=5\n1,2,+3,4\n",
+    "# dim=2 mod=5\n1,2, 3,4\n",
+    "# dim=2 mod=5\n1,2,3 ,4\n",
+    "# dim=2 mod=5\n1,2,-0,4\n",
+    "# dim=2 mod=5\n1,2,3,4\r\n",
 ], ids=lambda t: repr(t[:40]))
 def test_read_matrix_lines_rejects(text):
     with pytest.raises(ValueError):

@@ -398,3 +398,22 @@ def test_borel_cantelli_threads_invariant():
     a = borel_cantelli_experiment(2, 2, [3, 5], 1, 300, 5, threads=1)
     b = borel_cantelli_experiment(2, 2, [3, 5], 1, 300, 5, threads=3)
     assert a == b
+
+
+@pytest.mark.parametrize("events", [1, 5, 8, 9, 70])
+@pytest.mark.parametrize("rows", [1, 2, 300])
+def test_outcome_count_matches_unique_rows(events, rows):
+    # _tally counts a chunk's outcome rows through a void view of their
+    # packed bits; the reference is np.unique over the bool rows themselves.
+    # Sparse, even and dense hits, with an all-False and an all-True column
+    rng = np.random.default_rng(events * 1000 + rows)
+    for density in (0.02, 0.5, 0.97):
+        out = rng.random((rows, events)) < density
+        out[:, 0] = False
+        out[:, -1] = True
+        keys, counts = np.unique(out, axis=0, return_counts=True)
+        want = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+        got = montecarlo._count_rows(out)
+        assert got == want and sum(got.values()) == rows
+        assert all(type(x) is bool for key in got for x in key)
+        assert all(len(key) == events for key in got)
