@@ -1,94 +1,28 @@
 """Vectorized GF(p) kernels on numpy batches of small matrices.
 
-Internal module: arrays here are raw integer stacks of shape (N, d, d)
-with entries already reduced mod p.  The elementwise kernels
-(``row_pair_minors``, ``similitude_check``, ``batch_det_minus_identity``)
-compute in the dtype they are given, so the caller picks one that holds
-the bound below; ``batch_rank`` and the lane kernels work in ``int64``;
-``pack_entries`` and ``conjugate_into`` read any integer dtype, ``uint8``
-included.  The scalar, exact public API lives in ``modmat``; these kernels
-exist so that exhaustive enumerations, million-element set constructions
-and Monte Carlo batches run at C speed.
+Internal module: the scalar, exact public API lives in ``modmat``; these
+kernels exist so that exhaustive enumerations, million-element set
+constructions and Monte Carlo batches run at C speed.  They share one
+contract; each kernel's docstring states its own integer bound.
 
-Integer bounds, kernel by kernel (entries in [0, p) on input):
-
-* ``row_pair_minors``: an unreduced minor has magnitude at most (p-1)**2.
-* ``similitude_check``: a pairing sums g minors, so at most g * (p-1)**2
-  (1,800 at g = 2, p <= 31).  The candidate scan runs it on ``int16``
-  digits while g * (p-1)**2 < 2**15 (``scan_dtype``), on ``int32`` past
-  that (g = 1, p >= 191, say) and on ``int64`` past 2**31.
-* ``batch_det_minus_identity``: chi(1) = 1 - t(1+lam) + c2 + lam**2 at
-  g = 2 sums a trace t <= 4(p-1) times 1 + lam <= p, six principal minors
-  and lam**2, so |chi(1)| <= 1 + 4p(p-1) + 7(p-1)**2 before it is reduced
-  (10,021 at p = 31): exact in ``int16`` for p <= 53, which covers the
-  layer check (p <= 31) on the ``int16`` entries of ``unpack_digits`` and
-  ``similitude_check``'s ``int16`` multipliers.  At g = 1, 1 - t + lam is
-  at most 3p in magnitude.
-* ``unpack_digits`` and ``index_to_entries``: a digit is below p, so it
-  fits ``int16`` for p <= 2**15; past that the scan decodes in int64.
-  The scan and the layer check decode and check ``NARROW_ROWS`` (2**16)
-  rows at a time, so a batch of ``int16`` entries stays at 2 MiB at D = 16.
-* ``batch_rank`` reduces its (N, r, c) input itself; both products of a
-  step lie in [0, (p-1)**2] and are reduced after their difference, so
-  every intermediate is below p**2 in magnitude, exact in int64 for
-  p < 2**31.
-* ``rank2_kernel_basis``: a minor times an inverse is below p**3 (2**48 at
-  p < 2**16); ``kernel_line``: on entries in (-p, p) a minor is below
-  2 * p**2 and a cofactor, three entries times minors, below 6 * p**3
-  (< 2**51 for p < 2**16), and it is reduced before it is scaled.
-* ``pack_entries``: a word holds at most k base-p digits with p**k < 2**63
-  by construction (``pack_words``).  It is summed in pieces of at most
-  ``piece_digits(p)`` digits, each a float64 dot product below 2**53 and so
-  exact in any summation order; the pieces are joined in uint64 without
-  exceeding the word's p**k.  A piece holds at least 8 digits for p <= 31.
-  Rows are packed ``PACK_ROWS`` at a time, so the float64 copy of the
-  entries stays at PACK_ROWS * D * 8 bytes (8 MiB at D = 16) however many
-  rows are packed.  The ``digits @ powers`` product runs ``GEMM_ROWS``
-  (2**12) rows at a time: at most 2**12 * D * P multiply-adds for P
-  pieces (2**17 at D = 16 and p <= 31, where P <= 2), below the size from
-  which OpenBLAS threads it.  On a 2-core Xeon the threaded call can stall
-  for milliseconds: at p = 5, packing 82,320 rows took up to 7.9 ms with
-  one product per slice and about 1 ms with 2**12-row products.  The
-  slice itself stays large: 2**12-row float64 slices, each a separate
-  512 KiB allocation, left the C heap larger and raised the peak RSS of a
-  union-layer build by 0.7 MB.
-* ``conjugate_into``: the operator is reduced mod p first, so an output
-  entry is a float32 sum of D terms in [0, (p-1)**2], at most D * (p-1)**2
-  (14,400 at D = 16, p = 31).  That is exact in float32 (below 2**24) and
-  fits uint16 (below 2**16), where it is reduced; see its docstring.
-
-The kernels reduce mod p through ``reduce_mod``, as x - p * (x // p), in
-place (``out=x``) where x is a fresh array: numpy's integer ``%`` by a
-scalar is not vectorized.  That covers ``similitude_check``,
-``batch_det_minus_identity``, ``batch_rank`` (its input copy and every
-elimination step), ``rank2_kernel_basis`` and ``kernel_line``, and the
-lane kernels outside this module: ``prng.CounterLanes.below``,
-``sympgroup.sample_entries_lanes`` (its digits, its pivot entry and its
-kernel change of basis) with ``_combine_lanes`` and ``_pair_lanes``,
-``sympgroup.transvection_lanes`` (which takes ``contains_lanes``'s alpha
-and beta unreduced) and ``specialsets.DirectMembership.contains_lanes``
-(both conjugation products).
-``CounterLanes.below`` reduces uint64 draws u by n < 2**63: n * (u // n)
-is at most u, so u - n * (u // n) never wraps, and the residue reads as
-the same value in int64.
-
-Shear conjugation runs in row tiles (``conjugate_into``): ``rows =
-max(1, TILE_BYTES // (m * D * 4))`` batch rows at a time go through one
-float32 GEMM against the whole (D, m*D) stack of m operators, so a tile's
-product stays within ``TILE_BYTES`` (128 KiB) and its GEMM within
-rows * m*D * D <= 2**19 multiply-adds.  On a 2-core Xeon, OpenBLAS
-threads a GEMM from somewhere between 0.82M and 1.02M multiply-adds, and
-at these sizes its threaded path is slower per row: a 40-row, 256 KiB
-tile at m = 100 lost the whole gain.  Its workspaces (16 bytes per product
-entry, 512 KiB while rows > 1) are allocated once per call and reused for
-every tile.  Keys are written row-major, row i's m conjugates at
-[i*m, (i+1)*m), so a tile's keys are one contiguous block.  ``pack_entries``
-and the tile loop share one packer, ``_pack_into``.
-
-The int64 bounds hold far beyond any modulus whose scan fits the
-enumeration budget; ``conjugate_into`` checks its bound and raises
-``ValueError`` once D * (p-1)**2 reaches 2**16 (p >= 67 at D = 16, above
-the materialization cap of 31).
+* Layout.  A batch is an (N, d, d) stack of matrices or (N, D) rows of
+  their D = d*d row-major entries, reduced to [0, p) on input unless the
+  kernel says otherwise.  ``unpack_digits`` returns entry-major rows, the
+  transpose of a (D, N) array, so that the elementwise kernels read each
+  entry as one contiguous vector.  Keys are (N, W) uint64 rows whose
+  integer order is the lexicographic order of the entries (``pack_entries``).
+* Dtype.  The elementwise kernels (``row_pair_minors``,
+  ``similitude_check``, ``batch_det_minus_identity``) compute in the dtype
+  they are given, so the caller picks one that holds the kernel's bound:
+  the scan and the layer check pass ``int16`` entries, ``NARROW_ROWS``
+  rows at a time (2 MiB at D = 16).  ``batch_rank``, ``rank2_kernel_basis``,
+  ``kernel_line`` and the lane kernels work in ``int64``; ``pack_entries``
+  and ``conjugate_into`` read any integer dtype, ``uint8`` included.
+* Reduction.  The kernels reduce their batches mod p through
+  ``reduce_mod``, as x - p * (x // p), in place (``out=x``) where x is a
+  fresh array, and not through numpy's integer ``%`` by a scalar, which is
+  not vectorized.  The lane kernels in the other modules follow the same
+  rule.
 """
 
 from __future__ import annotations
@@ -132,7 +66,8 @@ def reduce_mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
 
 def row_pair_minors(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Unreduced 2x2 minors at columns (i, j) of the row pairs (2b, 2b+1) of
-    a (N, 2g, 2g) batch, as an (N, g) array; the caller reduces them."""
+    a (N, 2g, 2g) batch, as an (N, g) array; the caller reduces them.  A
+    minor is at most (p-1)**2 in magnitude."""
     return a[:, 0::2, i] * a[:, 1::2, j] - a[:, 0::2, j] * a[:, 1::2, i]
 
 
@@ -149,6 +84,12 @@ def batch_det_minus_identity(a: np.ndarray, lam, p: int) -> np.ndarray:
     c2 x**2 - lam t x + lam**2 at g = 2, so chi(1) = 1 - t(1 + lam) + c2 +
     lam**2; at g = 1, chi(1) = 1 - t + lam.  This holds only on similitudes
     of multiplier lam: on any other matrix the value need not be det(a - I).
+
+    Bound: at g = 2, with t <= 4(p-1), 1 + lam <= p, six principal minors
+    and lam**2, |chi(1)| <= 1 + 4p(p-1) + 7(p-1)**2 before it is reduced
+    (10,021 at p = 31): exact in ``int16`` for p <= 53, which covers the
+    layer check (p <= 31) on ``int16`` entries and multipliers.  At g = 1,
+    1 - t + lam is at most 3p in magnitude.
     """
     diag = [a[:, i, i] for i in range(a.shape[-1])]
     t = sum(diag)
@@ -168,7 +109,10 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     The step zeroes column j, which is never read again, so only the
     columns after it are updated, in place.  It zeroes the pivot row too,
     so no row is a pivot twice, and the rank is the number of columns that
-    found a pivot.
+    found a pivot.  The input is copied to int64 and reduced first; both
+    products of a step lie in [0, (p-1)**2] and are reduced after their
+    difference, so every intermediate is below p**2 in magnitude, exact for
+    p < 2**31.
     """
     a = np.array(a, dtype=np.int64)
     reduce_mod(a, p, out=a)
@@ -191,6 +135,7 @@ def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
     Free column f gets e_f - r1[f] e_p1 - r2[f] e_p2, with the RREF rows read
     off the 2x2 minors m: p1 is the first nonzero column, p2 the first j with
     m(p1, j) != 0, and r1[f] = m(f, p2) / m(p1, p2), r2[f] = m(p1, f) / m(p1, p2).
+    In int64: a minor times an inverse is below p**3 (2**48 at p < 2**16).
     """
     n, _, c = w.shape
     at = np.arange(n)
@@ -218,7 +163,9 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     adj = v w^T with w != 0 at rank 3 and adj = 0 below, so ``ok`` is det = 0
     with row 0 of adj nonzero, and v is column j of adj for its first j with
-    adj[0, j] != 0.
+    adj[0, j] != 0.  In int64: a minor is below 2 * p**2 and a cofactor,
+    three entries times minors, below 6 * p**3 (< 2**51 for p < 2**16); the
+    line is reduced before it is scaled.
     """
     n = b.shape[0]
     at = np.arange(n)
@@ -248,7 +195,7 @@ def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 # 64-bit word holds up to floor(63 / log2(p)) entries; wider matrices are
 # split across several words and compared left to right.
 
-PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries: see the module docstring
+PACK_ROWS = 1 << 16     # rows per float64 slice in pack_entries: see its docstring
 GEMM_ROWS = 1 << 12     # rows per digits @ powers product in _pack_into: likewise
 
 
@@ -304,9 +251,15 @@ def _pack_into(digits: np.ndarray, plan: tuple, out: np.ndarray) -> None:
     of out, by the ``_pack_plan(p, D)`` given as ``plan``.
 
     One float64 product with the plan's power columns, ``GEMM_ROWS`` rows
-    at a time, sums every piece at once, exact because a piece is below
-    p**k < 2**53; the pieces of a word are joined in uint64 as
-    ``word * p**width + piece``.
+    at a time, sums every piece at once, exact in any summation order
+    because a piece is below p**k < 2**53; the pieces of a word are joined
+    in uint64 as ``word * p**width + piece``, never past the word's
+    p**k < 2**63 (``pack_words``).  A product is at most GEMM_ROWS * D * P
+    multiply-adds for P pieces (2**17 at D = 16 and p <= 31, where P <= 2),
+    below the size from which OpenBLAS threads it: on a 2-core Xeon the
+    threaded call can stall for milliseconds (at p = 5, packing 82,320 rows
+    took up to 7.9 ms with one product per slice, about 1 ms with 2**12-row
+    products).
     """
     powers, words = plan
     pieces = np.empty((digits.shape[0], powers.shape[1]))
@@ -325,7 +278,10 @@ def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
 
     ``flat`` may have any integer dtype; its entries must lie in [0, p).
     Each slice of ``PACK_ROWS`` rows is cast to float64 and packed into
-    the output by ``_pack_into``.
+    the output by ``_pack_into``, so the float64 copy stays at
+    PACK_ROWS * D * 8 bytes (8 MiB at D = 16).  The slice stays that large:
+    2**12-row slices, each a separate 512 KiB allocation, left the C heap
+    larger and raised the peak RSS of a union-layer build by 0.7 MB.
     """
     n, dd = flat.shape
     plan = _pack_plan(p, dd)
@@ -339,8 +295,8 @@ def pack_entries(flat: np.ndarray, p: int) -> np.ndarray:
 def unpack_entries(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
     """Invert pack_entries back to (N, D) int64 entry arrays, one divmod per digit.
 
-    The reference decoder, and the one for digits past ``int16`` (p > 2**15);
-    ``unpack_digits`` is the fast one."""
+    The reference decoder of the tests and the benchmark; the package
+    decodes by ``unpack_digits``."""
     n, words = keys.shape
     per = -(-dd // words)
     out = np.zeros((n, dd), dtype=np.int64)
@@ -475,8 +431,10 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
     time go through one float32 product with the whole (D, m*D) stack, so
     a tile's product is at most TILE_BYTES (20 rows at m = 100, D = 16) and
     its GEMM at most 2**19 multiply-adds (rows * m*D * D).  That keeps
-    OpenBLAS on its single-threaded path, faster at these sizes than its
-    threaded one (see the module docstring), and the tile in L2 cache.  The
+    OpenBLAS on its single-threaded path and the tile in L2 cache.  On a
+    2-core Xeon OpenBLAS threads a GEMM from between 0.82M and 1.02M
+    multiply-adds, slower per row at these sizes: a 40-row, 256 KiB tile at
+    m = 100 lost the whole gain.  The
     product is cast to uint16, reduced there in place, widened to float64
     digits and packed by ``_pack_into`` straight into out, whose rows for a
     tile are contiguous.  The float32 product, its uint16 copy and quotient
@@ -521,23 +479,22 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
 
 def index_to_entries(idx: np.ndarray, p: int, dd: int) -> np.ndarray:
     """Base-p digits of idx, most significant first: the row-major entries,
-    as ``unpack_digits`` gives them (one-word keys, as a scan in budget has
-    p**dd < 2**63), or as int64 rows where digits pass ``int16``."""
-    if p > 1 << 15:
-        return unpack_entries(idx[:, None], p, dd)
+    as ``unpack_digits`` gives them.  ``sympgroup.scan_entries`` keeps
+    p**dd < 2**60, so an index is a one-word key and p < 2**15."""
     return unpack_digits(idx[:, None], p, dd)
 
 
 def scan_dtype(g: int, p: int) -> type:
-    """The narrowest of int16, int32 and int64 that holds g * (p-1)**2, the
-    bound on ``similitude_check``'s pairings at genus g."""
-    bound = g * (p - 1) ** 2
-    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    """int16 where it holds g * (p-1)**2, the bound on ``similitude_check``'s
+    pairings at genus g, else int32.  Under the scan's p**(4g**2) < 2**60
+    that bound is below 2**31: p < 2**15 at g = 1, p <= 13 at g = 2."""
+    return np.int16 if g * (p - 1) ** 2 < 1 << 15 else np.int32
 
 
 def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix (multiplier, is-similitude) over a (N, 2g, 2g) batch, in
-    the dtype of a, which must hold g * (p-1)**2.
+    the dtype of a, which must hold g * (p-1)**2: a pairing sums g minors
+    (1,800 at g = 2, p <= 31).  The scan picks it by ``scan_dtype``.
 
     The multiplier slot is meaningful only where the mask is True.
     """

@@ -29,10 +29,10 @@ numpy lanes (``CounterLanes``, ``sample_entries_lanes`` on
 ``_gf.kernel_line``, and ``_gf.batch_rank``), which reproduce the scalar
 streams lane by lane.  The scalar functions
 (``sample_entries``, ``contains_rows``, ``rank_mod``) are the oracle: every
-chunk replays some of its lanes through them (see ``_tally``).  Both
-estimators reach ``_tally`` through ``_tally_events``, which builds the
-batch and the oracle draw from the same protocol.  Chunks partition across
-threads without changing any output.
+chunk replays some of its lanes through them.  Both estimators call
+``_tally``, whose one ``run(lo)`` draws a chunk on the lanes, evaluates it,
+replays the chosen lanes through the oracle and counts the outcomes.
+Chunks partition across threads without changing any output.
 """
 
 from __future__ import annotations
@@ -259,50 +259,6 @@ def _count_rows(out: np.ndarray) -> Counter:
     return Counter(dict(zip(map(tuple, out[first].tolist()), counts.tolist())))
 
 
-def _tally(lanes_outcomes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-           oracle: Callable[[int], tuple[bool, ...]], n_samples: int,
-           threads: int) -> Counter:
-    """How often each outcome tuple occurs over sample indexes [0, n_samples).
-
-    ``lanes_outcomes(indexes)`` evaluates one chunk: it returns the (N, E)
-    bool outcomes of the chunk's indexes and the mask of lanes whose draws
-    were rejected.  ``oracle(index)`` is the scalar outcome tuple of one
-    index.  In every chunk the oracle replays each rejected lane, whose
-    answer it supplies, and, per event, the first other lane the batch
-    marks as a hit and the first it marks as a miss; a disagreement raises
-    OracleMismatch.  Chunks are CHUNK indexes wide whatever ``threads`` is,
-    and each index owns its random stream, so the counts do not depend on
-    ``threads``.
-    """
-    def run(lo: int) -> Counter:
-        indexes = np.arange(lo, min(lo + CHUNK, n_samples), dtype=np.uint64)
-        out, rejected = lanes_outcomes(indexes)
-        replay = set()
-        for k in range(out.shape[1]):
-            for hit in (True, False):
-                first = np.flatnonzero((out[:, k] == hit) & ~rejected)[:1]
-                replay.update(first.tolist())
-        for i in sorted(replay):
-            got, want = tuple(out[i].tolist()), oracle(lo + i)
-            if got != want:
-                raise OracleMismatch(f"sample index {lo + i}: batch outcomes {got}, "
-                                     f"scalar outcomes {want}")
-        for i in np.flatnonzero(rejected).tolist():
-            out[i] = oracle(lo + i)
-        return _count_rows(out)
-
-    # worker k takes chunks k, k + workers, ...: one task per thread, so
-    # no per-chunk future is held however many chunks there are
-    starts = range(0, n_samples, CHUNK)
-    workers = max(1, min(threads, len(starts)))
-
-    def share(k: int) -> Counter:
-        return sum(map(run, starts[k::workers]), Counter())
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(share, range(workers)), Counter())
-
-
 def _hits_per_event(tally: Counter, n_events: int) -> list[int]:
     return [sum(n for outcome, n in tally.items() if outcome[k]) for k in range(n_events)]
 
@@ -325,58 +281,64 @@ def _outcomes(events: Sequence[Event], in_set: Mapping, deficient: Callable) -> 
     return out
 
 
-def _scalar_outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
-                     by_prime: Mapping[int, Sequence[list[list[int]]]],
-                     dim: int) -> tuple[bool, ...]:
-    """The oracle: ``_outcomes`` of one tuple by contains_rows and rank_mod."""
-    in_set = {ell: testers[ell].contains_rows(by_prime[ell][0]) for ell in testers}
-    return tuple(_outcomes(events, in_set,
-                           lambda ell: _stacked_rank_deficient(by_prime[ell], ell, dim)))
+def _tally(draws: Sequence[GroupContext], events: Sequence[Event],
+           testers: Mapping[int, DirectMembership], e: int, n_samples: int,
+           seed: int, threads: int) -> Counter:
+    """How often each outcome tuple of ``events`` occurs over sample indexes
+    [0, n_samples), each index drawing ``_draw_rows_by_prime`` of every
+    context of ``draws``, in order, from its one stream.
 
-
-def _lane_outcomes(events: Sequence[Event], testers: Mapping[int, DirectMembership],
-                   by_prime: Mapping[int, Sequence[np.ndarray]], dim: int,
-                   lanes: CounterLanes) -> tuple[np.ndarray, np.ndarray]:
-    """``_outcomes`` on every lane, as the (N, E) array ``_tally`` expects."""
-    in_set = {ell: testers[ell].contains_lanes(by_prime[ell][0]) for ell in testers}
-
-    def deficient(ell: int) -> np.ndarray:
-        eye = np.eye(dim, dtype=np.int64)
-        stacked = np.concatenate([a - eye for a in by_prime[ell]], axis=1)
-        return _gf.batch_rank(stacked, ell) < dim
-
-    out = np.zeros((lanes.lanes, len(events)), dtype=bool)
-    for k, col in enumerate(_outcomes(events, in_set, deficient)):
-        out[:, k] = col
-    return out, lanes.rejected
-
-
-def _tally_events(draws: Sequence[GroupContext], events: Sequence[Event],
-                  testers: Mapping[int, DirectMembership], e: int, n_samples: int,
-                  seed: int, threads: int) -> Counter:
-    """``_tally`` of the events over e-tuples drawn for each context in turn.
-
-    Every sample index draws ``_draw_rows_by_prime`` of each context of
-    ``draws``, in order, from its one stream; the batch draws the same on
-    ``CounterLanes`` and the oracle on ``CounterRng``.
+    ``run(lo)`` does one chunk of CHUNK indexes.  It draws the chunk on
+    ``CounterLanes`` and evaluates its (N, E) bool outcomes through
+    ``_outcomes`` by ``contains_lanes`` and ``batch_rank``.  Then the oracle
+    replays lanes on ``CounterRng`` by ``contains_rows`` and ``rank_mod``:
+    every lane whose draws were rejected, whose answer it supplies, and, per
+    event, the first other lane the batch marks as a hit and the first it
+    marks as a miss; a disagreement raises OracleMismatch.  Last it counts
+    the chunk's outcome rows.  Chunks are CHUNK indexes wide whatever
+    ``threads`` is, and each index owns its random stream, so the counts do
+    not depend on ``threads``.
     """
     dim = draws[0].dim
+    eye = np.eye(dim, dtype=np.int64)
 
-    def lanes_outcomes(indexes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lanes = CounterLanes(seed, indexes)
-        by_prime = {}
-        for ctx in draws:
-            by_prime.update(_draw_lanes_by_prime(ctx, e, lanes))
-        return _lane_outcomes(events, testers, by_prime, dim, lanes)
+    def run(lo: int) -> Counter:
+        lanes = CounterLanes(seed, np.arange(lo, min(lo + CHUNK, n_samples), dtype=np.uint64))
+        mats = {ell: m for ctx in draws for ell, m in _draw_lanes_by_prime(ctx, e, lanes).items()}
+        in_set = {ell: testers[ell].contains_lanes(mats[ell][0]) for ell in testers}
+        out = np.zeros((lanes.lanes, len(events)), dtype=bool)
+        for k, col in enumerate(_outcomes(events, in_set, lambda ell: _gf.batch_rank(
+                np.concatenate([a - eye for a in mats[ell]], axis=1), ell) < dim)):
+            out[:, k] = col
+        rejected = lanes.rejected
+        replay = set(np.flatnonzero(rejected).tolist())
+        for col in out.T:
+            for hit in (True, False):
+                replay.update(np.flatnonzero((col == hit) & ~rejected)[:1].tolist())
+        for i in sorted(replay):
+            rng = CounterRng(seed, lo + i)
+            rows = {ell: m for ctx in draws for ell, m in _draw_rows_by_prime(ctx, e, rng).items()}
+            in_set = {ell: testers[ell].contains_rows(rows[ell][0]) for ell in testers}
+            want = tuple(_outcomes(events, in_set,
+                                   lambda ell: _stacked_rank_deficient(rows[ell], ell, dim)))
+            got = tuple(out[i].tolist())
+            if rejected[i]:
+                out[i] = want
+            elif got != want:
+                raise OracleMismatch(f"sample index {lo + i}: batch outcomes {got}, "
+                                     f"scalar outcomes {want}")
+        return _count_rows(out)
 
-    def oracle(index: int) -> tuple[bool, ...]:
-        rng = CounterRng(seed, index)
-        by_prime = {}
-        for ctx in draws:
-            by_prime.update(_draw_rows_by_prime(ctx, e, rng))
-        return _scalar_outcomes(events, testers, by_prime, dim)
+    # worker k takes chunks k, k + workers, ...: one task per thread, so
+    # no per-chunk future is held however many chunks there are
+    starts = range(0, n_samples, CHUNK)
+    workers = max(1, min(threads, len(starts)))
 
-    return _tally(lanes_outcomes, oracle, n_samples, threads)
+    def share(k: int) -> Counter:
+        return sum(map(run, starts[k::workers]), Counter())
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(share, range(workers)), Counter())
 
 
 def _estimate(ctx: GroupContext, ev: Event, e: int, hits: int, n_samples: int) -> EventEstimate:
@@ -417,7 +379,7 @@ def estimate_events(ctx: GroupContext, events: Sequence[Event], e: int,
     if need_sets and e != 1:
         raise ValueError("set-hit events are defined for e = 1 tuples")
     testers = {ell: DirectMembership(ctx.restrict(ell)) for ell in sorted(need_sets)}
-    tally = _tally_events([ctx], events, testers, e, n_samples, seed, threads)
+    tally = _tally([ctx], events, testers, e, n_samples, seed, threads)
     hits = _hits_per_event(tally, len(events))
     return [_estimate(ctx, ev, e, h, n_samples) for ev, h in zip(events, hits)]
 
@@ -500,7 +462,7 @@ def borel_cantelli_experiment(g: int, q: int | _Infinity, ells: Sequence[int],
     events = [SetHitEvent(ell) if part_a else FixedVectorEvent(ell) for ell in ells]
     testers = ({ell: DirectMembership(ctx) for ell, ctx in zip(ells, contexts)}
                if part_a else {})
-    tally = _tally_events(contexts, events, testers, e, n_samples, seed, threads)
+    tally = _tally(contexts, events, testers, e, n_samples, seed, threads)
     per_ell = _hits_per_event(tally, len(ells))
     hist: dict[int, int] = {}
     for outcome, n in tally.items():

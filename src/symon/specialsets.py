@@ -3,9 +3,9 @@
 The construction runs in three layers over F_ell (genus g >= 2):
 
 * ``core`` -- matrices assembled through the e_1-stabilizer parameterization
-  from a fixed pool of eigenvalue-one-free blocks, with the one value of the
-  free corner entry excluded that would enlarge the fixed space.  Every core
-  matrix fixes exactly the line through e_1.
+  from a fixed pool of eigenvalue-one-free blocks, with one value of the
+  free corner entry excluded (``_excluded_corner``).  Every core matrix
+  fixes exactly the line through e_1.
 * ``full`` -- the core together with all of its conjugates under the shear
   maps built on e_2 + span(e_3, ..., e_2g).  Distinct conjugators move the
   fixed line to distinct positions, so the closure has exactly
@@ -257,10 +257,16 @@ def _in_pool(blocks: np.ndarray, lam: int | np.ndarray, ell: int) -> tuple[np.nd
 
 
 def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, ell: int):
-    """The corner value -b (I - B)^-1 d that would enlarge the fixed space.
+    """The corner value -b (I - B)^-1 d that the core leaves out.
 
-    ``minv`` holds the rows of (I - B)^-1; the entries of the vectors d and
-    b may be ints or numpy arrays, which are then handled elementwise.
+    At lam = 1 it is the one value that would enlarge the fixed space, to
+    span(e_1, e_2 + (I - B)^-1 d).  At lam != 1 every corner value fixes
+    exactly the line through e_1: the second row of A is lam e_2^T, so a
+    fixed vector has no e_2 part, and then none in the block, which has no
+    eigenvalue 1.  The value is left out there all the same, so every
+    multiplier keeps ell - 1 corner values.  ``minv`` holds the rows of
+    (I - B)^-1; the entries of the vectors d and b may be ints or numpy
+    arrays, which are then handled elementwise.
     """
     t = [sum(m * x for m, x in zip(row, d)) % ell for row in minv]
     return -sum(x * y for x, y in zip(b, t)) % ell
@@ -404,7 +410,13 @@ class FixedVectorSet:
     def problems(self, claimed) -> tuple[list[str], bool]:
         """(What is wrong with this set as its layer, whether its lam is in class):
         its count against ``claimed`` and the formula, then every member.  The
-        one member check: ``special-set verify`` and the acceptance suite use it."""
+        one member check: ``special-set verify`` and the acceptance suite use it.
+
+        On a core layer the member check is exact, by the decomposition
+        ``DirectMembership`` uses at e_1 (the block by ``_in_pool``, the corner
+        by ``_excluded_corner``), so with its distinct keys and the formula's
+        count a core passes only if it is the layer.  Full and union layers
+        get the necessary checks only."""
         found: list[str] = []
         ell = self.ctx.modulus.n
         if str(self.cardinality) != claimed:
@@ -443,6 +455,14 @@ class FixedVectorSet:
                     break
                 if not bool((a[:, :, 0] == eye[0]).all()):
                     found.append("a core member does not fix e_1")
+                    break
+                # a similitude fixing e_1 has the stabilizer shape, so it is a
+                # core member iff its block is pooled and its corner allowed
+                pooled, minv = _in_pool(a[:, 2:, 2:], lam, ell)
+                excluded = _excluded_corner(minv.transpose(1, 2, 0), (a[:, 2, 1], a[:, 3, 1]),
+                                            (a[:, 0, 2], a[:, 0, 3]), ell)
+                if not bool((pooled & (a[:, 0, 1] != excluded)).all()):
+                    found.append("a core member's block is not pooled or its corner is excluded")
                     break
         return found, in_class
 
@@ -600,7 +620,7 @@ class DirectMembership:
         the kernel vector of A - I scaled to v[0] = 1 (required to span the
         whole fixed space), the shear it determines (the identity where its second
         entry is 0, which then needs the vector to be e_1), the conjugate's
-        e_1 column, its block's pool membership, and the corner.
+        block's pool membership, and the corner.
         """
         ell = self.ell
         lam, ok = _gf.similitude_check(a, ell)
@@ -614,7 +634,10 @@ class DirectMembership:
         ta = np.matmul(t, a)    # t = I + beta N with N^2 = 0, so its inverse is 2I - t
         core = np.matmul(_gf.reduce_mod(ta, ell, out=ta), 2 * eye - t)
         _gf.reduce_mod(core, ell, out=core)
-        ok &= (core[:, :, 0] == eye[0]).all(axis=1)
+        # t = I + beta u c^T with c_i = e(e_i, u), c_0 = 1 and beta u = e_1 - v,
+        # so c^T v = e(v, u) = 1 and t v = e_1 (t = I where v = e_1): the core
+        # t A t^-1 fixes e_1 on every lane that kernel_line passes, and its
+        # e_1 column needs no check here (contains_rows, the oracle, keeps it)
         found, minv = _in_pool(core[:, 2:, 2:], lam, ell)
         excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),
                                     (core[:, 0, 2], core[:, 0, 3]), ell)

@@ -249,12 +249,19 @@ def scan_entries(ctx: GroupContext, lam: int | None = None,
     Yields (entries, multipliers) pairs of numpy arrays; the concatenation
     over chunks lists exactly the members of the context's class (optionally
     restricted to one multiplier), each once, ordered row-major
-    lexicographically by entries.
+    lexicographically by entries.  Raises BudgetExceeded when the scan
+    exceeds ``budget`` or reaches 2**60 candidates, whatever the budget:
+    such a scan could not finish (centuries at 10**8 candidates a second),
+    and below it a candidate's digits fit the scan's int16 decoder and its
+    pairings int32 (see ``_gf.scan_dtype``).
     """
     if not ctx.modulus.is_prime:
         raise ValueError("enumeration requires a prime modulus")
     ell = ctx.modulus.n
     estimate = ell ** (ctx.dim * ctx.dim)
+    if estimate >= 1 << 60:
+        raise BudgetExceeded(f"enumeration needs {estimate} candidates, "
+                             "past the scan's ceiling of 2**60")
     if estimate > budget:
         raise BudgetExceeded(f"enumeration needs {estimate} candidates, budget is {budget}")
     allowed = ctx.multiplier_mask()

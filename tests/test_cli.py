@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from symon import cli, specialsets
 from symon.analysis import int_str, primes_upto
-from symon.specialsets import DirectMembership
+from symon.specialsets import DirectMembership, build_core_set
 from symon.sympgroup import GroupContext, gsp_q_order
-from test_specialsets import duplicate_first_block
+from test_specialsets import CORE_NON_MEMBERS, core_non_member, duplicate_first_block
 
 
 def run_cli(*args, check=True, env_extra=None):
@@ -122,6 +122,23 @@ def test_special_set_verify_catches_corruption(tmp_path):
     assert json.loads(proc.stdout)["problems"]
 
 
+@pytest.mark.parametrize("ell,lam", CORE_NON_MEMBERS)
+def test_verify_rejects_a_core_shaped_non_member(tmp_path, capsys, ell, lam):
+    # a similitude that fixes exactly e_1 but lies outside the core (its
+    # block is not pooled, or its corner is the excluded value) swapped in
+    # for a member keeps the count: the member check alone must fail it
+    dump = tmp_path / "core.txt"
+    assert cli.main(["special-set", "build", "--ell", str(ell), "--q", "inf", "--level", "core",
+                     "--lam", str(lam), "--out", str(dump)]) == 0
+    lines = dump.read_text().splitlines()
+    lines[1] = ",".join(map(str, core_non_member(build_core_set(GroupContext.of(2, ell), lam))))
+    dump.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["special-set", "verify", "--dump", str(dump)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == [
+        "a core member's block is not pooled or its corner is excluded"]
+
+
 def test_special_set_requires_lam_for_core():
     proc = run_cli("special-set", "build", "--ell", "3", "--q", "inf",
                    "--level", "core", "--out", "/tmp/unused.txt", check=False)
@@ -217,6 +234,16 @@ def test_enumerate_over_budget_leaves_out_alone(tmp_path, capsys):
     out.write_bytes(b"earlier bytes\n")
     argv = ["enumerate", "--g", "2", "--ell", "7", "--budget", "1000", "--out", str(out)]
     assert "budget is 1000" in assert_main_input_error(argv, capsys)
+    assert out.read_bytes() == b"earlier bytes\n"
+
+
+def test_enumerate_past_the_scan_ceiling_leaves_out_alone(tmp_path, capsys):
+    # 32771**4 > 2**60 candidates: refused at once whatever --budget says
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"earlier bytes\n")
+    argv = ["enumerate", "--g", "1", "--ell", "32771", "--budget", str(10 ** 19),
+            "--out", str(out)]
+    assert "ceiling of 2**60" in assert_main_input_error(argv, capsys)
     assert out.read_bytes() == b"earlier bytes\n"
 
 

@@ -147,13 +147,15 @@ def test_union_bound_value_and_monotonicity():
     assert all(a > b_ for a, b_ in zip(bounds, bounds[1:]))
 
 
-def test_estimate_events_threads_invariant():
+def test_estimate_events_threads_invariant(small_chunks):
+    # 7 chunks, so every thread count up to 4 splits them among its workers
     ctx = GroupContext.of(2, 15, 2)
     events = [SetHitEvent(3), SetHitEvent(5), JointSetHitEvent((3, 5))]
+    assert -(-400 // montecarlo.CHUNK) == 7
     one = estimate_events(ctx, events, 1, 400, 123, threads=1)
-    four = estimate_events(ctx, events, 1, 400, 123, threads=4)
-    assert [e.hits for e in one] == [e.hits for e in four]
-    assert one == four
+    for threads in (2, 3, 4):
+        assert estimate_events(ctx, events, 1, 400, 123, threads=threads) == one
+    assert all(e.hits for e in one)
 
 
 def test_estimate_exact_attachments():
@@ -315,12 +317,9 @@ def test_lane_stacked_rank_matches_rank_mod(g, n, e, seed):
         slots = [slots[0]] * e if seed % 2 else slots
         stacked = np.concatenate([m - np.eye(ctx.dim, dtype=np.int64) for m in slots], axis=1)
         ranks = _gf.batch_rank(stacked, ell)
-        out, _ = montecarlo._lane_outcomes([FixedVectorEvent(ell)], {}, {ell: slots},
-                                           ctx.dim, lanes)
         for k in range(60):
             rows = [r for m in slots for r in minus_identity(m[k].tolist(), ell)]
             assert int(ranks[k]) == rank_mod(rows, ell)
-            assert bool(out[k, 0]) == (rank_mod(rows, ell) < ctx.dim)
 
 
 def test_rejected_lanes_rerun_through_the_scalar_path(small_chunks, monkeypatch):
@@ -394,10 +393,12 @@ def test_borel_cantelli_part_b_small():
     assert rep.mean_hits <= float(rep.expected_mean) + slack
 
 
-def test_borel_cantelli_threads_invariant():
-    a = borel_cantelli_experiment(2, 2, [3, 5], 1, 300, 5, threads=1)
-    b = borel_cantelli_experiment(2, 2, [3, 5], 1, 300, 5, threads=3)
-    assert a == b
+def test_borel_cantelli_threads_invariant(small_chunks):
+    assert -(-400 // montecarlo.CHUNK) == 7
+    one = borel_cantelli_experiment(2, 2, [3, 5], 1, 400, 5, threads=1)
+    for threads in (2, 3, 4):
+        assert borel_cantelli_experiment(2, 2, [3, 5], 1, 400, 5, threads=threads) == one
+    assert len(one.hist) > 1
 
 
 @pytest.mark.parametrize("events", [1, 5, 8, 9, 70])

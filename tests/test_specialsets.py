@@ -572,6 +572,28 @@ def test_load_rejects_duplicates():
                             2, SetLevel.CORE)
 
 
+# (ell, lam) of the core layers ``core_non_member`` serves
+CORE_NON_MEMBERS = [(3, 2), (5, 2), (7, 3), (5, 1), (7, 1)]
+
+
+def core_non_member(layer):
+    """Row-major entries of a core-shaped non-member of a core ``layer``.
+
+    At lam = 1 and ell >= 5: the member on the lex-next eligible block
+    (ell-1, ell-2, ell-1, ell-3) with d = (0, 0), b = 0 and corner 1.
+    Otherwise the excluded-corner sibling of the first member: of the ell
+    values of its corner entry, the one the layer does not hold.
+    """
+    ell = layer.ctx.modulus.n
+    if layer.lam == 1 and ell >= 5:
+        return [1, 1, 0, 0, 0, 1, 0, 0, 0, 0, ell - 1, ell - 2, 0, 0, ell - 1, ell - 3]
+    siblings = np.repeat(next(layer.iter_entries())[:1].astype(np.int64), ell, axis=0)
+    siblings[:, 1] = np.arange(ell)
+    outside = siblings[~layer.contains_flat(siblings)]
+    assert outside.shape[0] == 1
+    return outside[0].tolist()
+
+
 def test_problems_names_the_one_rule_a_layer_breaks():
     # problems() is the only member check behind special-set verify and
     # criteria 5-6; each corruption here breaks exactly one of its rules
@@ -594,12 +616,40 @@ def test_problems_names_the_one_rule_a_layer_breaks():
          "a core member's fixed space is not one line"),
         (core, sheared.flat(), "a core member does not fix e_1"),
     ]
+    # core-shaped similitudes that fix exactly e_1 and are no core member
+    for ell, lam in CORE_NON_MEMBERS:
+        layer = build_core_set(GroupContext.of(2, ell), lam)
+        cases.append((layer, core_non_member(layer),
+                      "a core member's block is not pooled or its corner is excluded"))
     for layer, flat, message in cases:
+        ell = layer.ctx.modulus.n
         keys = layer.keys.copy()
-        keys[0] = _gf.pack_entries(np.array([flat], dtype=np.int64), 3)   # swap one member
-        broken = FixedVectorSet(ctx, 1, layer.level, _gf.unique_keys(keys))
+        keys[0] = _gf.pack_entries(np.array([flat], dtype=np.int64), ell)   # swap one member
+        broken = FixedVectorSet(layer.ctx, layer.lam, layer.level, _gf.unique_keys(keys))
         assert broken.cardinality == layer.cardinality        # ``flat`` was no member
         assert broken.problems(str(layer.cardinality)) == ([message], True), message
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_fixed_space_at_the_excluded_corner(ell):
+    # the excluded corner enlarges the fixed space at lam = 1 only: there one
+    # corner value of each (block, d) fixes a plane and it is the excluded
+    # one; at lam != 1 every corner value fixes exactly the line through e_1
+    ctx = GroupContext.of(2, ell)
+    lams = list(range(1, ell))
+    rng = np.random.default_rng(ell)
+    for lam, pool in zip(lams, _blocks_entries(ctx, lams)):
+        for block in pool[rng.choice(pool.shape[0], 4, replace=False)]:
+            minv = _pool_inverses(block[None], ell)[1][0].tolist()
+            for d_vec in itertools.product(range(ell), repeat=2):
+                rows = stabilizer_matrix(ctx, StabilizerParams(
+                    lam, 0, d_vec, ModMatrix.from_flat(Modulus.of(ell), block.ravel()))).rows
+                a = np.repeat(np.array([rows], dtype=np.int64), ell, axis=0)
+                a[:, 0, 1] = np.arange(ell)      # every corner value
+                dims = 4 - _gf.batch_rank(a - np.eye(4, dtype=np.int64), ell)
+                excluded = _excluded_corner(minv, d_vec, rows[0][2:], ell)
+                want = [2 if lam == 1 and x == excluded else 1 for x in range(ell)]
+                assert dims.tolist() == want, (lam, block.tolist(), d_vec)
 
 
 @pytest.mark.parametrize("g,ell,lam", [(2, 7, 3), (3, 5, 2)])

@@ -126,6 +126,12 @@ def test_enumerate_counts_and_budget():
     assert sum(1 for _ in enumerate_group(GroupContext.of(2, 2), lam=1)) == 720
     with pytest.raises(BudgetExceeded):
         list(enumerate_group(GroupContext.of(2, 7), budget=10**6))
+    # the scan refuses 2**60 candidates or more whatever the budget; it is
+    # lazy, so taking the largest scan below that starts nothing
+    scan_entries(GroupContext.of(1, 32749), budget=10**19)
+    for g, ell in ((1, 32771), (2, 17), (3, 5)):
+        with pytest.raises(BudgetExceeded, match="ceiling of 2\\*\\*60"):
+            scan_entries(GroupContext.of(g, ell), budget=10**40)
     # q = 2 mod 7 admits the multipliers {1, 2, 4}: 3 is a unit outside the
     # class, so the scan restricted to it is empty; 14 is no unit mod 7
     ctx = GroupContext.of(1, 7, 2)
