@@ -9,15 +9,15 @@ contract; each kernel's docstring states its own integer bound.
   their D = d*d row-major entries, reduced to [0, p) on input unless the
   kernel says otherwise.  ``unpack_digits`` returns entry-major rows, the
   transpose of a (D, N) array, so that the elementwise kernels read each
-  entry as one contiguous vector.  Keys are (N, W) uint64 rows whose
-  integer order is the lexicographic order of the entries (``pack_entries``).
-* Dtype.  The elementwise kernels (``row_pair_minors``,
-  ``similitude_check``, ``batch_det_minus_identity``) compute in the dtype
-  they are given, so the caller picks one that holds the kernel's bound:
+  entry as one contiguous vector.  The lane kernels ``rank2_kernel_basis``
+  and ``kernel_line`` take and return entry-major arrays, lanes last.  Keys
+  are (N, W) uint64 rows whose integer order is the entries' lex order.
+* Dtype.  ``similitude_check`` and ``batch_det_minus_identity`` compute in
+  the dtype they are given, so the caller picks one that holds the bound:
   the scan and the layer check pass ``int16`` entries, ``NARROW_ROWS``
-  rows at a time (2 MiB at D = 16).  ``batch_rank``, ``rank2_kernel_basis``,
-  ``kernel_line`` and the lane kernels work in ``int64``; ``pack_entries``
-  and ``conjugate_into`` read any integer dtype, ``uint8`` included.
+  rows at a time (2 MiB at D = 16).  ``batch_rank`` and the lane kernels
+  work in ``int64``; ``pack_entries`` and ``conjugate_into`` read any
+  integer dtype, ``uint8`` included.
 * Reduction.  The kernels reduce their batches mod p through
   ``reduce_mod``, as x - p * (x // p), in place (``out=x``) where x is a
   fresh array, and not through numpy's integer ``%`` by a scalar, which is
@@ -58,17 +58,13 @@ def reduce_mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
     remainder: on 65,536 int16 entries this is about 20 times faster.  An
     intermediate that wraps in a narrow dtype still gives the exact
     residue, since the result lies in [0, p).  ``out=x`` reduces in place,
-    with the quotient as the only temporary."""
+    with the quotient as the only temporary.  A Python int is reduced by
+    ``%``, so scalar callers keep ints."""
+    if not isinstance(x, np.ndarray):
+        return x % p
     q = x // p
     q *= p
     return np.subtract(x, q, out=out)
-
-
-def row_pair_minors(a: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Unreduced 2x2 minors at columns (i, j) of the row pairs (2b, 2b+1) of
-    a (N, 2g, 2g) batch, as an (N, g) array; the caller reduces them.  A
-    minor is at most (p-1)**2 in magnitude."""
-    return a[:, 0::2, i] * a[:, 1::2, j] - a[:, 0::2, j] * a[:, 1::2, i]
 
 
 def batch_det_minus_identity(a: np.ndarray, lam, p: int) -> np.ndarray:
@@ -128,64 +124,85 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
-    """The right kernels of a rank-2 (N, 2, c) batch, as ``modmat.kernel_basis``
-    gives them, in an (N, c - 2, c) array.
+def first_nonzero(x: np.ndarray) -> np.ndarray:
+    """Per lane of a (c, N) array, the first i with x[i] != 0, else c - 1."""
+    i = np.full(x.shape[1], x.shape[0] - 1)
+    for r in range(x.shape[0] - 2, -1, -1):
+        i = np.where(x[r] != 0, r, i)
+    return i
 
-    Free column f gets e_f - r1[f] e_p1 - r2[f] e_p2, with the RREF rows read
-    off the 2x2 minors m: p1 is the first nonzero column, p2 the first j with
-    m(p1, j) != 0, and r1[f] = m(f, p2) / m(p1, p2), r2[f] = m(p1, f) / m(p1, p2).
-    In int64: a minor times an inverse is below p**3 (2**48 at p < 2**16).
+
+def take_lanes(x: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """x[..., i[..., k], k] for each lane k of a (..., c, N) array; i is (N,) or (m, N)."""
+    c, n = x.shape[-2:]
+    return np.take(x.reshape(*x.shape[:-2], c * n), i * n + np.arange(n), axis=-1)
+
+
+@functools.cache
+def _pivot_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """At k = p1 * c + p2, p1 < p2: the free columns, and each column's place in (free, p1, p2)."""
+    order = np.array([[j for j in range(c) if j not in divmod(k, c)] + [*divmod(k, c)]
+                      if k // c < k % c else [*range(c)] for k in range(c * c)]).T
+    return order[:c - 2], np.argsort(order, axis=0)
+
+
+def rank2_kernel_basis(w: np.ndarray, p: int) -> np.ndarray:
+    """The kernel bases ``modmat.kernel_basis`` gives for a batch of rank-2
+    2 x c matrices, entry-major: (c - 2, c, N) for w (2, c, N) in [0, p).
+
+    With minors m(i, j) = w0[i] w1[j] - w0[j] w1[i], the pivots are the first
+    nonzero column p1 and the first j with m(p1, j) != 0, p2; free column f
+    gets e_f + (m(p2, f) e_p1 - m(p1, f) e_p2) / m(p1, p2), formed in the
+    column order (free, p1, p2) and gathered into place.  Below p**3 in int64.
     """
-    n, _, c = w.shape
-    at = np.arange(n)
-    m = np.zeros((n, c, c), dtype=np.int64)
-    for i, j in itertools.combinations(range(c), 2):
-        m[:, i, j] = row_pair_minors(w, i, j)[:, 0]
-        m[:, j, i] = -m[:, i, j]
-    p1 = ((w[:, 0] != 0) | (w[:, 1] != 0)).argmax(axis=1)
-    top = reduce_mod(m[at, p1], p)
-    p2 = (top != 0).argmax(axis=1)
-    scale = inverse_table(p)[top[at, p2]][:, None]
-    t = np.arange(c - 2)
-    free = t + (t >= p1[:, None]) + (t >= p2[:, None] - 1)    # skips p1 < p2
-    basis = np.eye(c, dtype=np.int64)[free]
-    for col, minors in ((p1, m[at, :, p2]), (p2, top)):
-        r = -np.take_along_axis(minors, free, 1)
-        r *= scale
-        basis[at[:, None], t, col[:, None]] = reduce_mod(r, p, out=r)
-    return basis
+    _, c, n = w.shape
+    p1 = first_nonzero(w[0] | w[1])
+    a = take_lanes(w, p1)
+    m1 = reduce_mod(a[0] * w[1] - w[0] * a[1], p)      # m(p1, j) for every j
+    p2 = first_nonzero(m1)
+    b = take_lanes(w, p2)
+    scale = inverse_table(p)[take_lanes(m1, p2)]
+    free, pos = (np.take(table, p1 * c + p2, axis=1) for table in _pivot_tables(c))
+    wf = take_lanes(w, free)
+    basis = np.empty((c - 2, c, n), dtype=np.int64)
+    basis[:, :c - 2] = np.eye(c - 2, dtype=np.int64)[:, :, None]
+    np.multiply(b[0] * wf[1] - wf[0] * b[1], scale, out=basis[:, c - 2])
+    np.multiply(take_lanes(m1, free), p - scale, out=basis[:, c - 1])
+    reduce_mod(basis[:, c - 2:], p, out=basis[:, c - 2:])
+    return take_lanes(basis, pos)
 
 
 def kernel_line(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, line) for a (N, 4, 4) batch with entries in (-p, p): ``ok`` marks the
-    lanes of rank 3 whose kernel vector has v[0] != 0, and ``line`` is v / v[0].
+    """(ok, line) for an entry-major (4, 4, N) batch b with entries in
+    (-p, p): ``ok`` marks the lanes of rank 3 whose kernel vector has
+    v[0] != 0, and ``line``, (4, N), is v / v[0] there.
 
     adj = v w^T with w != 0 at rank 3 and adj = 0 below, so ``ok`` is det = 0
-    with row 0 of adj nonzero, and v is column j of adj for its first j with
-    adj[0, j] != 0.  In int64: a minor is below 2 * p**2 and a cofactor,
-    three entries times minors, below 6 * p**3 (< 2**51 for p < 2**16); the
-    line is reduced before it is scaled.
+    with row 0 of adj nonzero, and v is column j of adj for the first j with
+    adj[0, j] != 0.  Cofactor (r, c) expands along row r ^ 1 with the 2x2
+    minors of the other row pair, per lane for column j; (-1)**j cancels.
+    In int64: a cofactor is below 6 * p**3 (< 2**51 for p < 2**16).
     """
-    n = b.shape[0]
-    at = np.arange(n)
-    minors = {(i, j): row_pair_minors(b, i, j) for i, j in itertools.combinations(range(4), 2)}
-    # adj[:, j, i] is cofactor (i, j): the minor without row i and column j,
-    # expanded along row i ^ 1, takes its 2x2 minors from the other row pair
-    adj = np.empty_like(b)
-    for i, j in itertools.product(range(4), repeat=2):
-        rest = [k for k in range(4) if k != j]
-        t = [b[:, i ^ 1, k] * minors[tuple(c for c in rest if c != k)][:, 1 - i // 2]
-             for k in rest]
-        adj[:, j, i] = t[0] - t[1] + t[2] if (i + j) % 2 == 0 else t[1] - t[0] - t[2]
-    row = reduce_mod(adj[:, 0], p)
-    det = reduce_mod((b[:, :, 0] * row).sum(axis=1), p)     # expansion along column 0
-    j = (row != 0).argmax(axis=1)
-    pivot = row[at, j]
-    line = adj[at, :, j]        # a gather: a copy, reduced in place
-    reduce_mod(line, p, out=line)
-    line *= inverse_table(p)[pivot][:, None]
-    return (det == 0) & (pivot != 0), reduce_mod(line, p, out=line)
+    n, pairs = b.shape[2], list(itertools.combinations(range(4), 2))
+    # minors[m, r]: the 2x2 minor of rows (2r, 2r + 1) at the m-th column pair
+    minors = np.empty((6, 2, n), dtype=np.int64)
+    for (m, (i, j)), r in itertools.product(enumerate(pairs), (0, 2)):
+        np.subtract(b[r, i] * b[r + 1, j], b[r, j] * b[r + 1, i], out=minors[m, r // 2])
+
+    def cofactor(row, minor, c):
+        # (-1)**c times the 3x3 minor without column c, expanded along row
+        rest = [k for k in range(4) if k != c]
+        t = [row[k] * minor[pairs.index(tuple(x for x in rest if x != k))] for k in rest]
+        return t[0] - t[1] + t[2] if c % 2 == 0 else t[1] - t[0] - t[2]
+
+    row = reduce_mod(np.stack([(-1) ** r * cofactor(b[r ^ 1], minors[:, 1 - r // 2], 0)
+                               for r in range(4)]), p)
+    det = reduce_mod(sum(b[r, 0] * row[r] for r in range(4)), p)     # along column 0
+    j = first_nonzero(row)
+    pick = np.take(b, (j ^ 1) * 4 * n + np.arange(0, 4 * n, n)[:, None] + np.arange(n))
+    minor = take_lanes(minors, (j < 2).astype(np.int64))      # row j ^ 1 and its minors
+    line = reduce_mod(np.stack([cofactor(pick, minor, c) for c in range(4)]), p)
+    return (det == 0) & (line[0] != 0), reduce_mod(line * inverse_table(p)[line[0]], p)
 
 
 # -- packing matrices into sortable integer keys --
@@ -498,14 +515,17 @@ def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     The multiplier slot is meaningful only where the mask is True.
     """
-    # a pairing sums the row pairs' minors; sum() over the transpose adds
-    # the g columns as vectors, several times faster than .sum(axis=1)
-    lam = reduce_mod(sum(row_pair_minors(a, 0, 1).T), p)
+    def pairing(i, j):
+        # the sum of the row pairs' 2x2 minors at columns (i, j); sum() over
+        # the transpose adds the g columns as vectors, faster than .sum(axis=1)
+        minors = a[:, 0::2, i] * a[:, 1::2, j] - a[:, 0::2, j] * a[:, 1::2, i]
+        return reduce_mod(sum(minors.T), p)
+
+    lam = pairing(0, 1)
     ok = lam != 0
     for i, j in itertools.combinations(range(a.shape[-1]), 2):
         if (i, j) != (0, 1):
-            e = reduce_mod(sum(row_pair_minors(a, i, j).T), p)
-            ok &= e == (lam if i % 2 == 0 and j == i + 1 else 0)
+            ok &= pairing(i, j) == (lam if i % 2 == 0 and j == i + 1 else 0)
     return lam, ok
 
 

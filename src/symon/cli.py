@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -82,15 +82,24 @@ def _open(path: str, mode: str = "r"):
 
 def _emit(report: dict | Iterable[str], out: str | None = None) -> None:
     """Write a report into ``out``, or stdout, as it is encoded: a dict as
-    indented JSON, any other iterable one line at a time.  No copy of the
-    whole text is built."""
+    ``json.dump(report, indent=2)`` would, a dict value that is an iterator as
+    a list item by item, any other iterable line by line; nothing whole."""
     with _open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        if isinstance(report, dict):
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        else:
-            for line in report:
-                fh.write(line + "\n")
+        if not isinstance(report, dict):
+            fh.writelines(line + "\n" for line in report)
+            return
+        fh.write("{")
+        for k, (key, value) in enumerate(report.items()):
+            fh.write(("," if k else "") + "\n  " + json.dumps(key) + ": ")
+            if not isinstance(value, Iterator):
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+                continue
+            sep = "["
+            for item in value:
+                fh.write(sep + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+                sep = ","
+            fh.write("[]" if sep == "[" else "\n  ]")
+        fh.write("\n}\n" if report else "}\n")
 
 
 # -- verify-counts --
@@ -240,7 +249,7 @@ def cmd_series(args) -> int:
     if args.format == "csv":
         _emit(report.csv_lines(), args.out)
     else:
-        payload = report.as_report_dict()
+        payload = report.as_report_dict(stream=True)
         payload["command"] = f"series-{args.which}"
         _emit(payload, args.out)
     return 0

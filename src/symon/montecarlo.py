@@ -23,16 +23,11 @@ Events:
 Estimates carry binomial standard errors, the exact value when one is
 computable, and the projective union bound for common-fixed-vector events.
 
-The estimators evaluate samples in chunks of CHUNK consecutive indexes on
-numpy lanes (``CounterLanes``, ``sample_entries_lanes`` on
-``_gf.rank2_kernel_basis``, ``DirectMembership.contains_lanes`` on
-``_gf.kernel_line``, and ``_gf.batch_rank``), which reproduce the scalar
-streams lane by lane.  The scalar functions
-(``sample_entries``, ``contains_rows``, ``rank_mod``) are the oracle: every
-chunk replays some of its lanes through them.  Both estimators call
-``_tally``, whose one ``run(lo)`` draws a chunk on the lanes, evaluates it,
-replays the chosen lanes through the oracle and counts the outcomes.
-Chunks partition across threads without changing any output.
+The estimators evaluate chunks of CHUNK consecutive indexes on numpy lanes
+(``CounterLanes``, the entry-major ``sample_entries_lanes`` and
+``DirectMembership.contains_lanes``, ``_gf.batch_rank``) that reproduce the
+scalar streams lane by lane; ``_tally`` replays chosen lanes through the
+scalar oracle.  Chunks partition across threads without changing any output.
 """
 
 from __future__ import annotations
@@ -157,10 +152,7 @@ def _draw_rows_by_prime(ctx: GroupContext, e: int, rng: CounterRng) -> dict[int,
         if finite:
             exp = rng.below(ord_n) + 1
         for ell in ctx.modulus.primes:
-            if finite:
-                lam = pow(ctx.q, exp, ell)
-            else:
-                lam = 1 + rng.below(ell - 1)
+            lam = pow(ctx.q, exp, ell) if finite else 1 + rng.below(ell - 1)
             out[ell].append(sample_entries(ctx.g, ell, lam, rng))
     return out
 

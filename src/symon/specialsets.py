@@ -65,7 +65,6 @@ from .sympgroup import (
     stabilizer_matrix,
     StabilizerParams,
     transvection,
-    transvection_lanes,
 )
 
 DEFAULT_ELL_CAP = 13
@@ -155,13 +154,7 @@ def _require_in_class(ctx: GroupContext, lam: int) -> int:
 
 def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
     """Block pools of the multipliers ``lams``, each an (m, 2, 2) int64 array
-    in the genus-1 scan order.
-
-    One scan of the genus-1 group serves every lam: a block is pooled when
-    ``_in_pool`` says so, which by DirectMembership's argument keeps the
-    first ell (ell+1) (ell-2) eligible blocks of its multiplier.  g = 2 only,
-    since ``_in_pool`` is a 2x2 closed form.
-    """
+    in the genus-1 scan order, from one scan by ``_in_pool`` (g = 2 only)."""
     ell = _require_constructible(ctx)
     if ctx.g != 2:
         raise ValueError("block pools are implemented for g = 2 only")
@@ -231,12 +224,12 @@ def _require_below_cap(ell: int, allow_large: bool) -> int:
 
 
 def _pool_inverses(blocks: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(det(I - B), (I - B)^-1) mod ell for an (m, 2, 2) array of blocks B, in
-    order; where det(I - B) = 0 the inverse is meaningless, to be dropped."""
+    """(det(I - B), entry-major (I - B)^-1) mod ell for an (m, 2, 2) array of blocks
+    B, in order; where det(I - B) = 0 the inverse is meaningless, to be dropped."""
     b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
-    det = ((1 - b11) * (1 - b22) - b12 * b21) % ell
-    adj = np.stack([1 - b22, b12, b21, 1 - b11], axis=1).reshape(-1, 2, 2)
-    return det, adj * _gf.inverse_table(ell)[det][:, None, None] % ell
+    det = _gf.reduce_mod((1 - b11) * (1 - b22) - b12 * b21, ell)
+    minv = np.stack([1 - b22, b12, b21, 1 - b11]).reshape(2, 2, -1) * _gf.inverse_table(ell)[det]
+    return det, _gf.reduce_mod(minv, ell, out=minv).transpose(2, 0, 1)
 
 
 def _pool_cutoff(ell: int) -> tuple[int, int, int, int]:
@@ -251,8 +244,8 @@ def _in_pool(blocks: np.ndarray, lam: int | np.ndarray, ell: int) -> tuple[np.nd
     four entries overflows past ell = 55,108).  DirectMembership argues it."""
     det, minv = _pool_inverses(blocks, ell)
     at_most = np.ones(blocks.shape[0], dtype=bool)
-    for x, c in reversed(list(zip(blocks.reshape(-1, 4).T, _pool_cutoff(ell)))):
-        at_most = (x < c) | ((x == c) & at_most)
+    for k, c in reversed(list(enumerate(_pool_cutoff(ell)))):
+        at_most = (blocks[:, k // 2, k % 2] < c) | ((blocks[:, k // 2, k % 2] == c) & at_most)
     return (det != 0) & ((lam != 1) | at_most), minv
 
 
@@ -268,8 +261,8 @@ def _excluded_corner(minv: Sequence[Sequence[int]], d: Sequence, b: Sequence, el
     (I - B)^-1; the entries of the vectors d and b may be ints or numpy
     arrays, which are then handled elementwise.
     """
-    t = [sum(m * x for m, x in zip(row, d)) % ell for row in minv]
-    return -sum(x * y for x, y in zip(b, t)) % ell
+    t = [_gf.reduce_mod(sum(m * x for m, x in zip(row, d)), ell) for row in minv]
+    return _gf.reduce_mod(-sum(x * y for x, y in zip(b, t)), ell)
 
 
 def _core_entries(ctx: GroupContext, lam: int, blocks: np.ndarray) -> np.ndarray:
@@ -616,32 +609,39 @@ class DirectMembership:
     def contains_lanes(self, a: np.ndarray) -> np.ndarray:
         """``contains_rows`` on every matrix of an (N, 4, 4) batch with entries in [0, ell).
 
-        The same decomposition on all lanes at once: the similitude check,
-        the kernel vector of A - I scaled to v[0] = 1 (required to span the
-        whole fixed space), the shear it determines (the identity where its second
-        entry is 0, which then needs the vector to be e_1), the conjugate's
-        block's pool membership, and the corner.
+        The same decomposition on all lanes at once: the similitude check, the
+        kernel vector v of A - I scaled to v[0] = 1 (required to span the
+        fixed space), the shear t it determines (the identity where v[1] = 0,
+        which then needs v = e_1), and the block and corner of t A t^-1.  With
+        beta = -v[1], u = (0, 1, a3, a4), c = (1, 0, a4, -a3), a_k = v[k-1]/v[1]
+        and w = -beta u = v - e_1, t = I + beta u c^T = I - w c^T, t^-1 = I + w c^T
+        and t A t^-1 = A - w (r + s c)^T + q c^T, r = A^T c, q = A w, s = c^T q,
+        formed at rows (0, 2, 3) and columns (1, 2, 3) only, each sum (< 4 ell**2)
+        reduced before it is multiplied again.  t v = e_1, so the core fixes e_1
+        where ``kernel_line`` passes (``contains_rows`` checks it).
         """
         ell = self.ell
         lam, ok = _gf.similitude_check(a, ell)
         ok &= self._admissible[lam]
-        eye = np.eye(4, dtype=np.int64)
-        fixed, v = _gf.kernel_line(a - eye, ell)
-        ok &= fixed & ((v[:, 1] != 0) | ((v[:, 2] == 0) & (v[:, 3] == 0)))
-        # transvection_lanes reduces alpha and beta itself
-        t = transvection_lanes(ell, v[:, 2:] * _gf.inverse_table(ell)[v[:, 1]][:, None],
-                               -v[:, 1])
-        ta = np.matmul(t, a)    # t = I + beta N with N^2 = 0, so its inverse is 2I - t
-        core = np.matmul(_gf.reduce_mod(ta, ell, out=ta), 2 * eye - t)
+        a = a.transpose(1, 2, 0)        # a[i, k]: entry (i, k) of every lane
+        fixed, v = _gf.kernel_line(a - np.eye(4, dtype=np.int64)[:, :, None], ell)
+        ok &= fixed & ((v[1] != 0) | ((v[2] == 0) & (v[3] == 0)))
+        v, lam, keep = v[:, ok], lam[ok], np.flatnonzero(ok)     # the rest are decided
+        inv1 = _gf.inverse_table(ell)[v[1]]
+        c = _gf.reduce_mod(np.stack([np.ones_like(inv1), v[3] * inv1, (ell - v[2]) * inv1]), ell)
+        core = a[np.ix_([0, 2, 3], [1, 2, 3], keep)]    # c at rows (0, 2, 3) too
+        q = _gf.reduce_mod((core * v[1:]).sum(axis=1), ell)    # q at rows (0, 2, 3)
+        r = (c[:, None] * core).sum(axis=0)                     # r at columns (1, 2, 3)
+        s = _gf.reduce_mod((c * q).sum(axis=0), ell)
+        r[1:] += s * c[1:]                                      # c_1 = 0
+        _gf.reduce_mod(r, ell, out=r)
+        core[:, 1:] += q[:, None] * c[1:]
+        core[1:] -= v[2:, None] * r
         _gf.reduce_mod(core, ell, out=core)
-        # t = I + beta u c^T with c_i = e(e_i, u), c_0 = 1 and beta u = e_1 - v,
-        # so c^T v = e(v, u) = 1 and t v = e_1 (t = I where v = e_1): the core
-        # t A t^-1 fixes e_1 on every lane that kernel_line passes, and its
-        # e_1 column needs no check here (contains_rows, the oracle, keeps it)
-        found, minv = _in_pool(core[:, 2:, 2:], lam, ell)
-        excluded = _excluded_corner(minv.transpose(1, 2, 0), (core[:, 2, 1], core[:, 3, 1]),
-                                    (core[:, 0, 2], core[:, 0, 3]), ell)
-        return ok & found & (core[:, 0, 1] != excluded)
+        found, minv = _in_pool(core[1:, 1:].transpose(2, 0, 1), lam, ell)
+        excluded = _excluded_corner(minv.transpose(1, 2, 0), core[1:, 0], core[0, 1:], ell)
+        ok[keep] = found & (core[0, 0] != excluded)
+        return ok
 
 
 class CompositeUnionSet:

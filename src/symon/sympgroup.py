@@ -304,24 +304,6 @@ def transvection(ctx: GroupContext, alpha: Sequence[int], beta: int) -> ModMatri
     return ModMatrix.from_rows(ctx.modulus, [[cols[j][i] for j in range(d)] for i in range(d)])
 
 
-def transvection_lanes(ell: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``transvection`` on every lane: (N, 2g, 2g) for alpha (N, 2g-2) and beta (N,).
-
-    The matrix is I + beta * u c^t with c_i = e(e_i, u), the column form of
-    v -> v + beta * e(v, u) * u.  beta, u and c are reduced first, so
-    beta * u_i * c_j <= (ell-1)**3 is exact in int64 for ell < 2**21.
-    """
-    n, k = alpha.shape
-    g = k // 2 + 1
-    u = np.concatenate([np.zeros((n, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64),
-                        _gf.reduce_mod(alpha, ell)], axis=1)
-    c = u @ np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64).T
-    _gf.reduce_mod(c, ell, out=c)
-    shear = _gf.reduce_mod(beta, ell)[:, None, None] * u[:, :, None] * c[:, None, :]
-    shear += np.eye(2 * g, dtype=np.int64)
-    return _gf.reduce_mod(shear, ell, out=shear)
-
-
 @dataclass(frozen=True)
 class StabilizerParams:
     """Free parameters of a similitude fixing the first basis vector.
@@ -451,14 +433,15 @@ LANES_ELL_CAP = 1 << 16
 
 
 def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes) -> np.ndarray:
-    """``sample_entries`` on every lane of ``lanes`` at once.
+    """``sample_entries`` on every lane of ``lanes`` at once: an (N, 2g, 2g)
+    int64 batch whose lane i is ``sample_entries(g, ell, lam[i], rng_i)``
+    wherever ``lanes.rejected[i]`` stays False, with the same draws in the
+    same order; its ``.transpose(1, 2, 0)`` is contiguous.
 
-    Returns an (N, 2g, 2g) int64 batch whose lane i equals
-    ``sample_entries(g, ell, lam[i], rng_i)`` for the scalar stream rng_i of
-    that lane, wherever ``lanes.rejected[i]`` stays False.  Each step draws
-    in the scalar order (the digits of r, then the c2 entries in index order
-    skipping the pivot) and takes the complement from the canonical kernel
-    basis of (w1, w2), so the choices are the scalar ones lane by lane.
+    Vectors are entry-major, (2g, N), and a basis of d of them (d, 2g, N).
+    On the first step the basis is the identity, so f1 = c1, f2 = c2, the
+    pairings are entries of f up to sign and the kernel basis of (w1, w2)
+    is the next basis itself.  Products are of reduced operands.
     """
     dim = 2 * g
     if ell >= LANES_ELL_CAP or ell ** dim > 1 << 63:
@@ -466,49 +449,50 @@ def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes)
                          f"and ell**{dim} <= 2**63, got ell={ell}")
     n = lanes.lanes
     lam = np.broadcast_to(np.asarray(lam, dtype=np.int64), (n,))
-    inv = _gf.inverse_table(ell)
-    form = np.array(form_matrix(g, Modulus.of(ell)).rows, dtype=np.int64)
-    at = np.arange(n)
-    basis = np.broadcast_to(np.eye(dim, dtype=np.int64), (n, dim, dim)).copy()
-    cols = []
-    while True:
-        d = basis.shape[1]
+    out = np.empty((dim, dim, n), dtype=np.int64)
+    basis = None                # the identity
+    for step in range(0, dim, 2):
+        d = dim - step
         r = lanes.below(ell ** d - 1) + 1
-        c1 = np.empty((n, d), dtype=np.int64)
-        for i in range(d):
-            _gf.reduce_mod(r, ell, out=c1[:, i])
-            r //= ell
+        c1 = np.empty((d, n), dtype=np.int64)
+        for i in range(d - 1):      # the digits of r, least significant first
+            q = r // ell
+            np.subtract(r, q * ell, out=c1[i])
+            r = q
+        c1[d - 1] = r
+        # row k holds draw k - 1: index j reads row j + 1 before the pivot, row j after
+        draws = np.zeros((d + 1, n), dtype=np.int64)
+        for k in range(1, d):
+            draws[k] = lanes.below(ell)
         f1 = _combine_lanes(c1, basis, ell)
-        w1 = _pair_lanes(f1, basis, form, ell)
-        p = (w1 != 0).argmax(axis=1)
-        # draw k goes to the k-th index other than the pivot: index j takes
-        # draw j before the pivot and draw j - 1 after it
-        draws = np.stack([lanes.below(ell) for _ in range(d - 1)], axis=1)
-        j = np.arange(d)
-        c2 = np.take_along_axis(draws, np.minimum(j - (j > p[:, None]), d - 2), axis=1)
-        c2[at, p] = 0
-        x = lam - (w1 * c2).sum(axis=1)
-        _gf.reduce_mod(x, ell, out=x)
-        x *= inv[w1[at, p]]
-        c2[at, p] = _gf.reduce_mod(x, ell, out=x)
+        w1 = _gf.reduce_mod(_pair_lanes(f1, basis), ell)
+        p = _gf.first_nonzero(w1)
+        after = np.arange(d)[:, None] > p
+        x = _gf.reduce_mod(lam - (w1 * draws[:-1] * after).sum(axis=0), ell)
+        x *= _gf.inverse_table(ell)[_gf.take_lanes(w1, p)]
+        c2 = np.where(after, draws[:-1], draws[1:])
+        np.copyto(c2, _gf.reduce_mod(x, ell, out=x), where=np.arange(d)[:, None] == p)
         f2 = _combine_lanes(c2, basis, ell)
-        cols += [f1, f2]
-        if d == 2:
-            break
-        w2 = _pair_lanes(f2, basis, form, ell)
-        kernel = _gf.rank2_kernel_basis(np.stack([w1, w2], axis=1), ell)
-        basis = np.matmul(kernel, basis)
-        _gf.reduce_mod(basis, ell, out=basis)
-    return np.stack(cols, axis=2)
+        out[:, step], out[:, step + 1] = f1, f2
+        if d > 2:
+            w = np.stack([w1, _pair_lanes(f2, basis)])
+            basis = _combine_lanes(_gf.rank2_kernel_basis(_gf.reduce_mod(w, ell, out=w), ell),
+                                   basis, ell)
+    return out.transpose(2, 0, 1)
 
 
-def _combine_lanes(coeffs: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
-    """Per lane, the combination sum_i coeffs[i] * basis[i] mod ell."""
-    f = np.matmul(coeffs[:, None, :], basis)[:, 0]
+def _pair_lanes(f: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """The pairings e(f, b), unreduced, with the vectors b of a (d, 2g, N) basis
+    or of the identity (None): sums of b times J^T f = (-f[1], f[0], ...)."""
+    swap = np.empty_like(f)
+    np.negative(f[1::2], out=swap[0::2])
+    swap[1::2] = f[0::2]
+    return swap if basis is None else np.stack([(swap * b).sum(axis=0) for b in basis])
+
+
+def _combine_lanes(coeffs: np.ndarray, basis: np.ndarray | None, ell: int) -> np.ndarray:
+    """sum_i coeffs[..., i, :] * basis[i] mod ell for a (d, 2g, N) basis; coeffs at None."""
+    if basis is None:
+        return coeffs
+    f = sum(coeffs[..., i, None, :] * b for i, b in enumerate(basis))
     return _gf.reduce_mod(f, ell, out=f)
-
-
-def _pair_lanes(f: np.ndarray, basis: np.ndarray, form: np.ndarray, ell: int) -> np.ndarray:
-    """Per lane, the pairings e(f, b) with every basis vector b."""
-    w = np.matmul(basis, (f @ form)[:, :, None])[:, :, 0]
-    return _gf.reduce_mod(w, ell, out=w)

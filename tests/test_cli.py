@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from symon import cli, specialsets
-from symon.analysis import int_str, primes_upto
+from symon.analysis import int_str, part_a_series, part_b_series, primes_upto
 from symon.specialsets import DirectMembership, build_core_set
-from symon.sympgroup import GroupContext, gsp_q_order
+from symon.sympgroup import INFINITY, GroupContext, gsp_q_order
 from test_specialsets import CORE_NON_MEMBERS, core_non_member, duplicate_first_block
 
 
@@ -531,6 +531,28 @@ def test_series_csv_is_written_as_it_is_encoded(tmp_path, child_peak):
     assert hashlib.sha256((tmp_path / "f").read_bytes()).hexdigest() == \
         "087c5ca80b84c395a529b6051bc6f72a5327519b5a0ae40831efdde8e9180ec2"
     assert peak_kib < 100 * 1024
+
+
+def test_series_json_is_written_as_it_is_encoded(tmp_path, child_peak):
+    # the bytes json.dump(indent=2) wrote from the whole report dict, which
+    # peaked at 117 MB; rendered row by row it peaks at the CSV's 61 MB
+    argv = ["series", "part-b", "--g", "2", "--e", "2", "--ell-max", "10000",
+            "--out", str(tmp_path / "f")]
+    _, peak_kib = child_peak(f"from symon.cli import main\nsys.exit(main({argv!r}))\n")
+    assert hashlib.sha256((tmp_path / "f").read_bytes()).hexdigest() == \
+        "641cc4adb40e5176b25d97aab792e8c1e280f8181007baad46970bdcc4e851bb"
+    assert peak_kib < 80 * 1024
+
+
+@pytest.mark.parametrize("ell_max", ["1", "60"])
+@pytest.mark.parametrize("which", ["part-a", "part-b"])
+def test_series_json_matches_json_dump(which, ell_max, capsys):
+    # rows rendered as they are written, against json.dump of the whole dict
+    assert cli.main(["series", which, "--ell-max", ell_max]) == 0
+    report = (part_a_series(2, INFINITY, int(ell_max)) if which == "part-a"
+              else part_b_series(2, 2, int(ell_max))).as_report_dict()
+    report["command"] = f"series-{which}"
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 def test_verify_rejects_lam_outside_the_class_of_q(tmp_path):

@@ -221,14 +221,14 @@ def test_rank2_kernel_basis_matches_kernel_basis(p, c):
                     break
             lanes.append(m @ rref % p)
     w = np.concatenate([np.array(lanes), rng.integers(0, p, size=(200, 2, c))])
-    got = _gf.rank2_kernel_basis(w, p)
-    assert got.shape == (w.shape[0], c - 2, c)
+    got = _gf.rank2_kernel_basis(np.ascontiguousarray(w.transpose(1, 2, 0)), p)
+    assert got.shape == (c - 2, c, w.shape[0])
     pivot_pairs = set()
     for i, mat in enumerate(w.tolist()):
         _, piv = rref_mod(mat, p)
         if len(piv) == 2:
             pivot_pairs.add(tuple(piv))
-            assert got[i].tolist() == kernel_basis(mat, p)
+            assert got[..., i].tolist() == kernel_basis(mat, p)
     assert pivot_pairs == set(itertools.combinations(range(c), 2))
 
 
@@ -247,7 +247,7 @@ def test_kernel_line_matches_kernel_basis(p):
         b[k + 1, :, :, k] = -np.einsum("nij,nj->ni", b[k + 1][:, :, rest], v[k][:, rest]) % p
     b[3, :, 2:] = b[3, :, :1] * rng.integers(0, p, size=(n, 2, 1)) % p
     b = b.reshape(4 * n, 4, 4)
-    ok, line = _gf.kernel_line(b, p)
+    ok, line = _gf.kernel_line(b.transpose(1, 2, 0), p)
     kinds = []
     for i, mat in enumerate(b.tolist()):
         ker = kernel_basis(mat, p)
@@ -255,7 +255,7 @@ def test_kernel_line_matches_kernel_basis(p):
         kinds.append((len(ker), want))
         assert bool(ok[i]) == want
         if want:
-            assert line[i].tolist() == [x * pow(ker[0][0], -1, p) % p for x in ker[0]]
+            assert line[:, i].tolist() == [x * pow(ker[0][0], -1, p) % p for x in ker[0]]
     kinds = [kinds[k * n:(k + 1) * n] for k in range(4)]
     assert (0, False) in kinds[0] and (1, True) in kinds[1] and (1, False) in kinds[2]
     assert all(nullity >= 2 for nullity, _ in kinds[3])

@@ -435,6 +435,74 @@ def test_lane_membership_matches_rows_at_large_ell(ell):
         assert direct.contains_lanes(a).tolist() == [direct.contains_rows(m.tolist()) for m in a]
 
 
+def _stabilizer_lanes(ctx, seed, count):
+    """(count, 4, 4) similitudes fixing e_1: a uniform block of a uniform
+    multiplier, uniform d and d_vec.  Some are core members; others have a
+    block outside the pool or with eigenvalue 1, or the excluded corner."""
+    ell = ctx.modulus.n
+    rng = CounterRng(seed, 0)
+    mats = []
+    for i in range(count):
+        lam = 1 + rng.below(ell - 1)
+        block = sample_uniform(GroupContext(1, ctx.modulus), lam, seed, i)
+        d, d_vec = rng.below(ell), (rng.below(ell), rng.below(ell))
+        mats.append(stabilizer_matrix(ctx, StabilizerParams(lam, d, d_vec, block)).rows)
+    return np.array(mats, dtype=np.int64)
+
+
+def _fixed_lines(a, ell):
+    """kernel_line of A - I for an (N, 4, 4) batch: (ok, (4, N) lines)."""
+    return _gf.kernel_line(a.transpose(1, 2, 0) - np.eye(4, dtype=np.int64)[:, :, None], ell)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 101])
+def test_lane_membership_where_the_fixed_line_is_e1(ell):
+    # where e_1 spans the fixed space the shear is the identity and the lanes
+    # decide by the core's block and corner alone, as the rows do
+    ctx = GroupContext.of(2, ell)
+    direct = DirectMembership(ctx)
+    a = _stabilizer_lanes(ctx, ell, 600)
+    fixed, v = _fixed_lines(a, ell)
+    assert (v[:, fixed].T == [1, 0, 0, 0]).all()
+    rows = [direct.contains_rows(m.tolist()) for m in a]
+    assert direct.contains_lanes(a).tolist() == rows
+    members = {rows[i] for i in np.flatnonzero(fixed).tolist()}
+    assert members == {True, False}
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_lane_membership_where_the_fixed_line_leaves_the_shear_orbit(ell):
+    # the same matrices conjugated by a symplectic s whose first column
+    # (s0, 0, s2, s3) has s0 != 0 and (s2, s3) != 0: their fixed line has
+    # v[1] = 0 and v[2:] != 0, which no shear reaches from e_1, so neither
+    # the lanes nor the rows take any of them
+    ctx = GroupContext.of(2, ell)
+    direct = DirectMembership(ctx)
+    conj = [s for s in (sample_uniform(ctx, 1, ell, i) for i in range(400))
+            if s.rows[0][0] and not s.rows[1][0] and (s.rows[2][0] or s.rows[3][0])]
+    cores = _stabilizer_lanes(ctx, ell + 1, len(conj))
+    a = np.array([(s @ ModMatrix.from_rows(ctx.modulus, m.tolist()) @ mat_inv(s)).rows
+                  for s, m in zip(conj, cores)], dtype=np.int64)
+    fixed, v = _fixed_lines(a, ell)
+    assert fixed.sum() >= 10
+    assert (v[1, fixed] == 0).all() and v[2:, fixed].any(axis=0).all()
+    rows = [direct.contains_rows(m.tolist()) for m in a]
+    assert direct.contains_lanes(a).tolist() == rows and not any(rows)
+
+
+@pytest.mark.parametrize("ell,lam", [(3, 2), (5, 3), (7, 1)])
+def test_lane_membership_on_full_layer_members(ell, lam):
+    # 2,048 members of a materialized full layer, cores and conjugates alike
+    ctx = GroupContext.of(2, ell)
+    keys = build_full_set(ctx, lam).keys
+    pick = np.random.default_rng(ell).choice(keys.shape[0], 2048, replace=False)
+    a = _gf.unpack_entries(keys[np.sort(pick)], ell, 16).reshape(-1, 4, 4)
+    del keys
+    direct = DirectMembership(ctx)
+    assert direct.contains_lanes(a).all()
+    assert all(direct.contains_rows(m.tolist()) for m in a[:300])
+
+
 @pytest.mark.parametrize("ell", [5, 7, 101, 1009, 55103])
 def test_direct_membership_at_the_multiplier_one_cutoff(ell):
     # a core on the last pooled block of multiplier 1 is a member and one on

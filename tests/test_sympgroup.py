@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symon.modmat import ModMatrix, ModVector, Modulus, mat_mul, mat_vec
+from symon.modmat import ModMatrix, ModVector, Modulus, kernel_basis, mat_mul, mat_vec
 from symon.prng import CounterLanes, CounterRng
 from symon.sympgroup import (
     BudgetExceeded,
@@ -28,6 +28,7 @@ from symon.sympgroup import (
     sp_order,
     stabilizer_matrix,
     transvection,
+    _pair,
 )
 
 M3 = Modulus.of(3)
@@ -293,6 +294,50 @@ def test_lane_sampler_at_the_largest_admitted_prime(g, ell, past):
         assert got[i].tolist() == sample_entries(g, ell, int(lam[i]), rng)
     with pytest.raises(ValueError, match="batch sampling"):
         sample_entries_lanes(g, past, 1, CounterLanes(seed, np.arange(2, dtype=np.uint64)))
+
+
+def _sampler_pivots(rows, ell):
+    """The pivot of each step of the ``sample_entries`` call that returned
+    ``rows``, read back from it: step k drew columns 2k and 2k + 1 as f1, f2
+    on the basis the scalar sampler held, and the pivot is the first basis
+    vector that pairs nonzero with f1."""
+    cols = [list(c) for c in zip(*rows)]
+    basis = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    pivots = []
+    for k in range(0, len(rows), 2):
+        w1, w2 = ([_pair(f, b, ell) for b in basis] for f in cols[k:k + 2])
+        pivots.append(next(j for j, x in enumerate(w1) if x))
+        basis = [[sum(c * b[i] for c, b in zip(co, basis)) % ell for i in range(len(rows))]
+                 for co in kernel_basis([w1, w2], ell)] if len(basis) > 2 else []
+    return pivots
+
+
+@pytest.mark.parametrize("n", [1, 400, 2048])
+@pytest.mark.parametrize("g,ell", [(g, ell) for g in (1, 2, 3) for ell in (2, 3, 5, 13, 31, 101)]
+                         + [(3, 1447), (2, 55103)])
+def test_lane_sampler_matches_the_scalar_sampler_lane_by_lane(g, ell, n):
+    # one multiplier per lane, drawn on the lane's own stream first; every
+    # lane whose draws were accepted against sample_entries, with the same
+    # number of words drawn (at 1447, g = 3, about 1 draw in 200 is rejected)
+    seed = 7919 * ell + g
+    lanes = CounterLanes(seed, np.arange(n, dtype=np.uint64))
+    lam = 1 + lanes.below(ell - 1)
+    got = sample_entries_lanes(g, ell, lam, lanes)
+    assert got.shape == (n, 2 * g, 2 * g)
+    # where the rarest pivot, last on the first step, is expected 8 times or
+    # more, every pivot of every step must occur
+    coverage = n >= 8 * ell ** (2 * g - 1)
+    pivots = set()
+    for i in np.flatnonzero(~lanes.rejected).tolist():
+        rng = CounterRng(seed, i)
+        assert 1 + rng.below(ell - 1) == lam[i]
+        rows = sample_entries(g, ell, int(lam[i]), rng)
+        assert got[i].tolist() == rows
+        assert rng._count == lanes._count
+        if coverage:
+            pivots.update(enumerate(_sampler_pivots(rows, ell)))
+    if coverage:
+        assert pivots == {(k, j) for k in range(g) for j in range(2 * g - 2 * k)}
 
 
 def test_sample_uniform_covers_small_group():
