@@ -193,19 +193,19 @@ class SeriesReport:
     rows: tuple[SeriesRow, ...]
     tail_bound: Fraction | None    # part-b only
 
-    def as_report_dict(self, stream: bool = False) -> dict:
-        """The JSON report; with ``stream`` its rows render as they are read."""
+    def as_report_dict(self) -> dict:
+        """The JSON report; its rows are an iterator that renders each row when read."""
         out: dict = {"kind": self.kind, "g": self.g}
         if self.q is not None:
             out["q"] = q_json(self.q)
         if self.e is not None:
             out["e"] = self.e
         out["ell_max"] = self.ell_max
-        rows = ({"ell": r.ell, "term_num": int_str(r.term.numerator),
-                 "term_den": int_str(r.term.denominator), "partial_num": partial_num,
-                 "partial_den": partial_den, "diagnostic": frac_str(r.diagnostic)}
-                for r, (partial_num, partial_den) in zip(self.rows, _partial_strs(self.rows)))
-        out["rows"] = rows if stream else list(rows)
+        out["rows"] = (
+            {"ell": r.ell, "term_num": int_str(r.term.numerator),
+             "term_den": int_str(r.term.denominator), "partial_num": partial_num,
+             "partial_den": partial_den, "diagnostic": frac_str(r.diagnostic)}
+            for r, (partial_num, partial_den) in zip(self.rows, _partial_strs(self.rows)))
         if self.tail_bound is not None:
             out["tail_bound"] = frac_str(self.tail_bound)
         return out

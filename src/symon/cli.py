@@ -249,7 +249,7 @@ def cmd_series(args) -> int:
     if args.format == "csv":
         _emit(report.csv_lines(), args.out)
     else:
-        payload = report.as_report_dict(stream=True)
+        payload = report.as_report_dict()
         payload["command"] = f"series-{args.which}"
         _emit(payload, args.out)
     return 0

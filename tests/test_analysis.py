@@ -156,7 +156,7 @@ def test_report_dict_and_csv():
     rep = part_b_series(2, 2, 30)
     d = rep.as_report_dict()
     assert d["kind"] == "part-b" and d["e"] == 2 and "q" not in d
-    assert len(d["rows"]) == len(rep.rows)
+    assert len(list(d["rows"])) == len(rep.rows)
     assert "tail_bound" in d
     lines = list(rep.csv_lines())
     assert lines[0].startswith("ell,term_num")

@@ -551,7 +551,7 @@ def test_series_json_matches_json_dump(which, ell_max, capsys):
     assert cli.main(["series", which, "--ell-max", ell_max]) == 0
     report = (part_a_series(2, INFINITY, int(ell_max)) if which == "part-a"
               else part_b_series(2, 2, int(ell_max))).as_report_dict()
-    report["command"] = f"series-{which}"
+    report = {**report, "rows": list(report["rows"]), "command": f"series-{which}"}
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
