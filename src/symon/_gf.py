@@ -5,13 +5,13 @@ kernels exist so that exhaustive enumerations, million-element set
 constructions and Monte Carlo batches run at C speed.  They share one
 contract; each kernel's docstring states its own integer bound.
 
-* Layout.  A batch is an (N, d, d) stack of matrices or (N, D) rows of
-  their D = d*d row-major entries, reduced to [0, p) on input unless the
-  kernel says otherwise.  ``unpack_digits`` returns entry-major rows, the
-  transpose of a (D, N) array, so that the elementwise kernels read each
-  entry as one contiguous vector.  The lane kernels ``rank2_kernel_basis``
-  and ``kernel_line`` take and return entry-major arrays, lanes last.  Keys
-  are (N, W) uint64 rows whose integer order is the entries' lex order.
+* Layout.  Every arithmetic kernel takes and returns lanes last: a (d, d, N)
+  stack or the (D, N) row-major entries of N matrices, each entry one
+  contiguous vector, reduced to [0, p) on input unless the kernel says
+  otherwise.  Rows come first only where matrices leave the arithmetic:
+  (N, W) uint64 keys, whose integer order is the entries' lex order, the
+  (N, D) rows of the key GEMMs (``pack_entries``, ``conjugate_into``), the
+  members ``scan_similitudes`` yields, the text codec and ``ModMatrix``.
 * Dtype.  ``similitude_check`` and ``batch_det_minus_identity`` compute in
   the dtype they are given, so the caller picks one that holds the bound:
   the scan and the layer check pass ``int16`` entries, ``NARROW_ROWS``
@@ -68,7 +68,7 @@ def reduce_mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
 
 
 def batch_det_minus_identity(a: np.ndarray, lam, p: int) -> np.ndarray:
-    """det(a - I) mod p, the eigenvalue-one detector, for a (N, 2g, 2g) batch
+    """det(a - I) mod p, the eigenvalue-one detector, for a (2g, 2g, N) batch
     of similitudes of multiplier lam (an int, or one per matrix) at g = 1 or 2,
     in the dtype of a.
 
@@ -87,39 +87,36 @@ def batch_det_minus_identity(a: np.ndarray, lam, p: int) -> np.ndarray:
     layer check (p <= 31) on ``int16`` entries and multipliers.  At g = 1,
     1 - t + lam is at most 3p in magnitude.
     """
-    diag = [a[:, i, i] for i in range(a.shape[-1])]
+    diag = [a[i, i] for i in range(a.shape[0])]
     t = sum(diag)
     if len(diag) == 2:
         return reduce_mod(1 - t + lam, p)
-    c2 = sum(diag[i] * diag[j] - a[:, i, j] * a[:, j, i]
+    c2 = sum(diag[i] * diag[j] - a[i, j] * a[j, i]
              for i, j in itertools.combinations(range(4), 2))
     return reduce_mod(1 - t * (1 + lam) + c2 + lam * lam, p)
 
 
 def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over GF(p) of a (N, r, c) batch, by fraction-free forward elimination.
+    """Ranks over GF(p) of a (r, c, N) batch, by fraction-free forward elimination
+    on one reduced int64 copy of its columns, (c, r, N).
 
-    At column j every lane takes its first row that is nonzero there as the
-    pivot row ``top``, and every row becomes row * t - row[j] * top with
-    t = top[j] (t = 1 on a lane with no such row, whose column j is zero).
-    The step zeroes column j, which is never read again, so only the
-    columns after it are updated, in place.  It zeroes the pivot row too,
-    so no row is a pivot twice, and the rank is the number of columns that
-    found a pivot.  The input is copied to int64 and reduced first; both
-    products of a step lie in [0, (p-1)**2] and are reduced after their
-    difference, so every intermediate is below p**2 in magnitude, exact for
-    p < 2**31.
+    At column j every lane's pivot row ``top`` is its first row nonzero there,
+    and every row becomes row * t - row[j] * top with t = top[j] (1 where the
+    column is zero).  That zeroes column j, never read again, and the pivot
+    row, so the rank is the number of columns with a pivot.  Both products lie
+    in [0, (p-1)**2] and are reduced after their difference: exact for p < 2**31.
     """
-    a = np.array(a, dtype=np.int64)
-    reduce_mod(a, p, out=a)
-    lanes = np.arange(a.shape[0])
-    rank = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(a.shape[2]):
-        top = a[lanes, (a[:, :, j] != 0).argmax(axis=1), j:]
-        rank += top[:, 0] != 0
-        rest = a[:, :, j + 1:]
-        rest *= np.maximum(top[:, :1], 1)[:, :, None]
-        rest -= a[:, :, j, None] * top[:, None, 1:]
+    cols = np.array(a.transpose(1, 0, 2), dtype=np.int64, order="C")
+    reduce_mod(cols, p, out=cols)
+    rank = np.zeros(cols.shape[2], dtype=np.int64)
+    for j in range(cols.shape[0]):
+        i = first_nonzero(cols[j])
+        t = take_lanes(cols[j], i)
+        rank += t != 0
+        rest = cols[j + 1:]
+        top = take_lanes(rest, i)
+        rest *= np.maximum(t, 1)
+        rest -= cols[j] * top[:, None]
         reduce_mod(rest, p, out=rest)
     return rank
 
@@ -342,13 +339,10 @@ def _digit_table(p: int) -> np.ndarray:
 
 
 def unpack_digits(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
-    """Invert pack_entries into (N, D) int16 entries, for p <= 2**15.
+    """Invert pack_entries into (D, N) int16 entries, lanes last, for p <= 2**15.
 
     A word is split into pieces of k digits by one division each, and a
-    piece's digits are gathered from ``_digit_table``.  The result is the
-    transpose of a (D, N) entry-major array, so each entry is a contiguous
-    vector and the elementwise kernels read it at unit stride: twice as
-    fast as on (N, D) rows in ``similitude_check``.
+    piece's digits are gathered from ``_digit_table`` into their entries' rows.
     """
     n, words = keys.shape
     per = -(-dd // words)
@@ -368,7 +362,7 @@ def unpack_digits(keys: np.ndarray, p: int, dd: int) -> np.ndarray:
                 piece = vals
             for j in range(lo, hi):
                 np.take(table[k - hi + j], piece, out=out[w * per + j], mode="clip")
-    return out.T
+    return out
 
 
 def unique_keys(keys: np.ndarray) -> np.ndarray:
@@ -495,8 +489,8 @@ def conjugate_into(flat: np.ndarray, ops: np.ndarray, p: int, out: np.ndarray) -
 # -- exhaustive candidate scan --
 
 def index_to_entries(idx: np.ndarray, p: int, dd: int) -> np.ndarray:
-    """Base-p digits of idx, most significant first: the row-major entries,
-    as ``unpack_digits`` gives them.  ``sympgroup.scan_entries`` keeps
+    """Base-p digits of idx, most significant first: the (D, N) row-major
+    entries, as ``unpack_digits`` gives them.  ``sympgroup.scan_entries`` keeps
     p**dd < 2**60, so an index is a one-word key and p < 2**15."""
     return unpack_digits(idx[:, None], p, dd)
 
@@ -509,21 +503,20 @@ def scan_dtype(g: int, p: int) -> type:
 
 
 def similitude_check(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix (multiplier, is-similitude) over a (N, 2g, 2g) batch, in
+    """Per-matrix (multiplier, is-similitude) over a (2g, 2g, N) batch, in
     the dtype of a, which must hold g * (p-1)**2: a pairing sums g minors
     (1,800 at g = 2, p <= 31).  The scan picks it by ``scan_dtype``.
 
     The multiplier slot is meaningful only where the mask is True.
     """
     def pairing(i, j):
-        # the sum of the row pairs' 2x2 minors at columns (i, j); sum() over
-        # the transpose adds the g columns as vectors, faster than .sum(axis=1)
-        minors = a[:, 0::2, i] * a[:, 1::2, j] - a[:, 0::2, j] * a[:, 1::2, i]
-        return reduce_mod(sum(minors.T), p)
+        # the row pairs' 2x2 minors at columns (i, j), summed as g vectors
+        minors = a[0::2, i] * a[1::2, j] - a[0::2, j] * a[1::2, i]
+        return reduce_mod(sum(minors), p)
 
     lam = pairing(0, 1)
     ok = lam != 0
-    for i, j in itertools.combinations(range(a.shape[-1]), 2):
+    for i, j in itertools.combinations(range(a.shape[0]), 2):
         if (i, j) != (0, 1):
             ok &= pairing(i, j) == (lam if i % 2 == 0 and j == i + 1 else 0)
     return lam, ok
@@ -537,7 +530,7 @@ def scan_similitudes(g: int, p: int, allowed: np.ndarray):
     a boolean mask over residues [0, p).  Candidates are checked
     ``NARROW_ROWS`` at a time, decoded by ``index_to_entries`` and checked
     in ``scan_dtype(g, p)`` (int16 while g * (p-1)**2 < 2**15); only the
-    kept rows are widened.
+    kept members are widened, into (N, 2g, 2g) rows.
     """
     dim = 2 * g
     dd = dim * dim
@@ -545,10 +538,9 @@ def scan_similitudes(g: int, p: int, allowed: np.ndarray):
     dtype = scan_dtype(g, p)
     for start in range(0, total, NARROW_ROWS):
         idx = np.arange(start, min(start + NARROW_ROWS, total), dtype=np.int64)
-        a = index_to_entries(idx, p, dd).astype(dtype, copy=False).reshape(-1, dim, dim)
+        a = index_to_entries(idx, p, dd).astype(dtype, copy=False).reshape(dim, dim, -1)
         lam, ok = similitude_check(a, p)
         ok &= allowed[lam]
         if ok.any():
-            # a gather: np.compress walks the entry-major rows slowly
-            kept = np.flatnonzero(ok)
-            yield np.take(a, kept, axis=0).astype(np.int64), np.take(lam, kept).astype(np.int64)
+            rows = np.compress(ok, a, axis=-1).transpose(2, 0, 1)
+            yield rows.astype(np.int64, order="C"), np.compress(ok, lam).astype(np.int64)

@@ -471,30 +471,36 @@ def read_matrix_lines(fh: TextIO, dim: int, n: int) -> Iterator[np.ndarray]:
     outside [0, n), a token that is not canonical (a sign, a space or a
     leading zero: ``_canonical``) and a line end other than ``\n``: a
     ``\r`` byte where the stream keeps line ends, its ``newlines`` record
-    where it translates them.  Empty lines are skipped.
+    where it translates them.  Empty lines are skipped.  An undecodable byte
+    is named by the lines of the read under way (the header's: 1 to
+    LINES_PER_CHUNK), which the stream's read-ahead can pass by a few lines.
     """
-    got = parse_header(fh.readline())
-    if got != (dim, n):
-        raise ValueError(f"dump header says dim={got[0]} mod={got[1]}, "
-                         f"expected dim={dim} mod={n}")
-    first = 2
-    while lines := list(islice(fh, LINES_PER_CHUNK)):
-        where = f"dump lines {first}-{first + len(lines) - 1}"
-        first += len(lines)
-        if getattr(fh, "newlines", None) not in (None, "\n"):
-            raise ValueError(f"{where}: a line end is not \\n")
-        if all(line == "\n" for line in lines):     # np.loadtxt warns on no data
-            continue
-        try:
-            chunk = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if chunk.shape[1] != dim * dim:
-            raise ValueError(f"{where}: expected {dim * dim} entries per line, "
-                             f"got {chunk.shape[1]}")
-        if chunk.min() < 0 or chunk.max() >= n:
-            raise ValueError(f"{where}: an entry lies outside [0, {n})")
-        if not _canonical("".join(lines).encode()):
-            raise ValueError(f"{where}: a token is not a canonical decimal integer "
-                             "(digits only, no leading zero)")
-        yield chunk
+    first = 1       # the first line of the read under way
+    try:
+        got = parse_header(fh.readline())
+        if got != (dim, n):
+            raise ValueError(f"dump header says dim={got[0]} mod={got[1]}, "
+                             f"expected dim={dim} mod={n}")
+        first = 2
+        while lines := list(islice(fh, LINES_PER_CHUNK)):
+            where = f"dump lines {first}-{first + len(lines) - 1}"
+            first += len(lines)
+            if getattr(fh, "newlines", None) not in (None, "\n"):
+                raise ValueError(f"{where}: a line end is not \\n")
+            if all(line == "\n" for line in lines):     # np.loadtxt warns on no data
+                continue
+            try:
+                chunk = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if chunk.shape[1] != dim * dim:
+                raise ValueError(f"{where}: expected {dim * dim} entries per line, "
+                                 f"got {chunk.shape[1]}")
+            if chunk.min() < 0 or chunk.max() >= n:
+                raise ValueError(f"{where}: an entry lies outside [0, {n})")
+            if not _canonical("".join(lines).encode()):
+                raise ValueError(f"{where}: a token is not a canonical decimal integer "
+                                 "(digits only, no leading zero)")
+            yield chunk
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"dump lines {first}-{first + LINES_PER_CHUNK - 1}: {exc}") from None

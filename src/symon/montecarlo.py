@@ -23,9 +23,9 @@ Events:
 Estimates carry binomial standard errors, the exact value when one is
 computable, and the projective union bound for common-fixed-vector events.
 
-The estimators evaluate chunks of CHUNK consecutive indexes on numpy lanes
-(``CounterLanes``, the entry-major ``sample_entries_lanes`` and
-``DirectMembership.contains_lanes``, ``_gf.batch_rank``) that reproduce the
+The estimators evaluate chunks of CHUNK consecutive indexes on numpy lanes,
+lanes last (``CounterLanes``, the (2g, 2g, CHUNK) ``sample_entries_lanes``,
+``DirectMembership.contains_lanes``, ``_gf.batch_rank``), reproducing the
 scalar streams lane by lane; ``_tally`` replays chosen lanes through the
 scalar oracle.  Chunks partition across threads without changing any output.
 """
@@ -58,7 +58,7 @@ from .sympgroup import (
 )
 
 # Sample indexes per batch chunk.  It bounds the batch arrays (a few
-# (CHUNK, 2g, 2g) int64 stacks per prime and slot) and fixes which lanes
+# (2g, 2g, CHUNK) int64 stacks per prime and slot) and fixes which lanes
 # the oracle replays, so no output depends on the thread count.
 CHUNK = 2048
 
@@ -159,7 +159,7 @@ def _draw_rows_by_prime(ctx: GroupContext, e: int, rng: CounterRng) -> dict[int,
 
 def _draw_lanes_by_prime(ctx: GroupContext, e: int,
                         lanes: CounterLanes) -> dict[int, list[np.ndarray]]:
-    """``_draw_rows_by_prime`` on every lane: out[ell][slot] is an (N, dim, dim) batch."""
+    """``_draw_rows_by_prime`` on every lane: out[ell][slot] is a (dim, dim, N) batch."""
     out: dict[int, list] = {ell: [] for ell in ctx.modulus.primes}
     finite = not isinstance(ctx.q, _Infinity)
     if finite:
@@ -292,7 +292,7 @@ def _tally(draws: Sequence[GroupContext], events: Sequence[Event],
     not depend on ``threads``.
     """
     dim = draws[0].dim
-    eye = np.eye(dim, dtype=np.int64)
+    eye = np.eye(dim, dtype=np.int64)[:, :, None]
 
     def run(lo: int) -> Counter:
         lanes = CounterLanes(seed, np.arange(lo, min(lo + CHUNK, n_samples), dtype=np.uint64))
@@ -300,7 +300,7 @@ def _tally(draws: Sequence[GroupContext], events: Sequence[Event],
         in_set = {ell: testers[ell].contains_lanes(mats[ell][0]) for ell in testers}
         out = np.zeros((lanes.lanes, len(events)), dtype=bool)
         for k, col in enumerate(_outcomes(events, in_set, lambda ell: _gf.batch_rank(
-                np.concatenate([a - eye for a in mats[ell]], axis=1), ell) < dim)):
+                np.concatenate([a - eye for a in mats[ell]]), ell) < dim)):
             out[:, k] = col
         rejected = lanes.rejected
         replay = set(np.flatnonzero(rejected).tolist())

@@ -117,10 +117,8 @@ def count_without_eigenvalue_one(ell: int, g: int, lam: int) -> int:
     Raises BudgetExceeded past the default enumeration budget.
     """
     ctx = GroupContext.of(g, ell)
-    total = 0
-    for entries, mults in scan_entries(ctx, lam=lam):
-        total += int(np.count_nonzero(_gf.batch_det_minus_identity(entries, mults, ell)))
-    return total
+    return sum(int(np.count_nonzero(_gf.batch_det_minus_identity(a.transpose(1, 2, 0), lams, ell)))
+               for a, lams in scan_entries(ctx, lam=lam))
 
 
 # -- block pools --
@@ -153,7 +151,7 @@ def _require_in_class(ctx: GroupContext, lam: int) -> int:
 
 
 def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
-    """Block pools of the multipliers ``lams``, each an (m, 2, 2) int64 array
+    """Block pools of the multipliers ``lams``, each a (2, 2, m) int64 array
     in the genus-1 scan order, from one scan by ``_in_pool`` (g = 2 only)."""
     ell = _require_constructible(ctx)
     if ctx.g != 2:
@@ -161,14 +159,15 @@ def _blocks_entries(ctx: GroupContext, lams: Sequence[int]) -> list[np.ndarray]:
     lams = [_require_in_class(ctx, lam) for lam in lams]
     blocks, mults = (np.concatenate(parts)
                      for parts in zip(*scan_entries(GroupContext(1, ctx.modulus))))
+    blocks = blocks.transpose(1, 2, 0)      # the scan's rows, lanes last
     pooled = _in_pool(blocks, mults, ell)[0]
-    return [np.compress(pooled & (mults == lam), blocks, axis=0) for lam in lams]
+    return [np.compress(pooled & (mults == lam), blocks, axis=-1) for lam in lams]
 
 
 def select_blocks(ctx: GroupContext, lam: int) -> list[ModMatrix]:
     """The block pool of one multiplier, as matrices."""
     entries = _blocks_entries(ctx, [lam])[0]
-    return [ModMatrix.from_flat(ctx.modulus, m.ravel()) for m in entries]
+    return [ModMatrix.from_flat(ctx.modulus, m.ravel()) for m in entries.transpose(2, 0, 1)]
 
 
 # -- cardinality formulas --
@@ -224,12 +223,12 @@ def _require_below_cap(ell: int, allow_large: bool) -> int:
 
 
 def _pool_inverses(blocks: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(det(I - B), entry-major (I - B)^-1) mod ell for an (m, 2, 2) array of blocks
-    B, in order; where det(I - B) = 0 the inverse is meaningless, to be dropped."""
-    b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
+    """(det(I - B), (I - B)^-1) mod ell, (m,) and (2, 2, m), for a (2, 2, m) array
+    of blocks B; where det(I - B) = 0 the inverse is meaningless, to be dropped."""
+    (b11, b12), (b21, b22) = blocks
     det = _gf.reduce_mod((1 - b11) * (1 - b22) - b12 * b21, ell)
     minv = np.stack([1 - b22, b12, b21, 1 - b11]).reshape(2, 2, -1) * _gf.inverse_table(ell)[det]
-    return det, _gf.reduce_mod(minv, ell, out=minv).transpose(2, 0, 1)
+    return det, _gf.reduce_mod(minv, ell, out=minv)
 
 
 def _pool_cutoff(ell: int) -> tuple[int, int, int, int]:
@@ -238,14 +237,14 @@ def _pool_cutoff(ell: int) -> tuple[int, int, int, int]:
 
 
 def _in_pool(blocks: np.ndarray, lam: int | np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Pool membership, (I - B)^-1) for an (m, 2, 2) array of blocks B of
+    """(Pool membership, (I - B)^-1) for a (2, 2, m) array of blocks B of
     multiplier lam, scalar or per block: det(I - B) != 0 and, at lam = 1, B
     at most ``_pool_cutoff`` (compared entry by entry: an int64 key of the
     four entries overflows past ell = 55,108).  DirectMembership argues it."""
     det, minv = _pool_inverses(blocks, ell)
-    at_most = np.ones(blocks.shape[0], dtype=bool)
+    at_most = np.ones(blocks.shape[-1], dtype=bool)
     for k, c in reversed(list(enumerate(_pool_cutoff(ell)))):
-        at_most = (blocks[:, k // 2, k % 2] < c) | ((blocks[:, k // 2, k % 2] == c) & at_most)
+        at_most = (blocks[k // 2, k % 2] < c) | ((blocks[k // 2, k % 2] == c) & at_most)
     return (det != 0) & ((lam != 1) | at_most), minv
 
 
@@ -277,15 +276,15 @@ def _core_entries(ctx: GroupContext, lam: int, blocks: np.ndarray) -> np.ndarray
     """
     ell = ctx.modulus.n
     lam %= ell
-    m = blocks.shape[0]
+    m = blocks.shape[-1]
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
-    b11, b12, b21, b22 = (blocks[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    (b11, b12), (b21, b22) = blocks[..., None]
     # (m, ell^2): forced top-row entries and the excluded corner value
     b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
     b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
-    minv = _pool_inverses(blocks, ell)[1].transpose(1, 2, 0)[..., None]
+    minv = _pool_inverses(blocks, ell)[1][..., None]
     excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
     # one row per (block, pair), entry (i, j) in column 4i + j; column 1 is d
     row = np.zeros((m, ell * ell, 16), dtype=np.uint8)
@@ -338,7 +337,7 @@ class FixedVectorSet:
         return bool(self.contains_flat(flat)[0])
 
     def iter_entries(self) -> Iterator[np.ndarray]:
-        """The members' entries in key order, (rows, dim*dim) int16 from
+        """The members' entries in key order, (dim*dim, rows) int16 from
         ``_gf.unpack_digits``, ``_gf.NARROW_ROWS`` rows at a time."""
         dd, chunk = self.ctx.dim * self.ctx.dim, _gf.NARROW_ROWS
         for start in range(0, self.keys.shape[0], chunk):
@@ -346,12 +345,13 @@ class FixedVectorSet:
 
     def __iter__(self) -> Iterator[ModMatrix]:
         for block in self.iter_entries():
-            for flat in block:
+            for flat in block.T:
                 yield ModMatrix.from_flat(self.ctx.modulus, flat)
 
     def dump(self, fh: TextIO) -> int:
         """Write the canonical sorted dump in the one-matrix-per-line format."""
-        return write_matrix_lines(fh, self.iter_entries(), self.ctx.dim, self.ctx.modulus.n)
+        return write_matrix_lines(fh, (block.T for block in self.iter_entries()),
+                                  self.ctx.dim, self.ctx.modulus.n)
 
     def sidecar(self) -> dict:
         info = {
@@ -372,10 +372,11 @@ class FixedVectorSet:
         fh.write("\n")
 
     @staticmethod
-    def read_sidecar(fh: TextIO, name: str) -> tuple[GroupContext, int | None, SetLevel, object]:
+    def read_sidecar(fh: TextIO, name: str) -> tuple[GroupContext, int | None, SetLevel, str]:
         """(ctx, lam, level, cardinality as written) from the sidecar ``fh``;
         ValueError, naming ``name``, on a missing field, a g, n or lam that is
-        not an int, another pool, or a set too large to materialize."""
+        not an int, a cardinality that is not a string of decimal digits,
+        another pool, or a set too large to materialize."""
         try:
             info = json.load(fh)
         except ValueError as exc:
@@ -390,6 +391,9 @@ class FixedVectorSet:
             raise ValueError(f"sidecar {name} lacks {', '.join(missing)}")
         if any(type(info.get(k, 0)) is not int for k in ("g", "n", "lam")):
             raise ValueError(f"sidecar {name}: g, n and lam must be integers")
+        if not (type(claimed := info["cardinality"]) is str and claimed.isascii()
+                and claimed.isdigit()):
+            raise ValueError(f"sidecar {name}: cardinality must be a string of decimal digits")
         if info["strategy"] != POOL_NAME:
             raise ValueError(f"sidecar {name}: strategy must be {POOL_NAME!r}, "
                              f"got {info['strategy']!r}")
@@ -398,9 +402,9 @@ class FixedVectorSet:
         ctx = GroupContext.of(info["g"], info["n"], parse_q(str(info["q"])))
         _require_materializable(ctx, allow_large=True)
         lam = None if level is SetLevel.UNION else info["lam"]
-        return ctx, lam, level, info["cardinality"]
+        return ctx, lam, level, claimed
 
-    def problems(self, claimed) -> tuple[list[str], bool]:
+    def problems(self, claimed: str) -> tuple[list[str], bool]:
         """(What is wrong with this set as its layer, whether its lam is in class):
         its count against ``claimed`` and the formula, then every member.  The
         one member check: ``special-set verify`` and the acceptance suite use it.
@@ -429,12 +433,12 @@ class FixedVectorSet:
         allowed = (self.ctx.multiplier_mask() if self.lam is None
                    else np.arange(ell) == self.lam % ell)
         dim = self.ctx.dim
-        eye = np.eye(dim, dtype=np.int16)
+        eye = np.eye(dim, dtype=np.int16)[:, :, None]
         # the kernels run on the int16 entries: at ell <= HARD_ELL_CAP a
         # pairing is at most 1,800 and chi(1) before reduction at most 10,021;
         # det(A - I) = chi(1) holds once every member is a similitude of lam
         for entries in self.iter_entries():
-            a = entries.reshape(-1, dim, dim)
+            a = entries.reshape(dim, dim, -1)
             lam, ok = _gf.similitude_check(a, ell)
             if not bool(ok.all()) or not bool(allowed[lam].all()):
                 found.append("a member is not a similitude with an admissible multiplier")
@@ -446,15 +450,14 @@ class FixedVectorSet:
                 if bool(np.any(_gf.batch_rank(a - eye, ell) != dim - 1)):
                     found.append("a core member's fixed space is not one line")
                     break
-                if not bool((a[:, :, 0] == eye[0]).all()):
+                if not bool((a[:, 0] == eye[:, 0]).all()):
                     found.append("a core member does not fix e_1")
                     break
                 # a similitude fixing e_1 has the stabilizer shape, so it is a
                 # core member iff its block is pooled and its corner allowed
-                pooled, minv = _in_pool(a[:, 2:, 2:], lam, ell)
-                excluded = _excluded_corner(minv.transpose(1, 2, 0), (a[:, 2, 1], a[:, 3, 1]),
-                                            (a[:, 0, 2], a[:, 0, 3]), ell)
-                if not bool((pooled & (a[:, 0, 1] != excluded)).all()):
+                pooled, minv = _in_pool(a[2:, 2:], lam, ell)
+                excluded = _excluded_corner(minv, a[2:, 1], a[0, 2:], ell)
+                if not bool((pooled & (a[0, 1] != excluded)).all()):
                     found.append("a core member's block is not pooled or its corner is excluded")
                     break
         return found, in_class
@@ -602,12 +605,12 @@ class DirectMembership:
             core = (t @ np.array(rows, dtype=np.int64) @ tinv % ell).tolist()
         if any(core[i][0] != (1 if i == 0 else 0) for i in range(4)):
             return False
-        found, minv = _in_pool(np.array([[core[2][2:], core[3][2:]]]), lam, ell)
+        found, minv = _in_pool(np.array([core[2][2:], core[3][2:]])[..., None], lam, ell)
         return bool(found[0]) and core[0][1] != _excluded_corner(
-            minv[0].tolist(), (core[2][1], core[3][1]), core[0][2:], ell)
+            minv[..., 0].tolist(), (core[2][1], core[3][1]), core[0][2:], ell)
 
     def contains_lanes(self, a: np.ndarray) -> np.ndarray:
-        """``contains_rows`` on every matrix of an (N, 4, 4) batch with entries in [0, ell).
+        """``contains_rows`` on every matrix of a (4, 4, N) batch with entries in [0, ell).
 
         The same decomposition on all lanes at once: the similitude check, the
         kernel vector v of A - I scaled to v[0] = 1 (required to span the
@@ -623,7 +626,6 @@ class DirectMembership:
         ell = self.ell
         lam, ok = _gf.similitude_check(a, ell)
         ok &= self._admissible[lam]
-        a = a.transpose(1, 2, 0)        # a[i, k]: entry (i, k) of every lane
         fixed, v = _gf.kernel_line(a - np.eye(4, dtype=np.int64)[:, :, None], ell)
         ok &= fixed & ((v[1] != 0) | ((v[2] == 0) & (v[3] == 0)))
         v, lam, keep = v[:, ok], lam[ok], np.flatnonzero(ok)     # the rest are decided
@@ -638,8 +640,8 @@ class DirectMembership:
         core[:, 1:] += q[:, None] * c[1:]
         core[1:] -= v[2:, None] * r
         _gf.reduce_mod(core, ell, out=core)
-        found, minv = _in_pool(core[1:, 1:].transpose(2, 0, 1), lam, ell)
-        excluded = _excluded_corner(minv.transpose(1, 2, 0), core[1:, 0], core[0, 1:], ell)
+        found, minv = _in_pool(core[1:, 1:], lam, ell)
+        excluded = _excluded_corner(minv, core[1:, 0], core[0, 1:], ell)
         ok[keep] = found & (core[0, 0] != excluded)
         return ok
 

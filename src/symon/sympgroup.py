@@ -433,10 +433,9 @@ LANES_ELL_CAP = 1 << 16
 
 
 def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes) -> np.ndarray:
-    """``sample_entries`` on every lane of ``lanes`` at once: an (N, 2g, 2g)
-    int64 batch whose lane i is ``sample_entries(g, ell, lam[i], rng_i)``
-    wherever ``lanes.rejected[i]`` stays False, with the same draws in the
-    same order; its ``.transpose(1, 2, 0)`` is contiguous.
+    """``sample_entries`` on every lane of ``lanes`` at once, a contiguous
+    (2g, 2g, N) int64 batch: lane i is ``sample_entries(g, ell, lam[i], rng_i)``
+    wherever ``lanes.rejected[i]`` stays False, with the same draws in order.
 
     Vectors are entry-major, (2g, N), and a basis of d of them (d, 2g, N).
     On the first step the basis is the identity, so f1 = c1, f2 = c2, the
@@ -478,7 +477,7 @@ def sample_entries_lanes(g: int, ell: int, lam: np.ndarray, lanes: CounterLanes)
             w = np.stack([w1, _pair_lanes(f2, basis)])
             basis = _combine_lanes(_gf.rank2_kernel_basis(_gf.reduce_mod(w, ell, out=w), ell),
                                    basis, ell)
-    return out.transpose(2, 0, 1)
+    return out
 
 
 def _pair_lanes(f: np.ndarray, basis: np.ndarray | None) -> np.ndarray:

@@ -135,7 +135,7 @@ def test_criterion_04_no_eigenvalue_one_floor(gsp4_f3):
     # g=2 is enumerable within the default budget only at ell=3; counts come
     # from the cached canonical enumeration
     entries, lams = gsp4_f3
-    no_eig = batch_det_minus_identity(entries, lams, 3) != 0
+    no_eig = batch_det_minus_identity(entries.transpose(1, 2, 0), lams, 3) != 0
     for lam in UNITS[3]:
         count = int((no_eig & (lams == lam)).sum())
         floor = no_eigenvalue_one_floor(3, 2) * sp_order(1, 3)

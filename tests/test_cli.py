@@ -318,6 +318,21 @@ def test_verify_sidecar_without_q_is_input_error(tmp_path):
     assert "q" in proc.stderr
 
 
+def test_verify_sidecar_with_a_numeric_cardinality_is_input_error(tmp_path):
+    # the sidecar writes its cardinality as a string of digits; the JSON
+    # number 216 is no such string, so it cannot be compared as written
+    out = tmp_path / "core.txt"
+    run_cli("special-set", "build", "--ell", "3", "--level", "core", "--lam", "1",
+            "--out", str(out))
+    side = tmp_path / "core.txt.json"
+    sidecar = json.loads(side.read_text())
+    assert sidecar["cardinality"] == "216"
+    side.write_text(json.dumps({**sidecar, "cardinality": 216}))
+    proc = run_cli("special-set", "verify", "--dump", str(out), check=False)
+    assert_input_error(proc)
+    assert "cardinality must be a string of decimal digits" in proc.stderr
+
+
 def assert_main_input_error(argv, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -634,7 +649,8 @@ def verify_edited_core_dump(tmp_path, core_dump, edit, *flags):
     """special-set verify on the core dump with its lines edited, sidecar kept."""
     lines, sidecar = core_dump
     dump = tmp_path / "core.txt"
-    dump.write_text("\n".join(edit(list(lines))) + "\n")
+    # a lone surrogate in a line stands for the byte it escapes
+    dump.write_bytes(("\n".join(edit(list(lines))) + "\n").encode(errors="surrogateescape"))
     (tmp_path / "core.txt.json").write_text(sidecar)
     return run_cli("special-set", "verify", "--dump", str(dump), *flags, check=False)
 
@@ -681,6 +697,7 @@ CORRUPT_DUMPS = {
     "trailing-space": lambda ls: ls[:1] + [_with_entries(ls[1], {0: "1 "})] + ls[2:],
     "minus-zero": lambda ls: ls[:1] + [_with_entries(ls[1], {1: "-0"})] + ls[2:],
     "crlf-line-end": lambda ls: ls[:1] + [ls[1] + "\r"] + ls[2:],
+    "non-utf8-byte": lambda ls: ls[:200] + [ls[200][:3] + "\udcff" + ls[200][3:]] + ls[201:],
 }
 
 
@@ -693,6 +710,8 @@ def test_verify_reports_a_corrupt_dump(tmp_path, core_dump, corrupt):
     report = json.loads(proc.stdout)
     assert report["status"] == "fail" and report["problems"]
     assert proc.stderr == ""
+    # a reader error names where in the dump it is
+    assert all(p.startswith(("dump ", "cardinality mismatch")) for p in report["problems"])
 
 
 def test_orders_print_past_the_default_digit_cap():

@@ -23,6 +23,11 @@ def rand_entries(n, dd, p, seed):
                     dtype=np.int64)
 
 
+def lanes_last(batch):
+    """An (N, ...) stack of matrices as the kernels take it: (..., N)."""
+    return np.moveaxis(batch, 0, -1)
+
+
 def test_inverse_table():
     for p in (2, 3, 7, 13, 31, 55103, 65521):
         inv = _gf.inverse_table(p)
@@ -56,6 +61,26 @@ def test_every_gf_kernel_has_a_caller_in_the_package():
                 inside = set().union(*(referenced_names(node) for node in tree.body
                                        if node is not f))
                 assert f.name in outside | inside, f"{name}: {f.name} has no caller in src/symon"
+
+
+# the arithmetic kernels and lane helpers, which take and return lanes-last
+# batches only; rows are read at the edges, outside them
+LANES_LAST = {"similitude_check", "batch_det_minus_identity", "unpack_digits", "kernel_line",
+              "rank2_kernel_basis", "sample_entries_lanes", "_pool_inverses", "_in_pool",
+              "_excluded_corner", "contains_lanes", "problems"}
+
+
+def test_lane_kernels_never_transpose():
+    # a .transpose or .T inside one of them would bring back a second,
+    # rows-first layout of the same batch
+    found = {}
+    for path in Path(_gf.__file__).parent.glob("*.py"):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef) and f.name in LANES_LAST:
+                found[f.name] = [n.lineno for n in ast.walk(f) if isinstance(n, ast.Attribute)
+                                 and n.attr in ("transpose", "T")]
+    assert set(found) == LANES_LAST
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("p", [3, 13, 17, 31])
@@ -145,7 +170,7 @@ def test_batch_rank_against_scalar(p, shape):
     r, c = shape
     flat = rand_entries(200, r * c, p, 17 * p + r)
     batch = flat.reshape(-1, r, c)
-    ranks = _gf.batch_rank(batch, p)
+    ranks = _gf.batch_rank(lanes_last(batch), p)
     for mat, br in zip(batch, ranks):
         rows = [[int(x) for x in row] for row in mat]
         assert rank_mod(rows, p) == int(br)
@@ -153,10 +178,18 @@ def test_batch_rank_against_scalar(p, shape):
 
 def test_batch_rank_degenerate_cases():
     p = 5
-    zeros = np.zeros((3, 4, 4), dtype=np.int64)
+    zeros = np.zeros((4, 4, 3), dtype=np.int64)
     assert (_gf.batch_rank(zeros, p) == 0).all()
-    eye = np.broadcast_to(np.eye(4, dtype=np.int64), (3, 4, 4)).copy()
+    eye = np.broadcast_to(np.eye(4, dtype=np.int64)[:, :, None], (4, 4, 3)).copy()
     assert (_gf.batch_rank(eye, p) == 4).all()
+    # a column whose only nonzero entry is in the last row, and a zero
+    # column between two pivots, beside a full-rank lane
+    last_row = np.zeros((4, 4), dtype=np.int64)
+    last_row[3, 0], last_row[0, 1] = 3, 1
+    gap = np.zeros((4, 4), dtype=np.int64)
+    gap[0, 0], gap[1, 2], gap[2, 2] = 1, 2, 4
+    batch = np.stack([last_row, gap, np.eye(4, dtype=np.int64)], axis=-1)
+    assert _gf.batch_rank(batch, p).tolist() == [2, 2, 4]
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +202,9 @@ def test_batch_rank_matches_rank_mod(p, r, c, seed):
     flat[1::4, -c:] = flat[1::4, :c]
     batch = flat.reshape(-1, r, c)
     batch[2::5, :, 0] = 0                 # a column without a pivot
-    ranks = _gf.batch_rank(batch, p)
+    batch[3::7, :-1, 0] = 0               # column 0 nonzero in the last row only
+    batch[4::6, :, 1 % c] = 0             # a zero column between two pivots (c >= 3)
+    ranks = _gf.batch_rank(lanes_last(batch), p)
     for mat, rank in zip(batch, ranks):
         assert int(rank) == rank_mod(mat.tolist(), p)
 
@@ -194,9 +229,9 @@ def test_det_minus_identity_matches_the_scalar_det(p, g):
     for batch, lam in ((mixed, per_row), (one, 1)):
         want = [det(ModMatrix.from_rows(modulus, minus_identity(rows, p)))
                 for rows in batch.tolist()]
-        assert _gf.batch_det_minus_identity(batch, lam, p).tolist() == want
+        assert _gf.batch_det_minus_identity(lanes_last(batch), lam, p).tolist() == want
         if p <= 31:
-            narrow = _gf.batch_det_minus_identity(batch.astype(np.int16),
+            narrow = _gf.batch_det_minus_identity(lanes_last(batch).astype(np.int16),
                                                   np.asarray(lam, dtype=np.int16), p)
             assert narrow.dtype == np.int16 and narrow.tolist() == want
     assert 0 in want        # I, in the lam = 1 batch
@@ -266,7 +301,7 @@ def test_similitude_check_against_scalar(p, g):
     dim = 2 * g
     flat = rand_entries(300, dim * dim, p, 23 * p + g)
     batch = flat.reshape(-1, dim, dim)
-    lam, ok = _gf.similitude_check(batch, p)
+    lam, ok = _gf.similitude_check(lanes_last(batch), p)
     ctx = GroupContext.of(g, p)
     modulus = Modulus.of(p)
     for mat, l_, ok_ in zip(batch, lam, ok):
@@ -286,15 +321,15 @@ def test_batch_kernels_match_scalar_oracles_on_similitudes(ell, g):
     lanes = CounterLanes(ell + g, np.arange(n, dtype=np.uint64))
     lam = lanes.below(ell - 1) + 1
     sims = sample_entries_lanes(g, ell, lam, lanes)
-    near = sims.reshape(n, -1).copy()
+    near = sims.reshape(-1, n).copy()
     at = lanes.below(dim * dim)
-    near[np.arange(n), at] += lanes.below(ell - 1) + 1
-    batch = np.concatenate([sims, near.reshape(sims.shape) % ell])
+    near[at, np.arange(n)] += lanes.below(ell - 1) + 1
+    batch = np.concatenate([sims, near.reshape(sims.shape) % ell], axis=-1)
     lams, ok = _gf.similitude_check(batch, ell)
     fixed = _gf.batch_det_minus_identity(batch, lams, ell)    # read on similitudes only
     ctx, modulus = GroupContext.of(g, ell), Modulus.of(ell)
     form = form_matrix(g, modulus)
-    for k, rows in enumerate(batch.tolist()):
+    for k, rows in enumerate(np.moveaxis(batch, -1, 0).tolist()):
         m = ModMatrix.from_rows(modulus, rows)
         # the multiplier slot is the pairing of columns 0 and 1 on every lane
         transpose = ModMatrix.from_rows(modulus, list(zip(*rows)))
@@ -321,7 +356,7 @@ def int64_scan(g, p, allowed):
     dim = 2 * g
     idx = np.arange(p ** (dim * dim), dtype=np.int64)
     a = _gf.unpack_entries(idx[:, None], p, dim * dim).reshape(-1, dim, dim)
-    lam, ok = _gf.similitude_check(a, p)
+    lam, ok = _gf.similitude_check(lanes_last(a), p)
     ok &= allowed[lam]
     return a[ok], lam[ok]
 
@@ -341,10 +376,11 @@ def test_narrow_scan_matches_the_int64_scan(g, p):
 
 
 def narrow_copy(batch, p):
-    """``batch`` as the layer check sees it: packed, then ``unpack_digits``' int16."""
-    n, dim, _ = batch.shape
-    out = _gf.unpack_digits(_gf.pack_entries(batch.reshape(n, -1), p), p, dim * dim)
-    return out.reshape(n, dim, dim)
+    """A (dim, dim, N) batch as the layer check sees it: packed, then
+    ``unpack_digits``' int16."""
+    dim, _, n = batch.shape
+    out = _gf.unpack_digits(_gf.pack_entries(batch.reshape(-1, n).T, p), p, dim * dim)
+    return out.reshape(dim, dim, n)
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -354,17 +390,17 @@ def test_narrow_kernels_match_int64(p, g):
     rng = np.random.default_rng(10 * p + g)
     lanes = CounterLanes(p, np.arange(n, dtype=np.uint64))
     sims = sample_entries_lanes(g, p, lanes.below(p - 1) + 1, lanes)
-    wide = np.concatenate([rng.integers(0, p, (4 * n, dim, dim)), sims,
-                           np.full((4, dim, dim), p - 1)])
+    wide = np.concatenate([rng.integers(0, p, (dim, dim, 4 * n)), sims,
+                           np.full((dim, dim, 4), p - 1)], axis=-1)
     narrow = narrow_copy(wide, p)
     assert narrow.dtype == np.int16 and np.array_equal(narrow, wide)
     (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p) for b in (narrow, wide))
     assert lam.dtype == np.int16 and np.array_equal(lam, want_lam)
     assert np.array_equal(ok, want_ok) and ok[4 * n:-4].all()
     # det(A - I) only on the similitude lanes, where chi(1) gives it
-    got = _gf.batch_det_minus_identity(narrow[ok], lam[ok], p)
+    got = _gf.batch_det_minus_identity(narrow[..., ok], lam[ok], p)
     assert got.dtype == np.int16
-    assert np.array_equal(got, _gf.batch_det_minus_identity(wide[ok], want_lam[ok], p))
+    assert np.array_equal(got, _gf.batch_det_minus_identity(wide[..., ok], want_lam[ok], p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -403,20 +439,20 @@ def test_scan_dtype_widens_where_a_pairing_passes_int16():
     for p in (181, 191):
         dtype = _gf.scan_dtype(1, p)
         # all entries p - 1, and diag(p - 1, p - 1), whose pairing is (p-1)**2
-        wide = np.array([[[p - 1, p - 1], [p - 1, p - 1]], [[p - 1, 0], [0, p - 1]]])
+        wide = lanes_last(np.array([[[p - 1, p - 1], [p - 1, p - 1]], [[p - 1, 0], [0, p - 1]]]))
         (lam, ok), (want_lam, want_ok) = (_gf.similitude_check(b, p)
                                           for b in (wide.astype(dtype), wide))
         assert lam.dtype == dtype and np.array_equal(lam, want_lam)
         assert np.array_equal(ok, want_ok) and want_ok.tolist() == [False, True]
         # det(A - I) on the similitude lane only
-        assert np.array_equal(_gf.batch_det_minus_identity(wide.astype(dtype)[ok], lam[ok], p),
-                              _gf.batch_det_minus_identity(wide[ok], want_lam[ok], p))
+        assert np.array_equal(_gf.batch_det_minus_identity(wide.astype(dtype)[..., ok], lam[ok], p),
+                              _gf.batch_det_minus_identity(wide[..., ok], want_lam[ok], p))
     # at 191 int16 would not do: the pairing of diag(190, 190) wraps
-    diag = np.array([[[190, 0], [0, 190]]])
+    diag = np.array([[[190], [0]], [[0], [190]]])
     assert _gf.similitude_check(diag.astype(np.int16), 191)[0][0] != 190 ** 2 % 191
     # the last index of the largest genus-1 scan decodes in int16
     top = np.array([0, 32749 ** 4 - 1])
-    assert np.array_equal(_gf.index_to_entries(top, 32749, 4), [[0] * 4, [32748] * 4])
+    assert np.array_equal(_gf.index_to_entries(top, 32749, 4), [[0, 32748]] * 4)
 
 
 @pytest.mark.parametrize("dd", [4, 16])
@@ -427,11 +463,12 @@ def test_unpack_digits_matches_unpack_entries(p, dd):
                            np.zeros((1, dd), dtype=np.int64)])
     keys = _gf.pack_entries(flat, p)
     got = _gf.unpack_digits(keys, p, dd)
-    assert got.dtype == np.int16 and np.array_equal(got, _gf.unpack_entries(keys, p, dd))
+    assert got.dtype == np.int16 and got.flags.c_contiguous
+    assert np.array_equal(got, _gf.unpack_entries(keys, p, dd).T)
     # one-word keys from the scan's indices decode alike
     idx = np.append(np.arange(0, p ** 4, 1 + p ** 4 // 97), p ** 4 - 1)
     assert np.array_equal(_gf.index_to_entries(idx, p, 4),
-                          _gf.unpack_entries(idx[:, None], p, 4))
+                          _gf.unpack_entries(idx[:, None], p, 4).T)
 
 
 def _core_shaped(ell, free):

@@ -250,6 +250,20 @@ def test_read_matrix_lines_skips_empty_lines():
         assert list(read_matrix_lines(io.StringIO("# dim=2 mod=5\n\n\n"), 2, 5)) == []
 
 
+def test_read_matrix_lines_names_the_chunk_of_a_byte_that_is_not_utf8():
+    # the header's read decodes ahead into the first chunk, so a byte there
+    # is named with lines 1 to LINES_PER_CHUNK; one far into the second chunk
+    # is named with that chunk's lines
+    lines = [b"1,2,3,4\n"] * (LINES_PER_CHUNK + 4000)
+    second = f"{LINES_PER_CHUNK + 2}-{2 * LINES_PER_CHUNK + 1}"
+    for at, where in ((10, f"1-{LINES_PER_CHUNK}"), (LINES_PER_CHUNK + 3000, second)):
+        body = lines[:at] + [b"1,2,\xff3,4\n"] + lines[at + 1:]
+        fh = io.TextIOWrapper(io.BytesIO(b"# dim=2 mod=5\n" + b"".join(body)), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^dump lines {where}: 'utf-8' codec can't decode "
+                                             "byte 0xff in position"):
+            list(read_matrix_lines(fh, 2, 5))
+
+
 @pytest.mark.parametrize("text", [
     "# dim=2 mod=7\n1,2,3,4\n",            # header disagrees
     "# dim=3 mod=5\n1,2,3,4\n",

@@ -272,7 +272,8 @@ def test_lane_sampler_matches_sample_tuple(g, n, q, e, seed, start):
         sig = sample_tuple(ctx, e, seed, index)
         for ell in ctx.modulus.primes:
             for slot, el in enumerate(sig.elements):
-                assert by_prime[ell][slot][k].tolist() == [list(r) for r in reduce_mod(el, ell).rows]
+                got = by_prime[ell][slot][..., k].tolist()
+                assert got == [list(r) for r in reduce_mod(el, ell).rows]
 
 
 @settings(max_examples=30, deadline=None)
@@ -286,10 +287,10 @@ def test_lane_membership_matches_contains_rows(n, q, seed):
         values = np.array(ctx.restrict(ell).multiplier_values())
         a = sample_entries_lanes(2, ell, values[lanes.below(len(values))], lanes)
         # non-similitudes and similitudes with a multiplier outside the class
-        a[::9] = (a[::9] + np.eye(4, dtype=np.int64)) % ell
-        a[1::9, :, 0] = a[1::9, :, 0] * 2 % ell
+        a[..., ::9] = (a[..., ::9] + np.eye(4, dtype=np.int64)[..., None]) % ell
+        a[:, 0, 1::9] = a[:, 0, 1::9] * 2 % ell
         got = direct.contains_lanes(a)
-        assert got.tolist() == [direct.contains_rows(m.tolist()) for m in a]
+        assert got.tolist() == [direct.contains_rows(m.tolist()) for m in np.moveaxis(a, -1, 0)]
 
 
 @pytest.mark.parametrize("ell,q,members", [(3, 2, None), (3, INFINITY, None), (5, 2, 10_000)])
@@ -301,7 +302,7 @@ def test_lane_membership_on_materialized_members(ell, q, members):
         keys = keys[np.sort(pick)]
     a = _gf.unpack_entries(keys, ell, 16).reshape(-1, 4, 4)
     direct = DirectMembership(ctx)
-    assert direct.contains_lanes(a).all()
+    assert direct.contains_lanes(np.moveaxis(a, 0, -1)).all()
     assert all(direct.contains_rows(m.tolist()) for m in a)
 
 
@@ -315,10 +316,10 @@ def test_lane_stacked_rank_matches_rank_mod(g, n, e, seed):
     for ell, slots in by_prime.items():
         # repeating slot one makes the event about one matrix, so it occurs
         slots = [slots[0]] * e if seed % 2 else slots
-        stacked = np.concatenate([m - np.eye(ctx.dim, dtype=np.int64) for m in slots], axis=1)
-        ranks = _gf.batch_rank(stacked, ell)
+        eye = np.eye(ctx.dim, dtype=np.int64)[..., None]
+        ranks = _gf.batch_rank(np.concatenate([m - eye for m in slots]), ell)
         for k in range(60):
-            rows = [r for m in slots for r in minus_identity(m[k].tolist(), ell)]
+            rows = [r for m in slots for r in minus_identity(m[..., k].tolist(), ell)]
             assert int(ranks[k]) == rank_mod(rows, ell)
 
 

@@ -56,6 +56,12 @@ from symon.sympgroup import (
     StabilizerParams,
     transvection,
 )
+from test_gf import lanes_last
+
+
+def rows_first(batch):
+    """The (N, ...) matrices of a lanes-last (..., N) batch."""
+    return np.moveaxis(batch, -1, 0)
 
 
 def test_floor_values():
@@ -129,7 +135,7 @@ def test_shared_pool_scan_matches_per_multiplier_scans(ell, q):
         b11, b12, b21, b22 = (scan[:, i, j] for i in (0, 1) for j in (0, 1))
         want = scan[((1 - b11) * (1 - b22) - b12 * b21) % ell != 0][:need]
         assert want.shape == (need, 2, 2)
-        assert pool.dtype == want.dtype and np.array_equal(pool, want)
+        assert pool.dtype == want.dtype and np.array_equal(pool, lanes_last(want))
 
 
 @pytest.mark.parametrize("ell", PRIMES_TO_31)
@@ -138,19 +144,19 @@ def test_pool_predicate_matches_the_scanned_pool(ell):
     # against the pool's definition, the first `need` blocks B of det lam
     # with det(I - B) != 0 in row-major lex order, and against the pool
     # that the builders return
-    blocks = np.indices((ell,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
-    b11, b12, b21, b22 = (blocks[:, i, j] for i in (0, 1) for j in (0, 1))
+    blocks = np.indices((ell,) * 4).reshape(2, 2, -1)      # lanes in row-major lex order
+    (b11, b12), (b21, b22) = blocks
     det_b = (b11 * b22 - b12 * b21) % ell
     eligible = ((1 - b11) * (1 - b22) - b12 * b21) % ell != 0
     need = ell * (ell + 1) * (ell - 2)
     lams = range(1, ell)
     for lam, pool in zip(lams, _blocks_entries(GroupContext.of(2, ell), lams), strict=True):
-        mine, free = blocks[det_b == lam], eligible[det_b == lam]
+        mine, free = blocks[..., det_b == lam], eligible[det_b == lam]
         want = free & (np.cumsum(free) <= need)
         got = _in_pool(mine, lam, ell)[0]
         assert np.array_equal(got, want)
-        assert got.sum() == pool.shape[0] == need
-        assert np.array_equal(pool, mine[want])
+        assert got.sum() == pool.shape[-1] == need
+        assert np.array_equal(pool, mine[..., want])
 
 
 @pytest.mark.parametrize("ell", PRIMES_TO_31)
@@ -169,12 +175,13 @@ def test_pool_inverses_match_the_scalar_inverse(ell):
     # are the matrices I - B in GL_2(F_ell), so their count is checked too,
     # and det(I - B) is zero exactly where I - B is not invertible
     mod = Modulus.of(ell)
-    blocks = np.array(list(itertools.product(range(ell), repeat=4)), dtype=np.int64)
-    blocks = blocks.reshape(-1, 2, 2)
+    blocks = np.indices((ell,) * 4).reshape(2, 2, -1)
     eye = np.eye(2, dtype=np.int64)
     checked = 0
     det, inverses = _pool_inverses(blocks, ell)
-    for block, d, got in zip(blocks, det.tolist(), inverses.tolist(), strict=True):
+    assert inverses.shape == blocks.shape
+    for block, d, got in zip(rows_first(blocks), det.tolist(), rows_first(inverses).tolist(),
+                             strict=True):
         i_minus_b = ModMatrix.from_rows(mod, ((eye - block) % ell).tolist())
         try:
             want = mat_inv(i_minus_b)
@@ -197,7 +204,8 @@ def per_block_core_chunks(ctx, lam, blocks):
     inv_lam = pow(lam, -1, ell)
     d1 = np.repeat(np.arange(ell, dtype=np.int64), ell)
     d2 = np.tile(np.arange(ell, dtype=np.int64), ell)
-    for (b11, b12, b21, b22), minv in zip(blocks.reshape(-1, 4).tolist(), inverses.tolist()):
+    for (b11, b12, b21, b22), minv in zip(blocks.reshape(4, -1).T.tolist(),
+                                          rows_first(inverses).tolist()):
         b1 = inv_lam * (d1 * b21 - d2 * b11) % ell
         b2 = inv_lam * (d1 * b22 - d2 * b12) % ell
         excl = _excluded_corner(minv, (d1, d2), (b1, b2), ell)
@@ -390,7 +398,7 @@ def test_direct_membership_matches_materialized_everywhere(gsp4_f3):
         rows = [[int(x) for x in entries[i, r]] for r in range(4)]
         assert direct.contains_rows(rows) == bool(in_set[i])
     # the lane path on every member too, blocks with det(I - B) = 0 included
-    assert np.array_equal(direct.contains_lanes(entries), in_set)
+    assert np.array_equal(direct.contains_lanes(lanes_last(entries)), in_set)
     # and on a sample of non-group matrices both say no
     rng = CounterRng(77, 0)
     for _ in range(200):
@@ -428,11 +436,12 @@ def test_lane_membership_matches_rows_at_large_ell(ell):
     a = np.array([sample_full_witness(ctx, 1 + i % 2, 7, i).rows for i in range(100)],
                  dtype=np.int64)
     rows = [direct.contains_rows(m.tolist()) for m in a]
-    assert direct.contains_lanes(a).tolist() == rows and all(rows)
+    assert direct.contains_lanes(lanes_last(a)).tolist() == rows and all(rows)
     if ell ** 4 <= 1 << 63:
         lanes = CounterLanes(ell, np.arange(1000, dtype=np.uint64))
         a = sample_entries_lanes(2, ell, 1 + lanes.below(ell - 1), lanes)
-        assert direct.contains_lanes(a).tolist() == [direct.contains_rows(m.tolist()) for m in a]
+        assert direct.contains_lanes(a).tolist() == [direct.contains_rows(m.tolist())
+                                                     for m in rows_first(a)]
 
 
 def _stabilizer_lanes(ctx, seed, count):
@@ -451,8 +460,8 @@ def _stabilizer_lanes(ctx, seed, count):
 
 
 def _fixed_lines(a, ell):
-    """kernel_line of A - I for an (N, 4, 4) batch: (ok, (4, N) lines)."""
-    return _gf.kernel_line(a.transpose(1, 2, 0) - np.eye(4, dtype=np.int64)[:, :, None], ell)
+    """kernel_line of A - I for a (4, 4, N) batch: (ok, (4, N) lines)."""
+    return _gf.kernel_line(a - np.eye(4, dtype=np.int64)[:, :, None], ell)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 101])
@@ -462,10 +471,10 @@ def test_lane_membership_where_the_fixed_line_is_e1(ell):
     ctx = GroupContext.of(2, ell)
     direct = DirectMembership(ctx)
     a = _stabilizer_lanes(ctx, ell, 600)
-    fixed, v = _fixed_lines(a, ell)
+    fixed, v = _fixed_lines(lanes_last(a), ell)
     assert (v[:, fixed].T == [1, 0, 0, 0]).all()
     rows = [direct.contains_rows(m.tolist()) for m in a]
-    assert direct.contains_lanes(a).tolist() == rows
+    assert direct.contains_lanes(lanes_last(a)).tolist() == rows
     members = {rows[i] for i in np.flatnonzero(fixed).tolist()}
     assert members == {True, False}
 
@@ -483,11 +492,11 @@ def test_lane_membership_where_the_fixed_line_leaves_the_shear_orbit(ell):
     cores = _stabilizer_lanes(ctx, ell + 1, len(conj))
     a = np.array([(s @ ModMatrix.from_rows(ctx.modulus, m.tolist()) @ mat_inv(s)).rows
                   for s, m in zip(conj, cores)], dtype=np.int64)
-    fixed, v = _fixed_lines(a, ell)
+    fixed, v = _fixed_lines(lanes_last(a), ell)
     assert fixed.sum() >= 10
     assert (v[1, fixed] == 0).all() and v[2:, fixed].any(axis=0).all()
     rows = [direct.contains_rows(m.tolist()) for m in a]
-    assert direct.contains_lanes(a).tolist() == rows and not any(rows)
+    assert direct.contains_lanes(lanes_last(a)).tolist() == rows and not any(rows)
 
 
 @pytest.mark.parametrize("ell,lam", [(3, 2), (5, 3), (7, 1)])
@@ -499,7 +508,7 @@ def test_lane_membership_on_full_layer_members(ell, lam):
     a = _gf.unpack_entries(keys[np.sort(pick)], ell, 16).reshape(-1, 4, 4)
     del keys
     direct = DirectMembership(ctx)
-    assert direct.contains_lanes(a).all()
+    assert direct.contains_lanes(lanes_last(a)).all()
     assert all(direct.contains_rows(m.tolist()) for m in a[:300])
 
 
@@ -516,13 +525,13 @@ def test_direct_membership_at_the_multiplier_one_cutoff(ell):
         blk = ModMatrix.from_rows(ctx.modulus, block)
         d_vec = (3, 4)
         b = stabilizer_matrix(ctx, StabilizerParams(1, 0, d_vec, blk)).rows[0][2:]
-        minv = _pool_inverses(np.array([block]), ell)[1][0].tolist()
+        minv = _pool_inverses(np.array(block)[..., None], ell)[1][..., 0].tolist()
         d = (_excluded_corner(minv, d_vec, b, ell) + 1) % ell
         core = stabilizer_matrix(ctx, StabilizerParams(1, d, d_vec, blk))
         mats += [core, transvection(ctx, (5, 6), -2) @ core @ transvection(ctx, (5, 6), 2)]
     a = np.array([m.rows for m in mats], dtype=np.int64)
     assert [direct.contains_rows(m.tolist()) for m in a] == [True, True, False, False]
-    assert direct.contains_lanes(a).tolist() == [True, True, False, False]
+    assert direct.contains_lanes(lanes_last(a)).tolist() == [True, True, False, False]
 
 
 def test_membership_dispatch_and_self_membership():
@@ -655,7 +664,7 @@ def core_non_member(layer):
     ell = layer.ctx.modulus.n
     if layer.lam == 1 and ell >= 5:
         return [1, 1, 0, 0, 0, 1, 0, 0, 0, 0, ell - 1, ell - 2, 0, 0, ell - 1, ell - 3]
-    siblings = np.repeat(next(layer.iter_entries())[:1].astype(np.int64), ell, axis=0)
+    siblings = np.repeat(next(layer.iter_entries())[:, :1].T.astype(np.int64), ell, axis=0)
     siblings[:, 1] = np.arange(ell)
     outside = siblings[~layer.contains_flat(siblings)]
     assert outside.shape[0] == 1
@@ -673,7 +682,7 @@ def test_problems_names_the_one_rule_a_layer_breaks():
     short = FixedVectorSet(ctx, 1, SetLevel.CORE, core.keys[1:])
     assert short.problems("215") == (
         ["cardinality mismatch: dump has 215, the closed formula gives 216"], True)
-    member = ModMatrix.from_flat(ctx.modulus, next(core.iter_entries())[0])
+    member = ModMatrix.from_flat(ctx.modulus, next(core.iter_entries())[:, 0])
     sheared = transvection(ctx, (0, 0), 1) @ member @ transvection(ctx, (0, 0), -1)
     j = form_matrix(2, ctx.modulus)                  # det(J - I) = 4, nonzero mod 3
     cases = [
@@ -707,14 +716,14 @@ def test_fixed_space_at_the_excluded_corner(ell):
     lams = list(range(1, ell))
     rng = np.random.default_rng(ell)
     for lam, pool in zip(lams, _blocks_entries(ctx, lams)):
-        for block in pool[rng.choice(pool.shape[0], 4, replace=False)]:
-            minv = _pool_inverses(block[None], ell)[1][0].tolist()
+        for block in rows_first(pool[..., rng.choice(pool.shape[-1], 4, replace=False)]):
+            minv = _pool_inverses(block[..., None], ell)[1][..., 0].tolist()
             for d_vec in itertools.product(range(ell), repeat=2):
                 rows = stabilizer_matrix(ctx, StabilizerParams(
                     lam, 0, d_vec, ModMatrix.from_flat(Modulus.of(ell), block.ravel()))).rows
-                a = np.repeat(np.array([rows], dtype=np.int64), ell, axis=0)
-                a[:, 0, 1] = np.arange(ell)      # every corner value
-                dims = 4 - _gf.batch_rank(a - np.eye(4, dtype=np.int64), ell)
+                a = np.repeat(np.array(rows, dtype=np.int64)[..., None], ell, axis=-1)
+                a[0, 1] = np.arange(ell)      # every corner value
+                dims = 4 - _gf.batch_rank(a - np.eye(4, dtype=np.int64)[..., None], ell)
                 excluded = _excluded_corner(minv, d_vec, rows[0][2:], ell)
                 want = [2 if lam == 1 and x == excluded else 1 for x in range(ell)]
                 assert dims.tolist() == want, (lam, block.tolist(), d_vec)
@@ -782,8 +791,7 @@ def test_read_sidecar_returns_what_the_writer_wrote():
         buf.seek(0)
         assert FixedVectorSet.read_sidecar(buf, "s.json") == (s.ctx, s.lam, s.level,
                                                              str(s.cardinality))
-    assert read_sidecar(dict(CORE_SIDECAR, q=4, cardinality=216))[::3] == (
-        GroupContext.of(2, 3, 4), 216)
+    assert read_sidecar(dict(CORE_SIDECAR, q=4))[::3] == (GroupContext.of(2, 3, 4), "216")
 
 
 MALFORMED_SIDECARS = {
@@ -802,6 +810,10 @@ MALFORMED_SIDECARS = {
     **{f"{key}-{value!r}": (dict(CORE_SIDECAR, **{key: value}),
                             "sidecar s.json: g, n and lam must be integers")
        for key in ("g", "n", "lam") for value in ("2", 2.0, True, None)},
+    # the cardinality as ``sidecar()`` writes it: a string of ASCII decimal digits
+    **{f"cardinality-{value!r}": (dict(CORE_SIDECAR, cardinality=value),
+                                  "sidecar s.json: cardinality must be a string of decimal digits")
+       for value in (216, 216.0, None, True, [], "", "-216", "2e2", " 216", "\u00b2\u00b9\u2076")},
     "another-pool": (dict(CORE_SIDECAR, strategy="explicit-g2"),
                      "sidecar s.json: strategy must be 'lex-canonical', got 'explicit-g2'"),
     "g-3": (dict(CORE_SIDECAR, g=3, n=7),

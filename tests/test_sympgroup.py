@@ -291,7 +291,7 @@ def test_lane_sampler_at_the_largest_admitted_prime(g, ell, past):
     for i in range(n):
         rng = CounterRng(seed, i)
         assert rng.below(ell - 1) + 1 == lam[i]
-        assert got[i].tolist() == sample_entries(g, ell, int(lam[i]), rng)
+        assert got[..., i].tolist() == sample_entries(g, ell, int(lam[i]), rng)
     with pytest.raises(ValueError, match="batch sampling"):
         sample_entries_lanes(g, past, 1, CounterLanes(seed, np.arange(2, dtype=np.uint64)))
 
@@ -323,7 +323,7 @@ def test_lane_sampler_matches_the_scalar_sampler_lane_by_lane(g, ell, n):
     lanes = CounterLanes(seed, np.arange(n, dtype=np.uint64))
     lam = 1 + lanes.below(ell - 1)
     got = sample_entries_lanes(g, ell, lam, lanes)
-    assert got.shape == (n, 2 * g, 2 * g)
+    assert got.shape == (2 * g, 2 * g, n) and got.flags.c_contiguous
     # where the rarest pivot, last on the first step, is expected 8 times or
     # more, every pivot of every step must occur
     coverage = n >= 8 * ell ** (2 * g - 1)
@@ -332,7 +332,7 @@ def test_lane_sampler_matches_the_scalar_sampler_lane_by_lane(g, ell, n):
         rng = CounterRng(seed, i)
         assert 1 + rng.below(ell - 1) == lam[i]
         rows = sample_entries(g, ell, int(lam[i]), rng)
-        assert got[i].tolist() == rows
+        assert got[..., i].tolist() == rows
         assert rng._count == lanes._count
         if coverage:
             pivots.update(enumerate(_sampler_pivots(rows, ell)))
